@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from dataclasses import field as _dc_field
 
 from . import fixtures as fx
+from . import intlinalg as la
 from . import koszul as kz
 from . import lattice as lat
 from . import posets as po
@@ -171,10 +172,9 @@ def run(spec: JobSpec):
         "koszul": _cmd_koszul,
         "subdivide": _cmd_subdivide,
     }
+    la.parse_field(spec.field)  # a bad --field fails every command alike
     if spec.command == "verify":
-        selected = spec.options.get("fixtures", "all")
-        names = None if selected == "all" else selected.split(",")
-        lines, ok = vf.run_criteria(names)
+        lines, ok = vf.run_criteria(spec.options.get("criteria"))
         return (0 if ok else 1), "\n".join(lines)
     if spec.command == "fixtures":
         return 0, _cmd_fixtures(spec)
@@ -198,11 +198,25 @@ def _cmd_fixtures(spec: JobSpec):
     return "\n".join(written)
 
 
+def _criteria(text: str):
+    """None for "all", else the list of verify.CRITERIA keys named."""
+    if text == "all":
+        return None
+    keys = text.split(",")
+    unknown = [k for k in keys if k not in vf.CRITERIA]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown criteria {', '.join(unknown)}; valid keys: all, "
+            + ", ".join(vf.CRITERIA))
+    return keys
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--field", default=sg.DEFAULT_FIELD,
-                        help='"rational" or "prime:<p>"')
+                        help='"rational" or "prime:<p>" with '
+                             f'{la.MIN_FIELD_CHAR} <= p < 2**22 prime')
     common.add_argument("--format", dest="fmt", choices=("json", "text"),
                         default="json")
     parser = argparse.ArgumentParser(
@@ -236,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generic", action="store_true")
 
     p = sub.add_parser("verify", parents=[common])
-    p.add_argument("--fixtures", default="all",
-                   help='"all" or comma-separated criterion keys')
+    p.add_argument("--criteria", type=_criteria, default=None,
+                   help='"all" (default) or comma-separated criterion keys')
 
     p = sub.add_parser("fixtures", parents=[common])
     p.add_argument("--dump", default="fixtures", metavar="DIR")
@@ -262,8 +276,8 @@ def spec_from_args(args) -> JobSpec:
         options["generic"] = True
     if getattr(args, "cap", None) is not None:
         options["cap"] = args.cap
-    if getattr(args, "fixtures", None):
-        options["fixtures"] = args.fixtures
+    if getattr(args, "criteria", None):
+        options["criteria"] = args.criteria
     if getattr(args, "dump", None):
         options["dump"] = args.dump
     return JobSpec(command=args.command, inputs=tuple(inputs),

@@ -25,10 +25,6 @@ class NotReflexivePair(StringConeError):
     """Operation needs a dual pair of cones built from a reflexive polytope."""
 
 
-class DegenerateLift(StringConeError):
-    """Lifted height configuration rejected by a subdivision routine."""
-
-
 class InvalidSubdivision(StringConeError):
     """Candidate fan fails the subdivision validity checks."""
 
@@ -65,8 +61,9 @@ class PointOutsideCone(StringConeError):
     """Lattice point does not belong to the expected cone."""
 
 
-class FieldCharacteristicTooSmall(StringConeError):
-    """Prime modulus below the configured minimum for generic coefficients."""
+class InvalidField(StringConeError):
+    """Field descriptor is not "rational" or "prime:<p>" with p a prime in
+    the supported range."""
 
 
 class NotRegular(StringConeError):

@@ -5,21 +5,28 @@ All geometry in this package reduces to small exact-arithmetic kernels:
 * Smith-form based integer solving (grading functionals, lattice kernels,
   saturations),
 * Fraction Gaussian elimination for small dense matrices,
-* fast row echelon over a prime field (blocked float64 multiply, exact
-  because every intermediate value stays below 2**53),
-* certified rational rank for the large multiplication matrices: a mod-p
-  echelon proposes the rank, Dixon p-adic lifting produces candidate
-  kernel vectors, and an exact bigint verification promotes the answer
-  from "probable" to proven.  On any failure we fall back to plain
-  Fraction elimination, which is always correct.
+* row echelon and RREF over a prime field p < 2**22 (blocked float64
+  multiply, exact because every intermediate value stays below 2**53),
+* certified rational rank for the large multiplication matrices: one
+  mod-p echelon proposes the rank and names a square subsystem, Dixon
+  p-adic lifting produces candidate kernel vectors, and an exact bigint
+  verification promotes the answer from "probable" to proven.  On any
+  failure we fall back to plain Fraction elimination, which is always
+  correct.
+
+`rank` and `ranks_with_prefix` dispatch on a field descriptor, so callers
+hold one code path for both scalar fields.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
+
+from .errors import InvalidField
 
 # A prime just above 2**21 keeps 64-term float64 dot products of residues
 # exact with room to defer modular reductions across several panels
@@ -27,8 +34,37 @@ import numpy as np
 # coefficient range used for random elements.
 DEFAULT_PRIME = 2097169
 MIN_FIELD_CHAR = 2_000_000
+MAX_FIELD_CHAR = 1 << 22  # exclusive; the float64 kernels need p < 2**22
+
+# rank_rational_certified: Fraction elimination up to this many cells,
+# and this many primes tried before falling back to it
+CERTIFY_SMALL_CELLS = 4000
+CERTIFY_PRIMES = 3
 
 _BLOCK = 64
+
+
+def parse_field(field: str):
+    """Split a field descriptor into ("rational", None) or ("prime", p).
+
+    Raises InvalidField for anything else, for a composite modulus, and
+    for a prime outside MIN_FIELD_CHAR <= p < MAX_FIELD_CHAR."""
+    if field == "rational":
+        return ("rational", None)
+    kind, _, value = field.partition(":")
+    try:
+        p = int(value) if kind == "prime" else None
+    except ValueError:
+        p = None
+    if p is None:
+        raise InvalidField(f"unknown field descriptor {field!r}; "
+                           f"expected 'rational' or 'prime:<p>'")
+    if not MIN_FIELD_CHAR <= p < MAX_FIELD_CHAR:
+        raise InvalidField(f"prime {p} outside the supported range "
+                           f"{MIN_FIELD_CHAR} <= p < 2**22")
+    if not _is_probable_prime(p):
+        raise InvalidField(f"modulus {p} is not prime")
+    return ("prime", p)
 
 
 def gcd_vector(vec) -> int:
@@ -286,16 +322,40 @@ def _fast_mod_inplace(x: np.ndarray, p: int, inv_p: float) -> None:
     x[x >= p] -= p
 
 
-def _echelon_small_float(a: np.ndarray, p: int):
+def _to_mod_array(rows, p: int) -> np.ndarray:
+    """Residues mod p of an integer matrix, as float64."""
+    if isinstance(rows, np.ndarray) and rows.dtype != object:
+        return (rows.astype(np.int64) % p).astype(np.float64)
+    return np.array([[int(x) % p for x in row] for row in rows],
+                    dtype=np.float64)
+
+
+def _check_float64_prime(p: int) -> None:
+    if p >= MAX_FIELD_CHAR:
+        raise ValueError(f"prime {p} too large for float64 elimination "
+                         f"(needs p < 2**22)")
+
+
+def echelon_mod_p(rows, p: int):
     """Row echelon over GF(p) with blocked float64 updates.
 
-    Requires p < 2**23 so that 64-term dot products of residues stay exact
-    in float64 (64 * (p-1)**2 < 2**53).  Scalar work touches only the
+    Returns (rank, pivot_columns, order): order[i] is the input row that
+    ends at echelon position i, so rows order[:rank] are independent mod p
+    and, restricted to the pivot columns, form an invertible matrix.
+
+    Every value stays an exact integer below 2**53: 64-term dot products
+    of residues need 64 * (p-1)**2 < 2**53, and p < 2**22 leaves room to
+    defer reductions across panels.  Scalar work touches only the
     64-column panel; the trailing block is updated by forward substitution
-    on the pivot rows plus one GEMM.  Only the rank and pivot columns of
-    the result are meaningful to callers.
+    on the pivot rows plus one GEMM.
     """
-    m, n = a.shape
+    _check_float64_prime(p)
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    order = list(range(m))
+    if m == 0 or n == 0:
+        return 0, [], order
+    a = _to_mod_array(rows, p)
     inv_p = 1.0 / p
     p2 = float(p - 1) ** 2
     panel_growth = _BLOCK * p2
@@ -320,6 +380,7 @@ def _echelon_small_float(a: np.ndarray, p: int):
             i = r + int(nz[0])
             if i != r:
                 a[[r, i], col:] = a[[i, r], col:]
+                order[r], order[i] = order[i], order[r]
                 # keep recorded multiplier columns aligned with row contents
                 for rk, _, fk in recorded:
                     fk[r - rk - 1], fk[i - rk - 1] = fk[i - rk - 1], fk[r - rk - 1]
@@ -359,61 +420,7 @@ def _echelon_small_float(a: np.ndarray, p: int):
                     _fast_mod_inplace(trail[r:], p, inv_p)
                     bound = float(p - 1)
         col = hi
-    return r, pivots, a
-
-
-def _echelon_int64(a: np.ndarray, p: int):
-    """Unblocked row echelon over GF(p) in int64; works for p < 2**31.5."""
-    m, n = a.shape
-    r = 0
-    pivots = []
-    for c in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = a[r] * inv % p
-        f = a[r + 1:, c].copy()
-        rows = np.nonzero(f)[0]
-        if rows.size:
-            a[r + 1 + rows] = (a[r + 1 + rows] - f[rows, None] * a[r]) % p
-        pivots.append(c)
-        r += 1
-    return r, pivots, a
-
-
-def _to_mod_array(rows, p: int, dtype):
-    if isinstance(rows, np.ndarray):
-        if rows.dtype == object:
-            a = np.array([[int(x) % p for x in row] for row in rows],
-                         dtype=dtype)
-        else:
-            a = (rows.astype(np.int64) % p).astype(dtype)
-    else:
-        a = np.array([[int(x) % p for x in row] for row in rows], dtype=dtype)
-    if a.ndim == 1:
-        a = a.reshape(len(rows), -1)
-    return a
-
-
-def echelon_mod_p(rows, p: int):
-    """Row echelon form over GF(p); returns (rank, pivot_columns, matrix)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    if nrows == 0 or ncols == 0:
-        return 0, [], np.zeros((nrows, ncols))
-    if p < (1 << 23):
-        a = _to_mod_array(rows, p, np.float64)
-        return _echelon_small_float(a, p)
-    if p >= (1 << 32):
-        raise ValueError("prime too large for the int64 elimination path")
-    a = _to_mod_array(rows, p, np.int64)
-    return _echelon_int64(a, p)
+    return r, pivots, order
 
 
 def rank_mod_p(rows, p: int) -> int:
@@ -429,39 +436,15 @@ def ranks_with_prefix_mod_p(rows, split: int, p: int) -> tuple[int, int]:
 
 
 def rref_mod_p(rows, p: int):
-    """Full RREF over GF(p).  Returns (rank, pivots, int64 matrix)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    if nrows == 0 or ncols == 0:
-        return 0, [], np.zeros((nrows, ncols), dtype=np.int64)
-    if p < (1 << 22):
-        return _rref_small_float(_to_mod_array(rows, p, np.float64), p)
-    a = _to_mod_array(rows, p, np.int64)
-    m, n = a.shape
-    r = 0
-    pivots = []
-    for c in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
-        others = np.nonzero(a[:, c])[0]
-        others = others[others != r]
-        if others.size:
-            a[others] = (a[others] - a[others, c][:, None] * a[r]) % p
-        pivots.append(c)
-        r += 1
-    return r, pivots, a
+    """Full RREF over GF(p) in float64 with deferred reductions.
 
-
-def _rref_small_float(a: np.ndarray, p: int):
-    """Float64 RREF with deferred reductions; exact for p < 2**22."""
-    m, n = a.shape
+    Returns (rank, pivots, int64 matrix); exact for p < 2**22."""
+    _check_float64_prime(p)
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    if m == 0 or n == 0:
+        return 0, [], np.zeros((m, n), dtype=np.int64)
+    a = _to_mod_array(rows, p)
     inv_p = 1.0 / p
     p2 = float(p - 1) ** 2
     cap = float(1 << 51)
@@ -548,39 +531,34 @@ class _DixonSolver:
         self.p = p
         self.n = len(s_rows)
         self.s_int = np.array(s_rows, dtype=np.int64)
-        if self.n and np.abs(self.s_int).max() * self.n * p >= (1 << 62):
+        if self.n and int(np.abs(self.s_int).max()) * self.n * p >= 1 << 62:
             raise ArithmeticError("entries too large for int64 lifting")
         # dense inverse mod p via RREF of [S | I]
         aug = np.concatenate(
             [self.s_int % p, np.eye(self.n, dtype=np.int64)], axis=1)
-        r, piv, mat = rref_mod_p(aug, p)
+        _, piv, mat = rref_mod_p(aug, p)
         if piv[: self.n] != list(range(self.n)):
             raise ZeroDivisionError("matrix singular mod p")
-        self.inv_mod_p = mat[:, self.n:].astype(np.int64)
+        self.inv_mod_p = mat[:, self.n:]
 
     def solve(self, b, max_digits: int):
         """Return exact Fraction solution vector, or None if lifting fails."""
         p = self.p
         r = np.array(b, dtype=np.int64)
-        digits = []
         modulus = 1
         accum = np.zeros(self.n, dtype=object)
         check_at = 24
         for step in range(max_digits):
             z = self.inv_mod_p @ (r % p) % p
-            digits.append(z)
             accum = accum + z.astype(object) * modulus
             modulus *= p
             r = (r - self.s_int @ z) // p
             if step + 1 >= check_at or step + 1 == max_digits:
                 check_at = check_at * 2
-                sol = self._try_reconstruct(accum, modulus)
+                sol = vector_rational_reconstruct(accum, modulus)
                 if sol is not None:
                     return sol
         return None
-
-    def _try_reconstruct(self, accum, modulus):
-        return vector_rational_reconstruct(accum, modulus)
 
 
 def _verify_left_kernel(mat: np.ndarray, nz_rows, nz_cols, nz_vals,
@@ -598,56 +576,45 @@ def _verify_left_kernel(mat: np.ndarray, nz_rows, nz_cols, nz_vals,
     return all(t == 0 for t in totals)
 
 
-def rank_rational_certified(rows, *, prime: int = DEFAULT_PRIME,
-                            small_limit: int = 4000) -> int:
-    """Rank over Q, certified.
+def rank_rational_certified(rows) -> int:
+    """Rank over Q, certified, with one mod-p elimination per prime attempt.
 
-    A mod-p echelon gives a lower bound r (a nonzero r x r minor mod p is
-    nonzero over Q).  If r equals the row or column count the rank is
-    pinned.  Otherwise rank <= r is certified by producing rows-r exact
-    left-kernel vectors via Dixon lifting and verifying them with bigint
-    arithmetic.  Any failure falls back to Fraction elimination, which is
-    always correct.
+    The echelon of the matrix mod p gives a lower bound r (a nonzero
+    r x r minor mod p is nonzero over Q), which pins the rank when it
+    equals the row or column count.  Otherwise the same pass names r
+    independent rows and r pivot columns; their square submatrix is
+    invertible mod p, so Dixon lifting yields one exact left-kernel vector
+    per remaining row, and bigint verification of those vectors proves
+    rank <= r.  After CERTIFY_PRIMES failed attempts, Fraction
+    elimination, which is always correct, decides.
     """
     mat = np.asarray(rows, dtype=np.int64)
-    if mat.ndim == 1:
-        mat = mat.reshape(len(rows), -1)
-    nrows, ncols = mat.shape
-    if nrows == 0 or ncols == 0:
+    if mat.size == 0:
         return 0
-    if nrows * ncols <= small_limit:
+    if mat.size <= CERTIFY_SMALL_CELLS:
         return rank_fraction(mat.tolist())
-    # cheap full-rank shortcut in the natural orientation
-    r0 = rank_mod_p(mat, prime)
-    if r0 == nrows or r0 == ncols:
-        return r0
-    for attempt, p in enumerate(primes_below(prime + 1)):
+    for p in islice(primes_below(DEFAULT_PRIME + 1), CERTIFY_PRIMES):
         result = _certify_left_kernel(mat, p)
         if result is not None:
             return result
-        if attempt >= 2:
-            break
     return rank_fraction(mat.tolist())
 
 
 def _certify_left_kernel(mat: np.ndarray, prime: int):
     """Certified rank via exact left-kernel vectors, or None on failure."""
     nrows, ncols = mat.shape
-    tr = mat.T
-    r, piv, _ = echelon_mod_p(tr, prime)
+    r, piv, order = echelon_mod_p(mat, prime)
     if r == nrows or r == ncols:
         return r  # full rank mod p pins the rank over Q
     if r == 0:
         return 0 if not mat.any() else None
-    free = [j for j in range(nrows) if j not in set(piv)]
-    # r independent rows of the (ncols x r) pivot submatrix of mat^T
-    sub = tr[:, piv]
-    rr, row_piv, _ = echelon_mod_p(sub.T, prime)
-    if rr != r:
-        return None
-    square = sub[row_piv, :]
+    independent = order[:r]
+    # the left-kernel vector with a 1 at a dependent row f solves
+    # y @ mat[independent] = -mat[f]; on the pivot columns that is the
+    # square system square @ y = -mat[f, piv]
+    square = mat[np.ix_(independent, piv)].T
     try:
-        solver = _DixonSolver(square.tolist(), prime)
+        solver = _DixonSolver(square, prime)
     except (ZeroDivisionError, ArithmeticError):
         return None
     max_entry = int(np.abs(square).max())
@@ -657,15 +624,40 @@ def _certify_left_kernel(mat: np.ndarray, prime: int):
     nz_vals = [int(v) for v in mat[nz_rows, nz_cols]]
     nz_rows = nz_rows.tolist()
     nz_cols = nz_cols.tolist()
-    for f in free:
-        b = [-int(x) for x in tr[row_piv, f]]
-        sol = solver.solve(b, max_digits)
+    for f in order[r:]:
+        sol = solver.solve(-mat[f, piv], max_digits)
         if sol is None:
             return None
         vec = [Fraction(0)] * nrows
         vec[f] = Fraction(1)
-        for val, j in zip(sol, piv):
+        for val, j in zip(sol, independent):
             vec[j] = val
         if not _verify_left_kernel(mat, nz_rows, nz_cols, nz_vals, vec):
             return None
     return r
+
+
+# ---------------------------------------------------------------------------
+# Field dispatch
+# ---------------------------------------------------------------------------
+
+def rank(mat: np.ndarray, field: str) -> int:
+    """Exact rank of an integer matrix over the field a descriptor names."""
+    if mat.size == 0:
+        return 0
+    _, p = parse_field(field)
+    return rank_mod_p(mat, p) if p else rank_rational_certified(mat)
+
+
+def ranks_with_prefix(mat: np.ndarray, split: int,
+                      field: str) -> tuple[int, int]:
+    """(rank of the first `split` columns, rank of the whole matrix)."""
+    if mat.size == 0:
+        return 0, 0
+    _, p = parse_field(field)
+    if p:
+        return ranks_with_prefix_mod_p(mat, split, p)
+    prefix = rank(mat[:, :split], field)
+    if split == mat.shape[1]:
+        return prefix, prefix
+    return prefix, rank_rational_certified(mat)

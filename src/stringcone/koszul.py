@@ -31,7 +31,7 @@ from . import intlinalg as la
 from . import lattice as lat
 from .errors import CapTooSmall, NotRegular
 from .lattice import FanSubdivision, ReflexivePair
-from .semigroup import DegreeOneElement, is_sigma_regular, parse_field
+from .semigroup import DegreeOneElement, is_sigma_regular
 from .stringy import tilde_s_polynomial
 
 
@@ -66,10 +66,6 @@ class KoszulComplex:
         self.space = space
         self.blocks = list(blocks)
         self.field = field
-        self.kind, self.prime = parse_field(field)
-
-    def blocks_from(self, key):
-        return [b for b in self.blocks if b.source == key]
 
     def verify_d_squared(self) -> bool:
         """The composite into each target must vanish after summing over
@@ -254,18 +250,9 @@ def cohomology_dims(complex_: KoszulComplex) -> dict:
                 mat[i0:i0 + sub.shape[0], j0:j0 + sub.shape[1]] += sub
         return mat
 
-    ranks: dict = {}
-    all_st = set(grouped)
-    for st in all_st:
-        mat = assemble(st)
-        if mat.size == 0:
-            ranks[st] = 0
-        elif complex_.kind == "prime":
-            ranks[st] = la.rank_mod_p(mat, complex_.prime)
-        else:
-            ranks[st] = la.rank_rational_certified(mat.tolist())
+    ranks = {st: la.rank(assemble(st), complex_.field) for st in grouped}
     dims = {}
-    for st in all_st:
+    for st in grouped:
         s, t = st
         total = sum(space.piece_dim(k) for k in grouped[st])
         h = total - ranks.get(st, 0) - ranks.get((s, t - 1), 0)

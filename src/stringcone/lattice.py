@@ -402,9 +402,6 @@ class FaceLattice:
     faces: tuple[Face, ...]            # sorted by (dim, generator indices)
     covers: tuple[tuple[int, int], ...]  # (lower index, upper index)
 
-    def by_genset(self) -> dict[frozenset, Face]:
-        return {f.gen_indices: f for f in self.faces}
-
     def face_of_gens(self, gen_indices) -> Face:
         key = frozenset(gen_indices)
         for f in self.faces:
@@ -688,9 +685,6 @@ class Fan:
     rank: int
     cones: tuple[GradedCone, ...]
     max_cones: tuple[GradedCone, ...]
-
-    def contains(self, cone: GradedCone) -> bool:
-        return cone in self.cones
 
 
 def fan_from_cones(rank: int, max_cones) -> Fan:

@@ -251,11 +251,6 @@ class BivariateLaurentPolynomial:
                     f"term u^{a} v^{b} has a negative exponent")
         return self
 
-    def min_exponents(self) -> tuple[int, int]:
-        if not self.terms:
-            return (0, 0)
-        return (min(a for a, _ in self.terms), min(b for _, b in self.terms))
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
@@ -293,7 +288,3 @@ def substitute(p: BivariateLaurentPolynomial, image_of_u: Monomial,
         key = (ua + ub, va + vb)
         out[key] = out.get(key, 0) + sign * c
     return BivariateLaurentPolynomial(out)
-
-
-def swap_uv(p: BivariateLaurentPolynomial) -> BivariateLaurentPolynomial:
-    return BivariateLaurentPolynomial({(b, a): c for (a, b), c in p.terms.items()})

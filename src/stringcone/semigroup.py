@@ -22,29 +22,12 @@ import numpy as np
 
 from . import intlinalg as la
 from . import lattice as lat
-from .errors import (
-    FieldCharacteristicTooSmall,
-    NotRegular,
-    PointOutsideCone,
-)
+from .errors import NotRegular, PointOutsideCone
 from .lattice import FanSubdivision, GradedCone
 from .stringy import s_polynomial
 
 COEFFICIENT_RANGE = (1, 10**6)
 DEFAULT_FIELD = f"prime:{la.DEFAULT_PRIME}"
-
-
-def parse_field(field: str):
-    """Split a field descriptor into ("rational", None) or ("prime", p)."""
-    if field == "rational":
-        return ("rational", None)
-    if field.startswith("prime:"):
-        p = int(field.split(":", 1)[1])
-        if p < la.MIN_FIELD_CHAR:
-            raise FieldCharacteristicTooSmall(
-                f"prime {p} below configured minimum {la.MIN_FIELD_CHAR}")
-        return ("prime", p)
-    raise ValueError(f"unknown field descriptor {field!r}")
 
 
 @dataclass(frozen=True)
@@ -67,7 +50,7 @@ class DegreeOneElement:
 
 def degree_one_element(cone: GradedCone, coefficient_map,
                        field: str = DEFAULT_FIELD) -> DegreeOneElement:
-    parse_field(field)
+    la.parse_field(field)
     pts = set(lat.lattice_points_at_degree(cone, 1))
     items = []
     for m, c in coefficient_map.items():
@@ -84,7 +67,7 @@ def random_degree_one(cone: GradedCone, seed: int,
                       field: str = DEFAULT_FIELD) -> DegreeOneElement:
     """Nonzero integer coefficient on every degree-1 point, reproducible
     from the seed; the same integers serve both scalar backends."""
-    parse_field(field)
+    la.parse_field(field)
     rng = random.Random(seed)
     lo, hi = COEFFICIENT_RANGE
     coeffs = tuple((m, rng.randint(lo, hi))
@@ -176,8 +159,7 @@ class _QuotientWorkspace:
         self.g = g
         self.sub = subdivision
         self.cone = g.cone
-        self.kind, self.prime = parse_field(g.field)
-        self.derivs = [d for d in logarithmic_derivatives(g)]
+        self.derivs = logarithmic_derivatives(g)
         dim = self.cone.dim
         self.points = {k: lat.lattice_points_at_degree(self.cone, k)
                        for k in range(dim + 2)}
@@ -220,25 +202,6 @@ class _QuotientWorkspace:
             return mat
         return np.concatenate([mat, np.stack(cols, axis=1)], axis=1)
 
-    def rank(self, mat) -> int:
-        if mat.shape[0] == 0 or mat.shape[1] == 0:
-            return 0
-        if self.kind == "prime":
-            return la.rank_mod_p(mat, self.prime)
-        return la.rank_rational_certified(mat.tolist())
-
-    def ranks_with_prefix(self, aug, split: int) -> tuple[int, int]:
-        """Rank of the first `split` columns and of the whole matrix."""
-        if aug.shape[0] == 0:
-            return 0, 0
-        if self.kind == "prime":
-            if aug.shape[1] == 0:
-                return 0, 0
-            return la.ranks_with_prefix_mod_p(aug, split, self.prime)
-        prefix = self.rank(aug[:, :split])
-        total = prefix if aug.shape[1] == split else self.rank(aug)
-        return prefix, total
-
 
 def graded_quotient_dims(g: DegreeOneElement,
                          subdivision: FanSubdivision | None = None,
@@ -261,10 +224,9 @@ def graded_quotient_dims(g: DegreeOneElement,
         mat = ws.multiplication_matrix(k)
         aug = ws.augmented_with_interior(mat, k)
         if aug is mat:
-            rank_m = ws.rank(mat)
-            rank_aug = rank_m
+            rank_m = rank_aug = la.rank(mat, g.field)
         else:
-            rank_m, rank_aug = ws.ranks_with_prefix(aug, mat.shape[1])
+            rank_m, rank_aug = la.ranks_with_prefix(aug, mat.shape[1], g.field)
         r0.append(len(ws.points[k]) - rank_m)
         r1.append(rank_aug - rank_m)
     s_total = s_polynomial(g.cone)(1)
@@ -331,7 +293,7 @@ def pairing_matrix(g: DegreeOneElement, subdivision: FanSubdivision | None,
         raise NotRegular(
             f"interior ranks at degrees {k} and {dim - k} differ")
     ws = _QuotientWorkspace(g, subdivision)
-    kind, prime = ws.kind, ws.prime
+    kind, prime = la.parse_field(g.field)
 
     def quotient_basis(kk: int, interior: bool):
         pts = ws.interior[kk] if interior else ws.points[kk]

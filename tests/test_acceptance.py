@@ -5,8 +5,11 @@ rely on the captured output on failure).  All comparisons are exact
 integer/rational equalities; runtime budgets are enforced where stated.
 """
 
+import dataclasses
 import time
 
+from stringcone import fixtures as fx
+from stringcone import lattice as lat
 from stringcone import verify as vf
 
 
@@ -52,6 +55,17 @@ def test_criterion_6_graded_quotient_dimensions():
     start = time.time()
     results = vf.criterion_graded_dimensions(seeds=(0, 1, 2))
     _report(results, budget=300, elapsed=time.time() - start)
+
+
+def test_criterion_6_backend_check_can_fail():
+    cone = lat.gorenstein_cone_over(fx.polytope("p2"))
+    sub = lat.stellar_subdivision(cone)
+    report = vf._dims_match_with_retries(cone, sub, 5, "rational")
+    assert report.seed % 1000 == 5  # the effective seed
+    assert vf._prime_backend_agrees(cone, sub, report)
+    r0 = report.dims_R0
+    wrong = dataclasses.replace(report, dims_R0=r0[:-1] + (r0[-1] + 1,))
+    assert not vf._prime_backend_agrees(cone, sub, wrong)
 
 
 def test_criterion_7_box_points():

@@ -171,11 +171,32 @@ def test_byte_identical_reruns(fixture_dir, capsys):
 
 
 def test_verify_subset(capsys):
-    code, out = run_cli(["verify", "--fixtures", "8-toric-e"], capsys)
+    code, out = run_cli(["verify", "--criteria", "8-toric-e"], capsys)
     assert code == 0
     lines = [l for l in out.strip().splitlines() if l]
     assert all(l.startswith("PASS") for l in lines)
     assert len(lines) == 4
+
+
+def test_verify_unknown_criterion_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--criteria", "8-toric-e,no-such-criterion"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "no-such-criterion" in err and "1-two-formula" in err
+
+
+@pytest.mark.parametrize("field", [
+    "float",            # not a descriptor
+    "prime:2000001",    # composite modulus
+    "prime:4194319",    # prime above 2**22
+])
+def test_invalid_field_exits_2(field, fixture_dir, capsys):
+    code = cli.main(["ring-dims", str(fixture_dir / "diamond.json"),
+                     "--field", field])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "InvalidField" in err
 
 
 @pytest.mark.parametrize("command,expect", [

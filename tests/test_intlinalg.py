@@ -1,6 +1,7 @@
 """Exact linear algebra kernels against brute-force references."""
 
 import numpy as np
+import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
@@ -41,7 +42,40 @@ small_matrices = st.integers(1, 8).flatmap(
 def test_rank_mod_p_matches_fraction_rank(rows):
     rf = la.rank_fraction(rows)
     assert la.rank_mod_p(rows, la.DEFAULT_PRIME) == rf
-    assert la.rank_mod_p(rows, 2147483647) == rf
+    assert la.rank_mod_p(rows, next(la.primes_below(1 << 22))) == rf
+
+
+def test_prime_kernels_reject_primes_above_float64_range():
+    big = next(la.primes_below(1 << 23))
+    with pytest.raises(ValueError):
+        la.echelon_mod_p([[1, 2], [3, 4]], big)
+    with pytest.raises(ValueError):
+        la.rref_mod_p([[1, 2], [3, 4]], big)
+
+
+def dependent_rows_first(rng, m, n, r, lead):
+    """m x n integer matrix of rank r whose first `lead` rows are
+    multiples of one later row, so rows 0..r-1 are dependent."""
+    basis = rng.integers(-9, 10, (r, n))
+    tail = rng.integers(-3, 4, (m - lead, r)) @ basis
+    tail[:r] = basis
+    head = rng.integers(1, 5, (lead, 1)) * tail[r - 1]
+    return np.vstack([head, tail]).astype(np.int64)
+
+
+def test_echelon_order_names_independent_rows():
+    rng = np.random.default_rng(17)
+    for _ in range(12):
+        m = int(rng.integers(8, 50))
+        n = int(rng.integers(8, 100))  # n > 64 spans two panels
+        r = int(rng.integers(3, min(m, n) - 2))
+        mat = dependent_rows_first(rng, m, n, r, lead=2)
+        rank, pivots, order = la.echelon_mod_p(mat, la.DEFAULT_PRIME)
+        assert rank == r == la.rank_fraction(mat.tolist())
+        assert sorted(order) == list(range(m))
+        square = mat[order[:r]][:, pivots]
+        assert la.rank_fraction(square.tolist()) == r
+        assert la.rank_fraction(mat[:r].tolist()) < r  # natural order fails
 
 
 def test_blocked_elimination_on_wide_structured_matrices():
@@ -111,6 +145,18 @@ def test_certified_rank_with_planted_kernel():
     right = rng.integers(1, 10**6, (r, n))
     mat = left @ right
     assert la.rank_rational_certified(mat) == r
+
+
+def test_certified_rank_dixon_route_with_dependent_leading_rows(monkeypatch):
+    rng = np.random.default_rng(23)
+    mat = dependent_rows_first(rng, 60, 90, 50, lead=5)
+    calls = []
+    for name in ("echelon_mod_p", "rref_mod_p"):
+        fn = getattr(la, name)
+        monkeypatch.setattr(la, name, lambda *a, fn=fn, name=name:
+                            calls.append(name) or fn(*a))
+    assert la.rank_rational_certified(mat) == la.rank_fraction(mat.tolist())
+    assert calls == ["echelon_mod_p", "rref_mod_p"]  # one pass, then Dixon
 
 
 def test_certified_rank_full_rank_shortcut():

@@ -3,14 +3,11 @@
 import pytest
 
 from stringcone import fixtures as fx
+from stringcone import intlinalg as la
 from stringcone import lattice as lat
 from stringcone import semigroup as sg
 from stringcone import stringy as st
-from stringcone.errors import (
-    FieldCharacteristicTooSmall,
-    NotRegular,
-    PointOutsideCone,
-)
+from stringcone.errors import InvalidField, NotRegular, PointOutsideCone
 
 A1 = lat.cone_from_generators([(0, 1), (2, 1)])
 SQUARE_CONE = lat.cone_from_generators(
@@ -29,12 +26,12 @@ def expected_vectors(cone):
 # -- elements and derivatives -----------------------------------------------------
 
 def test_field_descriptor_validation():
-    assert sg.parse_field("rational") == ("rational", None)
-    assert sg.parse_field("prime:2097169") == ("prime", 2097169)
-    with pytest.raises(FieldCharacteristicTooSmall):
-        sg.parse_field("prime:65537")
-    with pytest.raises(ValueError):
-        sg.parse_field("float")
+    assert la.parse_field("rational") == ("rational", None)
+    assert la.parse_field("prime:2097169") == ("prime", 2097169)
+    for bad in ("prime:65537", "float", "prime:", "prime:2000001",
+                "prime:4194319"):
+        with pytest.raises(InvalidField):
+            la.parse_field(bad)
 
 
 def test_degree_one_element_validation():
