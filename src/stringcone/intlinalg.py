@@ -240,10 +240,6 @@ def solve_integer(mat, rhs):
     for i in range(n, m):
         if ub[i] != 0:
             return None
-    if m < n:
-        for i in range(m, min(m, n)):
-            y[i] = 0
-    # check trailing equations when m > n handled above; assemble x = V y
     x = tuple(sum(v[i][j] * y[j] for j in range(n)) for i in range(n))
     for row, b in zip(mat, rhs):
         if dot(row, x) != int(b):

@@ -31,7 +31,7 @@ from . import intlinalg as la
 from . import lattice as lat
 from .errors import CapTooSmall, NotRegular
 from .lattice import FanSubdivision, ReflexivePair
-from .semigroup import DegreeOneElement, is_sigma_regular
+from .semigroup import DegreeOneElement, _cell_masks, is_sigma_regular
 from .stringy import tilde_s_polynomial
 
 
@@ -146,13 +146,7 @@ def build_complex(pair: ReflexivePair, f: DegreeOneElement,
     if dual_subdivision is None:
         common = None
     else:
-        masks = {}
-        for p in points_d:
-            masks[p] = 0
-            for i, cell in enumerate(dual_subdivision.max_cones):
-                if lat.point_in_cone(cell, p):
-                    masks[p] |= 1 << i
-        common = masks
+        common = _cell_masks(dual_subdivision, points_d)
 
     orthogonal_n = {m: [n for n in points_d if la.dot(m, n) == 0]
                     for m in points_k}

@@ -1,10 +1,17 @@
 """Exact lattice geometry: polytopes, duality, graded cones, face lattices,
 lattice-point enumeration and fan subdivisions.
 
-Everything is integer/rational arithmetic.  Facets are enumerated from
-(dim-1)-subsets of generators via exact null spaces, point enumeration is
-a bounding-box scan filtered by facet inequalities, and cones of dimension
-lower than the ambient rank are handled through saturated span lattices.
+Everything is integer/rational arithmetic.  A lattice polytope P is read
+through its Gorenstein cone, the cone over P x {1}: its extreme rays are
+the vertices of P and its primitive facet normals (a, c) are the facets
+a·x + c >= 0 of P, so the vertex reduction, the reflexivity test and the
+vertices of a reflexive polytope's dual are all read off the facets of
+that cone.  Facets are enumerated from (dim-1)-subsets of
+generators via exact null spaces, and cones of dimension lower than the
+ambient rank are handled through saturated span lattices.  Every
+lattice-point question is one scan of the bounding box of a degree slice:
+each facet functional is broadcast over the per-axis coordinate ranges,
+so the scan holds a few bytes per box cell.
 """
 
 from __future__ import annotations
@@ -30,7 +37,6 @@ from .errors import (
 AMBIENT_RANK_BUDGET = 8
 _SUBSET_BUDGET = 200_000
 _BOX_BUDGET = 20_000_000
-_NUMPY_THRESHOLD = 4096
 
 Vector = tuple[int, ...]
 
@@ -74,65 +80,52 @@ def _homogenized_generators(vertices) -> tuple[Vector, ...]:
     return tuple(gens)
 
 
-def _polytope_facets(vertices):
-    """Facet data of conv(vertices): list of (normal a, offset c) with
-    a·x + c >= 0 on the polytope and = 0 exactly on the facet."""
-    gens = _homogenized_generators(vertices)
-    rank = len(vertices[0])
-    facets = _cone_facets_fulldim(gens, rank + 1)
-    return [(f[:-1], f[-1]) for f in facets]
-
-
 def lattice_polytope(vertices) -> LatticePolytope:
     """Canonicalize a vertex list: dedupe, require full dimension, drop
-    non-extreme points, sort."""
+    non-extreme points (the non-extreme rays of the cone over them), sort."""
     pts = sorted({tuple(int(x) for x in v) for v in vertices})
     if not pts:
         raise ValueError("empty vertex list")
     rank = len(pts[0])
     if any(len(v) != rank for v in pts):
         raise ValueError("vertices of mixed rank")
-    diffs = [[a - b for a, b in zip(v, pts[0])] for v in pts[1:]]
-    if la.rank_int(diffs) != rank:
+    cone = cone_from_generators([v + (1,) for v in pts], ambient_rank=rank + 1,
+                                deg=(0,) * rank + (1,))
+    if cone.dim != rank + 1:
         raise ValueError("polytope is not full-dimensional")
-    facets = _polytope_facets(pts)
-    verts = []
-    for v in pts:
-        tight = [a for a, c in facets if la.dot(a, v) + c == 0]
-        if tight and la.rank_int(tight) == rank:
-            verts.append(v)
-    return LatticePolytope(rank=rank, vertices=tuple(sorted(verts)))
+    return LatticePolytope(rank=rank,
+                           vertices=tuple(g[:-1] for g in cone.generators))
 
 
 def dual_polytope(p: LatticePolytope | RationalPolytope) -> RationalPolytope:
-    """Polar dual {n : <m, n> >= -1 for all m in p}, exact."""
-    facets = _polytope_facets(p.vertices)
-    if any(c <= 0 for _, c in facets):
+    """Polar dual {n : <m, n> >= -1 for all m in p}, exact: each facet
+    a·x + c >= 0 of p gives the vertex a / c."""
+    facets = _cone_facets_fulldim(_homogenized_generators(p.vertices),
+                                  p.rank + 1)
+    if any(f[-1] <= 0 for f in facets):
         raise OriginNotInterior("origin is not in the interior")
-    verts = [tuple(Fraction(a_i, c) for a_i in a) for a, c in facets]
+    verts = [tuple(Fraction(a_i, f[-1]) for a_i in f[:-1]) for f in facets]
     return RationalPolytope(rank=p.rank, vertices=tuple(sorted(verts)))
 
 
 def interior_lattice_points(p: LatticePolytope) -> list[Vector]:
-    facets = _polytope_facets(p.vertices)
-    lo = [min(v[i] for v in p.vertices) for i in range(p.rank)]
-    hi = [max(v[i] for v in p.vertices) for i in range(p.rank)]
-    out = []
-    for cand in itertools.product(*[range(l, h + 1) for l, h in zip(lo, hi)]):
-        if all(la.dot(a, cand) + c > 0 for a, c in facets):
-            out.append(cand)
-    return out
+    """Interior lattice points of p in lexicographic order: the interior
+    degree-1 slice of its Gorenstein cone."""
+    return [x[:-1] for x in lattice_points_at_degree(
+        gorenstein_cone_over(p), 1, interior_only=True)]
 
 
 def is_reflexive(p: LatticePolytope) -> bool:
-    """True iff 0 is the unique interior lattice point and the polar dual
-    is again a lattice polytope."""
-    facets = _polytope_facets(p.vertices)
-    if any(c <= 0 for _, c in facets):
-        return False
-    if any(c != 1 for _, c in facets):
-        return False
-    return interior_lattice_points(p) == [tuple([0] * p.rank)]
+    """Batyrev's facet-distance test: every facet a·x + c >= 0 of p, with
+    (a, c) primitive integral, has c = 1.
+
+    This is reflexivity.  With c = 1 everywhere, 0 is interior and the
+    polar dual has the integral vertices a; an interior lattice point x
+    has a·x + 1 > 0 with a·x an integer, so a·x >= 0 on every facet, which
+    in a bounded polytope only 0 satisfies.  Conversely, if the dual vertex
+    a/c is integral, c divides every a_i, and primitivity forces c = 1.
+    """
+    return all(f[-1] == 1 for f in gorenstein_cone_over(p).facets)
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +289,6 @@ def point_in_cone(cone: GradedCone, x, strict: bool = False) -> bool:
 # Lattice point enumeration
 # ---------------------------------------------------------------------------
 
-def _slice_ranges(cone: GradedCone, k: int):
-    lo = [min(k * g[i] for g in cone.generators) for i in range(cone.ambient_rank)]
-    hi = [max(k * g[i] for g in cone.generators) for i in range(cone.ambient_rank)]
-    return lo, hi
-
-
 def _slice_scan(cone: GradedCone, k: int, interior: bool, count_only: bool):
     if k < 0:
         raise ValueError("degree must be nonnegative")
@@ -313,45 +300,30 @@ def _slice_scan(cone: GradedCone, k: int, interior: bool, count_only: bool):
         ok = not interior or not cone.facets
         pts = [origin] if ok else []
         return len(pts) if count_only else tuple(pts)
-    lo, hi = _slice_ranges(cone, k)
-    size = 1
-    for l, h in zip(lo, hi):
-        size *= (h - l + 1)
+    lo = [k * min(column) for column in zip(*cone.generators)]
+    hi = [k * max(column) for column in zip(*cone.generators)]
+    shape = [h - l + 1 for l, h in zip(lo, hi)]
+    size = math.prod(shape)
     if size > _BOX_BUDGET:
         raise DimensionBudgetExceeded(f"bounding box of size {size}")
-    rows = [np.array(v, dtype=np.int64)
-            for v in (cone.deg, *cone.equations, *cone.facets)]
-    if size > _NUMPY_THRESHOLD:
-        axes = [np.arange(l, h + 1, dtype=np.int64) for l, h in zip(lo, hi)]
-        grid = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grid], axis=1)
-        mask = pts @ rows[0] == k
-        for e in cone.equations:
-            mask &= pts @ np.array(e, dtype=np.int64) == 0
-        for f in cone.facets:
-            vals = pts @ np.array(f, dtype=np.int64)
-            mask &= (vals > 0) if interior else (vals >= 0)
-        if count_only:
-            return int(mask.sum())
-        sel = pts[mask]
-        return tuple(tuple(int(x) for x in row) for row in sel)
-    out = []
-    count = 0
-    for cand in itertools.product(*[range(l, h + 1) for l, h in zip(lo, hi)]):
-        if la.dot(cone.deg, cand) != k:
-            continue
-        if any(la.dot(e, cand) != 0 for e in cone.equations):
-            continue
-        if interior:
-            if any(la.dot(f, cand) <= 0 for f in cone.facets):
-                continue
-        elif any(la.dot(f, cand) < 0 for f in cone.facets):
-            continue
-        if count_only:
-            count += 1
-        else:
-            out.append(cand)
-    return count if count_only else tuple(out)
+    axes = np.ix_(*(np.arange(l, h + 1, dtype=np.int64)
+                    for l, h in zip(lo, hi)))
+
+    def values(f):
+        total = np.zeros(shape, dtype=np.int64)  # the one full-box array
+        for c, x in zip(f, axes):
+            if c:
+                total += c * x
+        return total
+
+    mask = values(cone.deg) == k
+    for e in cone.equations:
+        mask &= values(e) == 0
+    for f in cone.facets:
+        mask &= (values(f) > 0) if interior else (values(f) >= 0)
+    if count_only:
+        return int(np.count_nonzero(mask))
+    return tuple(map(tuple, (np.argwhere(mask) + lo).tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -480,11 +452,14 @@ class ReflexivePair:
 
 
 def reflexive_pair(p: LatticePolytope) -> ReflexivePair:
-    if not is_reflexive(p):
-        raise NotReflexivePair("polytope is not reflexive")
+    """Gorenstein cones over p and its polar dual, whose vertices are the
+    facet normals a of p (see is_reflexive)."""
     k = gorenstein_cone_over(p)
-    k_dual = gorenstein_cone_over(dual_polytope(p).to_lattice())
-    return ReflexivePair(cone=k, dual=k_dual)
+    if any(f[-1] != 1 for f in k.facets):
+        raise NotReflexivePair("polytope is not reflexive")
+    dual = LatticePolytope(rank=p.rank,
+                           vertices=tuple(sorted(f[:-1] for f in k.facets)))
+    return ReflexivePair(cone=k, dual=gorenstein_cone_over(dual))
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,14 @@ import numpy as np
 
 from . import intlinalg as la
 from . import lattice as lat
-from .errors import NotRegular, PointOutsideCone
+from .errors import DimensionBudgetExceeded, NotRegular, PointOutsideCone
 from .lattice import FanSubdivision, GradedCone
 from .stringy import s_polynomial
 
 COEFFICIENT_RANGE = (1, 10**6)
 DEFAULT_FIELD = f"prime:{la.DEFAULT_PRIME}"
+# cells of the largest multiplication matrix a workspace may assemble
+MATRIX_CELL_BUDGET = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -165,6 +167,14 @@ class _QuotientWorkspace:
                        for k in range(dim + 2)}
         self.interior = {k: lat.lattice_points_at_degree(self.cone, k, True)
                          for k in range(dim + 2)}
+        cells = max(len(self.points[k])
+                    * (len(self.derivs) * len(self.points[k - 1])
+                       + len(self.interior[k]))
+                    for k in range(1, dim + 2))
+        if cells > MATRIX_CELL_BUDGET:
+            raise DimensionBudgetExceeded(
+                f"multiplication matrix of {cells} cells exceeds budget "
+                f"{MATRIX_CELL_BUDGET}")
         all_pts = [p for k in range(dim + 2) for p in self.points[k]]
         if subdivision.is_trivial():
             self.masks = {p: 1 for p in all_pts}

@@ -28,13 +28,8 @@ from math import comb
 
 from . import lattice as lat
 from . import posets as po
-from .errors import (
-    ConeNotInFan,
-    InvalidSubdivision,
-    NegativeHodgeNumber,
-    NotSimplicial,
-)
-from .lattice import Fan, FanSubdivision, GradedCone, ReflexivePair
+from .errors import ConeNotInFan, NegativeHodgeNumber, NotSimplicial
+from .lattice import Fan, GradedCone, ReflexivePair
 from .polynomials import BivariateLaurentPolynomial, UnivariatePolynomial
 
 _UV = BivariateLaurentPolynomial.monomial
@@ -44,17 +39,22 @@ _UV = BivariateLaurentPolynomial.monomial
 # S and tilde-S polynomials
 # ---------------------------------------------------------------------------
 
+def _times_one_minus_t_pow(counts, d: int) -> UnivariatePolynomial:
+    """(1-t)^d * sum_k counts[k] t^k, truncated at degree d."""
+    coeffs = {}
+    for j in range(d + 1):
+        coeffs[j] = sum(counts[i] * (-1) ** (j - i) * comb(d, j - i)
+                        for i in range(j + 1))
+    return UnivariatePolynomial(coeffs)
+
+
 @lru_cache(maxsize=None)
 def s_polynomial(cone: GradedCone) -> UnivariatePolynomial:
     """(1-t)^dim * sum_n t^deg(n), truncated at degree dim (exact: the full
     series is a polynomial of degree <= dim)."""
     d = cone.dim
     counts = [lat.count_lattice_points_at_degree(cone, k) for k in range(d + 1)]
-    coeffs = {}
-    for j in range(d + 1):
-        coeffs[j] = sum(counts[i] * (-1) ** (j - i) * comb(d, j - i)
-                        for i in range(j + 1))
-    return UnivariatePolynomial(coeffs)
+    return _times_one_minus_t_pow(counts, d)
 
 
 @lru_cache(maxsize=None)
@@ -64,11 +64,7 @@ def s_polynomial_interior(cone: GradedCone) -> UnivariatePolynomial:
     d = cone.dim
     counts = [lat.count_lattice_points_at_degree(cone, k, interior_only=True)
               for k in range(d + 1)]
-    coeffs = {}
-    for j in range(d + 1):
-        coeffs[j] = sum(counts[i] * (-1) ** (j - i) * comb(d, j - i)
-                        for i in range(j + 1))
-    return UnivariatePolynomial(coeffs)
+    return _times_one_minus_t_pow(counts, d)
 
 
 @lru_cache(maxsize=None)
@@ -312,17 +308,9 @@ def e_int_orbit_closure(fan: Fan, cone: GradedCone) -> BivariateLaurentPolynomia
 # String cohomology dimension table
 # ---------------------------------------------------------------------------
 
-def string_cohomology_table(pair: ReflexivePair,
-                            subdivision: FanSubdivision | None = None) -> HodgeTable:
+def string_cohomology_table(pair: ReflexivePair) -> HodgeTable:
     """Hodge table assembled from tilde-S coefficient vectors over dual face
-    pairs; the optional subdivision of the dual cone is validated but the
-    dimensions do not depend on it (regular subdivisions leave the graded
-    dimensions unchanged).  The signed sum of the table reproduces the
-    stringy E-function."""
-    if subdivision is not None:
-        if subdivision.parent != pair.dual:
-            raise InvalidSubdivision("subdivision must refine the dual cone")
-        lat.validate_subdivision(subdivision)
+    pairs.  The signed sum of the table reproduces the stringy E-function."""
     d = pair.cone.dim - 1  # rank of the polytope lattice
     entries: dict = {}
     for face, dual in _faces_with_duals(pair):

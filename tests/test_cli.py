@@ -199,6 +199,24 @@ def test_invalid_field_exits_2(field, fixture_dir, capsys):
     assert "InvalidField" in err
 
 
+def test_ring_dims_over_matrix_budget_exits_2(fixture_dir, capsys):
+    # degree 6 of the quintic cone needs a 46,376 x 142,506 matrix
+    code = cli.main(["ring-dims", str(fixture_dir / "quintic.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "DimensionBudgetExceeded" in err
+
+
+def test_rank_8_polytope_exits_2(tmp_path, capsys):
+    simplex = [[int(i == j) for j in range(8)] for i in range(8)]
+    path = tmp_path / "simplex8.json"
+    path.write_text(json.dumps({"rank": 8, "vertices": simplex + [[-1] * 8]}))
+    code = cli.main(["check-reflexive", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "DimensionBudgetExceeded" in err
+
+
 @pytest.mark.parametrize("command,expect", [
     (["faces"], '"cone_dim": 3'),
     (["s-poly"], '"t": 0'),

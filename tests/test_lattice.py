@@ -1,11 +1,13 @@
 """Lattice geometry: duality, cones, face lattices, points, subdivisions."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stringcone import fixtures as fx
+from stringcone import intlinalg as la
 from stringcone import lattice as lat
 from stringcone.errors import (
     DimensionBudgetExceeded,
@@ -65,6 +67,43 @@ def test_fixture_reflexivity(name):
 
 def test_interior_point_uniqueness():
     assert lat.interior_lattice_points(poly("cube")) == [(0, 0, 0)]
+
+
+def sheared(p):
+    """A unimodular image of p: x0 += x1, or x -> -x in rank 1."""
+    if p.rank == 1:
+        return lat.lattice_polytope([(-v[0],) for v in p.vertices])
+    return lat.lattice_polytope([(v[0] + v[1],) + v[1:] for v in p.vertices])
+
+
+DIAMOND_X2 = lat.lattice_polytope([(2, 0), (0, 2), (-2, 0), (0, -2)])
+
+
+@pytest.mark.parametrize("name", fx.polytope_names() + ["diamond_x2"])
+def test_is_reflexive_matches_dual_and_interior_oracle(name):
+    # reflexive iff the polar dual is integral and 0 is the only interior
+    # lattice point; the facet-distance test must agree on every image
+    base = DIAMOND_X2 if name == "diamond_x2" else poly(name)
+    for p in (base, sheared(base)):
+        oracle = (lat.dual_polytope(p).is_integral()
+                  and lat.interior_lattice_points(p) == [(0,) * p.rank])
+        assert lat.is_reflexive(p) == oracle
+        assert oracle == (name in fx.REFLEXIVE_NAMES)
+
+
+def test_reflexive_pair_enumerates_facets_twice(monkeypatch):
+    p = poly("quartic")
+    calls = []
+    enumerate_facets = lat._cone_facets_fulldim
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_facets(*args)
+
+    monkeypatch.setattr(lat, "_cone_facets_fulldim", counted)
+    pair = lat.reflexive_pair(p)
+    assert len(calls) == 2  # one per cone; the dual is read off the facets
+    assert pair.dual == lat.gorenstein_cone_over(poly("quartic_dual"))
 
 
 # -- Gorenstein cones ----------------------------------------------------------
@@ -201,6 +240,36 @@ def test_interior_points_are_face_complement(name):
         for face in fl.faces[:-1]:
             boundary |= set(lat.lattice_points_at_degree(face.as_cone(), deg))
         assert interior == allpts - boundary
+
+
+def brute_force_points(cone, k):
+    """point_in_cone over the box of k times the generators, which holds
+    the degree-k slice k·conv(generators); lexicographic order."""
+    gens = cone.generators or [(0,) * cone.ambient_rank]
+    ranges = [range(k * min(column), k * max(column) + 1)
+              for column in zip(*gens)]
+    return tuple(x for x in itertools.product(*ranges)
+                 if la.dot(cone.deg, x) == k and lat.point_in_cone(cone, x))
+
+
+@pytest.mark.parametrize("name", fx.polytope_names()
+                         + [f"fan_{n}" for n in fx.fan_names()])
+def test_slice_scan_matches_brute_force_on_every_face(name):
+    if name.startswith("fan_"):
+        tops = fx.fan(name[len("fan_"):]).max_cones
+    else:
+        tops = [lat.gorenstein_cone_over(poly(name))]
+    for top in tops:
+        for face in lat.face_lattice(top).faces:
+            cone = face.as_cone()
+            for k in range(4):
+                closed = brute_force_points(cone, k)
+                interior = tuple(x for x in closed
+                                 if lat.point_in_cone(cone, x, strict=True))
+                for flag, expect in ((False, closed), (True, interior)):
+                    assert lat.lattice_points_at_degree(cone, k, flag) == expect
+                    assert lat.count_lattice_points_at_degree(
+                        cone, k, flag) == len(expect)
 
 
 def test_ehrhart_counts():

@@ -234,13 +234,3 @@ def test_table_signed_sum_and_subdivision_invariance(name):
     p = pair(name)
     base = st.string_cohomology_table(p)
     assert base.to_e_polynomial() == st.e_st_hypersurface(p)
-    sub = lat.stellar_subdivision(p.dual)
-    assert st.string_cohomology_table(p, sub) == base
-
-
-def test_table_rejects_foreign_subdivision():
-    from stringcone.errors import InvalidSubdivision
-    p = pair("diamond")
-    sub = lat.stellar_subdivision(p.cone)  # wrong side
-    with pytest.raises(InvalidSubdivision):
-        st.string_cohomology_table(p, sub)
