@@ -22,6 +22,8 @@ the dual cone) leaves all reported dimensions unchanged.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -29,9 +31,10 @@ import numpy as np
 
 from . import intlinalg as la
 from . import lattice as lat
-from .errors import CapTooSmall, NotRegular
+from .errors import CapTooSmall, DimensionBudgetExceeded, NotRegular
 from .lattice import FanSubdivision, ReflexivePair
-from .semigroup import DegreeOneElement, _cell_masks, is_sigma_regular
+from .semigroup import (MATRIX_CELL_BUDGET, DegreeOneElement, _cell_masks,
+                        is_sigma_regular)
 from .stringy import tilde_s_polynomial
 
 
@@ -128,12 +131,6 @@ def build_complex(pair: ReflexivePair, f: DegreeOneElement,
         cap = k_cone.dim
     if cap < k_cone.dim:
         raise CapTooSmall(f"cap {cap} below cone dimension {k_cone.dim}")
-    if check_regular:
-        for elem, sub in ((f, None), (g, dual_subdivision)):
-            verdict = is_sigma_regular(elem, sub)
-            if not verdict.regular:
-                raise NotRegular(verdict.detail)
-    field = field or f.field
     rank = k_cone.ambient_rank
 
     points_k = [p for d in range(cap + 1)
@@ -142,14 +139,30 @@ def build_complex(pair: ReflexivePair, f: DegreeOneElement,
                 for p in lat.lattice_points_at_degree(k_dual, d)]
     deg_k = {p: la.dot(k_cone.deg, p) for p in points_k}
     deg_d = {p: la.dot(k_dual.deg, p) for p in points_d}
+    arr_d = np.array(points_d, dtype=np.int64).reshape(-1, rank)
+    orthogonal_n = {m: [points_d[y] for y in np.flatnonzero(arr_d @ m == 0)]
+                    for m in points_k}
+    # a piece (a, b, e) has pairs[a, b] C(rank, e) elements and D maps it to
+    # (a+1, b, e-1) and (a, b+1, e+1): sum_e C(r, e) C(r, e -+ 1) = C(2r, r-1)
+    pairs = Counter((deg_k[m], deg_d[n])
+                    for m, ns in orthogonal_n.items() for n in ns)
+    cells = math.comb(2 * rank, rank - 1) * sum(
+        c * (pairs[a + 1, b] + pairs[a, b + 1]) for (a, b), c in pairs.items())
+    if cells > MATRIX_CELL_BUDGET:
+        raise DimensionBudgetExceeded(
+            f"Koszul differential of {cells} dense cells exceeds budget "
+            f"{MATRIX_CELL_BUDGET}")
+    if check_regular:
+        for elem, sub in ((f, None), (g, dual_subdivision)):
+            verdict = is_sigma_regular(elem, sub)
+            if not verdict.regular:
+                raise NotRegular(verdict.detail)
+    field = field or f.field
 
     if dual_subdivision is None:
         common = None
     else:
         common = _cell_masks(dual_subdivision, points_d)
-
-    orthogonal_n = {m: [n for n in points_d if la.dot(m, n) == 0]
-                    for m in points_k}
 
     pieces: dict = {}
     index_of: dict = {}
@@ -163,9 +176,6 @@ def build_complex(pair: ReflexivePair, f: DegreeOneElement,
                     lst.append((idx, m, n))
     space = PairedMonomialSpace(pair=pair, cap=cap, pieces=pieces)
 
-    f_supp = [(m, c) for m, c in f.coefficients]
-    g_supp = [(n, c) for n, c in g.coefficients]
-
     blocks: dict = {}
 
     def add_entry(src_key, src_pos, tgt_key, tgt_pos, value):
@@ -176,7 +186,7 @@ def build_complex(pair: ReflexivePair, f: DegreeOneElement,
         a, b, e = key
         for src_pos, (idx, m, n) in enumerate(basis):
             if a + 1 <= cap:
-                for mp, c in f_supp:
+                for mp, c in f.coefficients:
                     if la.dot(mp, n) != 0:
                         continue  # projection kills the product
                     m2 = tuple(x + y for x, y in zip(m, mp))
@@ -185,7 +195,7 @@ def build_complex(pair: ReflexivePair, f: DegreeOneElement,
                         if tgt is not None:
                             add_entry(key, src_pos, tgt[0], tgt[1], sign * c)
             if b + 1 <= cap:
-                for np_, c in g_supp:
+                for np_, c in g.coefficients:
                     if la.dot(m, np_) != 0:
                         continue
                     if common is not None and not (common[n] & common[np_]):

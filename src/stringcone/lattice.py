@@ -47,10 +47,13 @@ Vector = tuple[int, ...]
 
 @dataclass(frozen=True)
 class LatticePolytope:
-    """Full-dimensional lattice polytope given by its sorted vertex list."""
+    """Full-dimensional lattice polytope given by its sorted vertex list,
+    with the Gorenstein cone over it that lattice_polytope built to find
+    the vertices (derived data, so equality is on the vertices)."""
 
     rank: int
     vertices: tuple[Vector, ...]
+    cone: GradedCone = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -62,11 +65,6 @@ class RationalPolytope:
 
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for v in self.vertices for x in v)
-
-    def to_lattice(self) -> LatticePolytope:
-        if not self.is_integral():
-            raise ValueError("polytope has non-integral vertices")
-        return lattice_polytope([tuple(int(x) for x in v) for v in self.vertices])
 
 
 def _homogenized_generators(vertices) -> tuple[Vector, ...]:
@@ -94,7 +92,8 @@ def lattice_polytope(vertices) -> LatticePolytope:
     if cone.dim != rank + 1:
         raise ValueError("polytope is not full-dimensional")
     return LatticePolytope(rank=rank,
-                           vertices=tuple(g[:-1] for g in cone.generators))
+                           vertices=tuple(g[:-1] for g in cone.generators),
+                           cone=cone)
 
 
 def dual_polytope(p: LatticePolytope | RationalPolytope) -> RationalPolytope:
@@ -272,9 +271,7 @@ def deg_functional(generators, ambient_rank: int | None = None) -> Vector:
 
 def gorenstein_cone_over(p: LatticePolytope) -> GradedCone:
     """Cone over P x {1}; the grading is the last coordinate."""
-    gens = [tuple(v) + (1,) for v in p.vertices]
-    deg = tuple([0] * p.rank) + (1,)
-    return cone_from_generators(gens, ambient_rank=p.rank + 1, deg=deg)
+    return p.cone
 
 
 def point_in_cone(cone: GradedCone, x, strict: bool = False) -> bool:
@@ -457,8 +454,7 @@ def reflexive_pair(p: LatticePolytope) -> ReflexivePair:
     k = gorenstein_cone_over(p)
     if any(f[-1] != 1 for f in k.facets):
         raise NotReflexivePair("polytope is not reflexive")
-    dual = LatticePolytope(rank=p.rank,
-                           vertices=tuple(sorted(f[:-1] for f in k.facets)))
+    dual = lattice_polytope([f[:-1] for f in k.facets])
     return ReflexivePair(cone=k, dual=gorenstein_cone_over(dual))
 
 

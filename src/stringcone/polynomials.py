@@ -14,7 +14,7 @@ Coefficients are Python integers, so all arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import DivisionNotExact
 
@@ -45,10 +45,6 @@ class UnivariatePolynomial:
     @classmethod
     def t(cls, k: int = 1, c: int = 1) -> "UnivariatePolynomial":
         return cls({k: c})
-
-    @classmethod
-    def from_coeff_list(cls, coeffs: Iterable[int]) -> "UnivariatePolynomial":
-        return cls({i: c for i, c in enumerate(coeffs)})
 
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""

@@ -111,9 +111,6 @@ class EulerianPoset:
 
     # -- basic structure ----------------------------------------------------
 
-    def rank_of(self, x) -> int:
-        return self.rank[x]
-
     def total_rank(self) -> int:
         return self.rank[self.max] - self.rank[self.min]
 

@@ -148,9 +148,6 @@ class GradedQuotientReport:
     top_degree_dims: tuple  # (R0, R1) at degree dim+1, must vanish if regular
     regular_profile: bool
 
-    def total_R0(self) -> int:
-        return sum(self.dims_R0)
-
 
 class _QuotientWorkspace:
     """Shared matrix assembly for quotient dimensions and pairings."""

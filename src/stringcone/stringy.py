@@ -21,14 +21,18 @@ by uv at the end; non-exactness raises instead of rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 
+import numpy as np
+
+from . import intlinalg as la
 from . import lattice as lat
 from . import posets as po
-from .errors import ConeNotInFan, NegativeHodgeNumber, NotSimplicial
+from .errors import (ConeNotInFan, DimensionBudgetExceeded,
+                     NegativeHodgeNumber, NotSimplicial)
 from .lattice import Fan, GradedCone, ReflexivePair
 from .polynomials import BivariateLaurentPolynomial, UnivariatePolynomial
 
@@ -43,7 +47,7 @@ def _times_one_minus_t_pow(counts, d: int) -> UnivariatePolynomial:
     """(1-t)^d * sum_k counts[k] t^k, truncated at degree d."""
     coeffs = {}
     for j in range(d + 1):
-        coeffs[j] = sum(counts[i] * (-1) ** (j - i) * comb(d, j - i)
+        coeffs[j] = sum(counts[i] * (-1) ** (j - i) * math.comb(d, j - i)
                         for i in range(j + 1))
     return UnivariatePolynomial(coeffs)
 
@@ -116,39 +120,36 @@ class BoxPointTable:
 
 
 def box_points(cone: GradedCone) -> BoxPointTable:
-    """Enumerate sum(a_i g_i) with all a_i in (0,1); the count at shift l
-    matches the t^l coefficient of the tilde-S polynomial."""
+    """Enumerate sum(a_i g_i), all a_i in (0,1), by shift (the t^l count of
+    tilde-S), each shift's points in lexicographic order.  They are the
+    classes a V^-1 (0 <= a_i < |d_i|) of Z^n / Z^n M, M the generators in a
+    saturated span basis and D = U M V diagonal, with coordinates
+    frac(a D^-1 U), computed as integer numerators over L = lcm |d_i|
+    (each below n L^2 before the reduction mod L)."""
     if not cone.is_simplicial():
         raise NotSimplicial("box points need a simplicial cone")
     gens = cone.generators
+    if not gens:
+        return BoxPointTable(cone=cone, by_shift={})
+    basis = la.saturation_basis(gens)
+    u, d, _ = la._diagonalize([la.coordinates_in_basis(basis, g) for g in gens])
+    orders = [abs(d[i][i]) for i in range(len(gens))]
+    if math.prod(orders) > lat._BOX_BUDGET:
+        raise DimensionBudgetExceeded(
+            f"box group of order {math.prod(orders)} exceeds budget")
+    big_l = math.lcm(*orders)
+    steps = np.array([[big_l // o * (x % o) for x in row]
+                      for o, row in zip(orders, u)], dtype=np.int64)
+    classes = np.indices(orders, dtype=np.int64).reshape(len(orders), -1).T
+    nums = classes @ steps % big_l
+    nums = nums[(nums != 0).all(axis=1)]  # the open box
+    # exact points num G / L, in Python ints so that no coordinate wraps
+    points = (nums.astype(object) @ np.array(gens, dtype=object)) // big_l
     table: dict[int, list] = {}
-    for l in range(1, max(cone.dim, 1)):
-        hits = []
-        for p in lat.lattice_points_at_degree(cone, l):
-            coords = _barycentric(gens, p)
-            if coords is not None and all(0 < a < 1 for a in coords):
-                hits.append(p)
-        if hits:
-            table[l] = hits
+    for shift, p in sorted(zip((nums.sum(axis=1) // big_l).tolist(),
+                               map(tuple, points.tolist()))):
+        table.setdefault(shift, []).append(p)
     return BoxPointTable(cone=cone, by_shift=table)
-
-
-def _barycentric(gens, point):
-    """Coordinates of the point in the (independent) generator basis, or
-    None when the overdetermined ambient system is inconsistent."""
-    from fractions import Fraction
-
-    from . import intlinalg as la
-    ncoeff = len(gens)
-    aug = [[Fraction(g[i]) for g in gens] + [Fraction(point[i])]
-           for i in range(len(point))]
-    rref, pivots = la.rref_fraction(aug)
-    if ncoeff in pivots or len(pivots) != ncoeff:
-        return None
-    coords = [Fraction(0)] * ncoeff
-    for row, c in zip(rref, pivots):
-        coords[c] = row[-1]
-    return coords
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """File formats and the command-line interface."""
 
 import json
+import time
 
 import pytest
 
@@ -205,6 +206,18 @@ def test_ring_dims_over_matrix_budget_exits_2(fixture_dir, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "DimensionBudgetExceeded" in err
+
+
+def test_koszul_over_matrix_budget_exits_2(fixture_dir, capsys):
+    # the quartic's complex has 3.5e8 dense block cells; the check runs
+    # before the regularity checks and before any block is assembled
+    start = time.perf_counter()
+    code = cli.main(["koszul", str(fixture_dir / "quartic.json")])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "DimensionBudgetExceeded" in err
+    assert elapsed < 5
 
 
 def test_rank_8_polytope_exits_2(tmp_path, capsys):

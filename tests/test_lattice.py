@@ -23,12 +23,18 @@ def poly(name):
     return fx.polytope(name)
 
 
+def to_lattice(q):
+    """The lattice polytope on the vertices of an integral RationalPolytope."""
+    assert q.is_integral()
+    return lat.lattice_polytope([tuple(int(x) for x in v) for v in q.vertices])
+
+
 # -- polar duality -----------------------------------------------------------
 
 def test_dual_polytope_examples():
-    assert lat.dual_polytope(poly("diamond")).to_lattice() == poly("square")
-    assert lat.dual_polytope(poly("square")).to_lattice() == poly("diamond")
-    assert lat.dual_polytope(poly("p2")).to_lattice() == poly("p2_dual")
+    assert to_lattice(lat.dual_polytope(poly("diamond"))) == poly("square")
+    assert to_lattice(lat.dual_polytope(poly("square"))) == poly("diamond")
+    assert to_lattice(lat.dual_polytope(poly("p2"))) == poly("p2_dual")
 
 
 def test_dual_requires_interior_origin():
@@ -40,7 +46,7 @@ def test_dual_requires_interior_origin():
 @pytest.mark.parametrize("name", fx.REFLEXIVE_NAMES)
 def test_dual_dual_is_identity(name):
     p = poly(name)
-    assert lat.dual_polytope(lat.dual_polytope(p).to_lattice()).to_lattice() == p
+    assert to_lattice(lat.dual_polytope(to_lattice(lat.dual_polytope(p)))) == p
 
 
 def test_rational_dual_roundtrip():
@@ -49,7 +55,7 @@ def test_rational_dual_roundtrip():
     d = lat.dual_polytope(p)
     assert not d.is_integral()
     back = lat.dual_polytope(d)
-    assert back.is_integral() and back.to_lattice() == p
+    assert back.is_integral() and to_lattice(back) == p
 
 
 # -- reflexivity ---------------------------------------------------------------
@@ -92,7 +98,6 @@ def test_is_reflexive_matches_dual_and_interior_oracle(name):
 
 
 def test_reflexive_pair_enumerates_facets_twice(monkeypatch):
-    p = poly("quartic")
     calls = []
     enumerate_facets = lat._cone_facets_fulldim
 
@@ -101,7 +106,9 @@ def test_reflexive_pair_enumerates_facets_twice(monkeypatch):
         return enumerate_facets(*args)
 
     monkeypatch.setattr(lat, "_cone_facets_fulldim", counted)
-    pair = lat.reflexive_pair(p)
+    # loading the polytope builds its cone, which reflexive_pair reuses
+    pair = lat.reflexive_pair(lat.lattice_polytope(
+        fx.POLYTOPE_VERTICES["quartic"]))
     assert len(calls) == 2  # one per cone; the dual is read off the facets
     assert pair.dual == lat.gorenstein_cone_over(poly("quartic_dual"))
 

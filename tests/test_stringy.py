@@ -1,13 +1,19 @@
 """S/tilde-S polynomials, stringy E-functions, Hodge tables, box points."""
 
+import tracemalloc
+from fractions import Fraction
+from functools import lru_cache
+
 import pytest
 
 from stringcone import fixtures as fx
+from stringcone import intlinalg as la
 from stringcone import lattice as lat
 from stringcone import posets as po
 from stringcone import stringy as st
 from stringcone.errors import (
     ConeNotInFan,
+    DimensionBudgetExceeded,
     NegativeHodgeNumber,
     NotSimplicial,
 )
@@ -109,6 +115,69 @@ def test_box_point_examples():
     assert st.box_points(A2).by_shift == {1: [(1, 1), (2, 1)]}
     with pytest.raises(NotSimplicial):
         st.box_points(k_cone("diamond"))
+
+
+@lru_cache(maxsize=None)
+def box_points_oracle(cone):
+    """The slow reference: the degree-l lattice points whose coordinates
+    in the generator basis, solved over Q, all lie in (0, 1)."""
+    gens = cone.generators
+    table = {}
+    for l in range(1, max(cone.dim, 1)):
+        hits = []
+        for p in lat.lattice_points_at_degree(cone, l):
+            aug = [[Fraction(g[i]) for g in gens] + [Fraction(p[i])]
+                   for i in range(len(p))]
+            rref, pivots = la.rref_fraction(aug)
+            if len(gens) in pivots or len(pivots) != len(gens):
+                continue  # p is outside the span of the generators
+            if all(0 < row[-1] < 1 for row in rref[:len(gens)]):
+                hits.append(p)
+        if hits:
+            table[l] = hits
+    return table
+
+
+def oracle_top_cones(name):
+    """Criterion 7's cones: both cones of a reflexive fixture, or the
+    cones of a fan fixture."""
+    if name in fx.fan_names():
+        return [c for c in fx.fan(name).cones if c.dim > 0]
+    return [pair(name).cone, pair(name).dual]
+
+
+@pytest.mark.parametrize("name", fx.REFLEXIVE_NAMES + tuple(fx.fan_names()))
+def test_box_points_match_fraction_oracle(name):
+    # a cone is its own top face, so the simplex top cones (quartic_dual,
+    # quintic_mirror, quintic) are compared too
+    for top in oracle_top_cones(name):
+        for face in lat.face_lattice(top).faces:
+            c = face.as_cone()
+            if c.is_simplicial():
+                assert st.box_points(c).by_shift == box_points_oracle(c), c
+
+
+def test_box_points_of_lower_dimensional_non_saturated_face():
+    # an edge of the quartic_dual simplex has lattice length 4: its 2-d
+    # cone in Z^4 has index 4 in the saturated span lattice
+    edge = next(f.as_cone() for f in lat.face_lattice(k_cone("quartic_dual")).faces
+                if f.generator_vectors() == ((-1, -1, -1, 1), (-1, -1, 3, 1)))
+    assert edge.dim == 2 < edge.ambient_rank
+    expected = {1: [(-1, -1, 0, 1), (-1, -1, 1, 1), (-1, -1, 2, 1)]}
+    assert st.box_points(edge).by_shift == expected == box_points_oracle(edge)
+
+
+def test_box_group_over_budget_raises_before_allocating():
+    # the box group of (1, 0), (1, N) is Z/N
+    cone = lat.cone_from_generators([(1, 0), (1, lat._BOX_BUDGET + 1)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionBudgetExceeded):
+            st.box_points(cone)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("name", ["quartic", "quartic_dual", "p2", "p2_dual"])
