@@ -35,7 +35,7 @@ from .errors import CapTooSmall, DimensionBudgetExceeded, NotRegular
 from .lattice import FanSubdivision, ReflexivePair
 from .semigroup import (MATRIX_CELL_BUDGET, DegreeOneElement, _cell_masks,
                         is_sigma_regular)
-from .stringy import tilde_s_polynomial
+from .stringy import face_tilde_s
 
 
 @dataclass(frozen=True)
@@ -284,8 +284,8 @@ def expected_cohomology(pair: ReflexivePair) -> tuple[dict, tuple]:
     fl = lat.face_lattice(pair.cone)
     for face in fl.faces:
         dual = pair.dual_face(face)
-        ts = tilde_s_polynomial(face.as_cone())
-        ts_dual = tilde_s_polynomial(dual.as_cone())
+        ts = face_tilde_s(face)
+        ts_dual = face_tilde_s(dual)
         for a, ca in ts.coeffs.items():
             for b, cb in ts_dual.coeffs.items():
                 st = (dual.dim + a - b, a + b)

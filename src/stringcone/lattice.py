@@ -8,7 +8,9 @@ a·x + c >= 0 of P, so the vertex reduction, the reflexivity test and the
 vertices of a reflexive polytope's dual are all read off the facets of
 that cone.  Facets are enumerated from (dim-1)-subsets of
 generators via exact null spaces, and cones of dimension lower than the
-ambient rank are handled through saturated span lattices.  Every
+ambient rank are handled through saturated span lattices.  A face's own
+facets are read off the facets of the cone it is a face of, both for its
+face cone and for the face lattice (incidence closure).  Every
 lattice-point question is one scan of the bounding box of a degree slice:
 each facet functional is broadcast over the per-axis coordinate ranges,
 so the scan holds a few bytes per box cell.
@@ -99,8 +101,8 @@ def lattice_polytope(vertices) -> LatticePolytope:
 def dual_polytope(p: LatticePolytope | RationalPolytope) -> RationalPolytope:
     """Polar dual {n : <m, n> >= -1 for all m in p}, exact: each facet
     a·x + c >= 0 of p gives the vertex a / c."""
-    facets = _cone_facets_fulldim(_homogenized_generators(p.vertices),
-                                  p.rank + 1)
+    facets = p.cone.facets if isinstance(p, LatticePolytope) else \
+        _cone_facets_fulldim(_homogenized_generators(p.vertices), p.rank + 1)
     if any(f[-1] <= 0 for f in facets):
         raise OriginNotInterior("origin is not in the interior")
     verts = [tuple(Fraction(a_i, f[-1]) for a_i in f[:-1]) for f in facets]
@@ -356,11 +358,35 @@ class Face:
         return _face_as_cone(self.cone, tuple(sorted(self.gen_indices)))
 
 
+def _facets_of_face(cone: GradedCone, members: frozenset) -> dict:
+    """Facets of the face F on the generator indices `members`, each mapped
+    to a facet h of the cone cutting it out: the maximal proper sets
+    F ∩ Z(h), Z(h) the generators on which h vanishes."""
+    cuts: dict[frozenset, Vector] = {}
+    for h in cone.facets:
+        cut = frozenset(i for i in members
+                        if la.dot(h, cone.generators[i]) == 0)
+        if cut != members:
+            cuts.setdefault(cut, h)
+    return {cut: h for cut, h in cuts.items()
+            if not any(cut < other for other in cuts)}
+
+
 @lru_cache(maxsize=None)
 def _face_as_cone(parent: GradedCone, indices: tuple[int, ...]) -> GradedCone:
+    """The face as a cone with the parent's generators and grading; each
+    facet is a parent facet, made primitive on the saturated span, lifted."""
     gens = [parent.generators[i] for i in indices]
-    return cone_from_generators(gens, ambient_rank=parent.ambient_rank,
-                                deg=parent.deg)
+    if not gens:
+        return cone_from_generators((), parent.ambient_rank, deg=parent.deg)
+    basis = la.saturation_basis(gens)
+    facets = sorted(_lift_functional(basis, la.primitive_vector(
+        [la.dot(h, b) for b in basis]))
+        for h in _facets_of_face(parent, frozenset(indices)).values())
+    return GradedCone(ambient_rank=parent.ambient_rank, generators=tuple(gens),
+                      deg=parent.deg, facets=tuple(facets),
+                      equations=tuple(sorted(la.integer_kernel(gens))),
+                      dim=len(basis))
 
 
 @dataclass(frozen=True)
@@ -378,40 +404,31 @@ class FaceLattice:
                 return f
         raise KeyError(f"no face with generators {sorted(key)}")
 
-    def minimum(self) -> Face:
-        return self.faces[0]
-
     def maximum(self) -> Face:
         return self.faces[-1]
 
 
 @lru_cache(maxsize=None)
 def face_lattice(cone: GradedCone) -> FaceLattice:
-    """Enumerate all faces as intersections of facet subsets."""
-    if cone.dim > AMBIENT_RANK_BUDGET:
-        raise DimensionBudgetExceeded(f"cone dimension {cone.dim}")
-    nf = len(cone.facets)
-    if nf > 20:
-        raise DimensionBudgetExceeded(f"{nf} facets exceeds enumeration budget")
-    gens = cone.generators
-    values = [[la.dot(f, g) for g in gens] for f in cone.facets]
-    seen: dict[frozenset, None] = {}
-    for subset in itertools.product([0, 1], repeat=nf):
-        members = frozenset(
-            i for i in range(len(gens))
-            if all(values[j][i] == 0 for j in range(nf) if subset[j]))
-        seen.setdefault(members, None)
-    faces = []
-    for members in seen:
-        sub = [list(gens[i]) for i in sorted(members)]
-        dim = la.rank_int(sub) if sub else 0
-        faces.append(Face(cone=cone, gen_indices=members, dim=dim))
-    faces.sort(key=lambda f: (f.dim, tuple(sorted(f.gen_indices))))
-    covers = []
-    for i, low in enumerate(faces):
-        for j, up in enumerate(faces):
-            if up.dim == low.dim + 1 and low.gen_indices <= up.gen_indices:
-                covers.append((i, j))
+    """All faces by incidence closure (Kaibel and Pfetsch): from the top
+    face down, each face's facets by _facets_of_face, one cover and one
+    dimension less per step."""
+    order = [frozenset(range(len(cone.generators)))]
+    dims = {order[0]: cone.dim}
+    pairs = []
+    for up in order:  # grows while it is read: breadth first
+        for low in _facets_of_face(cone, up):
+            pairs.append((low, up))
+            if low not in dims:
+                dims[low] = dims[up] - 1
+                order.append(low)
+        if len(order) > _SUBSET_BUDGET:
+            raise DimensionBudgetExceeded(f"more than {_SUBSET_BUDGET} faces")
+    faces = sorted((Face(cone=cone, gen_indices=m, dim=d)
+                    for m, d in dims.items()),
+                   key=lambda f: (f.dim, sorted(f.gen_indices)))
+    index = {f.gen_indices: i for i, f in enumerate(faces)}
+    covers = sorted((index[low], index[up]) for low, up in pairs)
     return FaceLattice(cone=cone, faces=tuple(faces), covers=tuple(covers))
 
 

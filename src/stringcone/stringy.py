@@ -38,6 +38,8 @@ from .polynomials import BivariateLaurentPolynomial, UnivariatePolynomial
 
 _UV = BivariateLaurentPolynomial.monomial
 
+BOX_GROUP_BUDGET = 1_000_000  # box points take ~330 B each: ~0.3 GB
+
 
 # ---------------------------------------------------------------------------
 # S and tilde-S polynomials
@@ -77,18 +79,23 @@ def _lattice_poset(cone: GradedCone) -> po.EulerianPoset:
 
 
 @lru_cache(maxsize=None)
+def face_tilde_s(face: lat.Face) -> UnivariatePolynomial:
+    """tilde-S of the face's cone, summed over the faces G <= F of the
+    parent's lattice (so its G-polynomials are memoised once per cone)."""
+    poset = _lattice_poset(face.cone)
+    total = UnivariatePolynomial.zero()
+    for f in lat.face_lattice(face.cone).faces:
+        if f.gen_indices <= face.gen_indices:
+            g = po.g_polynomial(poset.interval(f.gen_indices, face.gen_indices))
+            sign = (-1) ** (face.dim - f.dim)
+            total = total + sign * (s_polynomial(f.as_cone()) * g)
+    return total
+
+
 def tilde_s_polynomial(cone: GradedCone) -> UnivariatePolynomial:
     """Alternating face sum of S-polynomials weighted by G-polynomials of
-    the upper intervals in the face lattice."""
-    fl = lat.face_lattice(cone)
-    poset = _lattice_poset(cone)
-    top = fl.faces[-1].gen_indices
-    total = UnivariatePolynomial.zero()
-    for f in fl.faces:
-        g = po.g_polynomial(poset.interval(f.gen_indices, top))
-        sign = (-1) ** (cone.dim - f.dim)
-        total = total + sign * (s_polynomial(f.as_cone()) * g)
-    return total
+    the upper intervals in the face lattice (face_tilde_s of the top face)."""
+    return face_tilde_s(lat.face_lattice(cone).maximum())
 
 
 def tilde_s_simplicial(cone: GradedCone) -> UnivariatePolynomial:
@@ -134,7 +141,7 @@ def box_points(cone: GradedCone) -> BoxPointTable:
     basis = la.saturation_basis(gens)
     u, d, _ = la._diagonalize([la.coordinates_in_basis(basis, g) for g in gens])
     orders = [abs(d[i][i]) for i in range(len(gens))]
-    if math.prod(orders) > lat._BOX_BUDGET:
+    if math.prod(orders) > BOX_GROUP_BUDGET:
         raise DimensionBudgetExceeded(
             f"box group of order {math.prod(orders)} exceeds budget")
     big_l = math.lcm(*orders)
@@ -220,8 +227,8 @@ def e_st_hypersurface(pair: ReflexivePair) -> BivariateLaurentPolynomial:
     """Mirror-symmetric tilde-S formula, assembled over the face lattice."""
     numerator = BivariateLaurentPolynomial.zero()
     for face, dual in _faces_with_duals(pair):
-        ts = tilde_s_polynomial(face.as_cone()).to_bivariate(-1, 1)  # t -> v/u
-        ts_dual = tilde_s_polynomial(dual.as_cone()).to_bivariate(1, 1)
+        ts = face_tilde_s(face).to_bivariate(-1, 1)  # t -> v/u
+        ts_dual = face_tilde_s(dual).to_bivariate(1, 1)
         sign_u = _UV(face.dim, 0, (-1) ** face.dim)
         numerator = numerator + sign_u * ts * ts_dual
     return numerator.divide_by_monomial(1, 1).require_polynomial()
@@ -315,8 +322,8 @@ def string_cohomology_table(pair: ReflexivePair) -> HodgeTable:
     d = pair.cone.dim - 1  # rank of the polytope lattice
     entries: dict = {}
     for face, dual in _faces_with_duals(pair):
-        ts = tilde_s_polynomial(face.as_cone())
-        ts_dual = tilde_s_polynomial(dual.as_cone())
+        ts = face_tilde_s(face)
+        ts_dual = face_tilde_s(dual)
         for a, ca in ts_dual.coeffs.items():
             for b, cb in ts.coeffs.items():
                 p = a - b + face.dim - 1

@@ -1,6 +1,7 @@
 """Lattice geometry: duality, cones, face lattices, points, subdivisions."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from stringcone import fixtures as fx
 from stringcone import intlinalg as la
 from stringcone import lattice as lat
+from stringcone import posets as po
 from stringcone.errors import (
     DimensionBudgetExceeded,
     InvalidSubdivision,
@@ -113,6 +115,22 @@ def test_reflexive_pair_enumerates_facets_twice(monkeypatch):
     assert pair.dual == lat.gorenstein_cone_over(poly("quartic_dual"))
 
 
+def test_dual_polytope_enumerates_facets_once(monkeypatch):
+    calls = []
+    enumerate_facets = lat._cone_facets_fulldim
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_facets(*args)
+
+    monkeypatch.setattr(lat, "_cone_facets_fulldim", counted)
+    # what `stringcone dual` does: load the polytope, then dualise it
+    dual = lat.dual_polytope(lat.lattice_polytope(
+        fx.POLYTOPE_VERTICES["quartic"]))
+    assert len(calls) == 1  # the dual reads the facets of the loaded cone
+    assert to_lattice(dual) == poly("quartic_dual")
+
+
 # -- Gorenstein cones ----------------------------------------------------------
 
 def test_gorenstein_cone_over():
@@ -164,6 +182,92 @@ def test_face_dims_and_covers():
     for i, j in fl.covers:
         assert fl.faces[j].dim == fl.faces[i].dim + 1
         assert fl.faces[i].gen_indices < fl.faces[j].gen_indices
+
+
+def face_lattice_oracle(cone):
+    """Every face as the generators on which a subset of facets vanishes,
+    its dimension the rank of those generators, covers by inclusion."""
+    nf = len(cone.facets)
+    gens = cone.generators
+    values = [[la.dot(f, g) for g in gens] for f in cone.facets]
+    seen = {}
+    for subset in itertools.product([0, 1], repeat=nf):
+        members = frozenset(
+            i for i in range(len(gens))
+            if all(values[j][i] == 0 for j in range(nf) if subset[j]))
+        seen.setdefault(members, None)
+    faces = []
+    for members in seen:
+        sub = [list(gens[i]) for i in sorted(members)]
+        dim = la.rank_int(sub) if sub else 0
+        faces.append(lat.Face(cone=cone, gen_indices=members, dim=dim))
+    faces.sort(key=lambda f: (f.dim, tuple(sorted(f.gen_indices))))
+    covers = [(i, j) for i, low in enumerate(faces)
+              for j, up in enumerate(faces)
+              if up.dim == low.dim + 1 and low.gen_indices <= up.gen_indices]
+    return lat.FaceLattice(cone=cone, faces=tuple(faces), covers=tuple(covers))
+
+
+def oracle_cones(name):
+    """Both cones of a reflexive fixture, or every cone of a fan fixture."""
+    if name in fx.fan_names():
+        return list(fx.fan(name).cones)
+    pair = fx.reflexive_pair(name)
+    return [pair.cone, pair.dual]
+
+
+ORACLE_NAMES = list(fx.REFLEXIVE_NAMES) + fx.fan_names()
+
+
+@pytest.mark.parametrize("name", ORACLE_NAMES)
+def test_face_lattice_matches_subset_scan_oracle(name):
+    for top in oracle_cones(name):
+        assert lat.face_lattice(top) == face_lattice_oracle(top)
+        for face in lat.face_lattice(top).faces:
+            cone = face.as_cone()
+            assert lat.face_lattice(cone) == face_lattice_oracle(cone)
+
+
+def assert_same_cone(got, expect):
+    assert (got.generators, got.facets, got.equations, got.dim, got.deg) == \
+        (expect.generators, expect.facets, expect.equations, expect.dim,
+         expect.deg)
+
+
+@pytest.mark.parametrize("name", ORACLE_NAMES)
+def test_face_cones_match_cone_from_generators(name):
+    for top in oracle_cones(name):
+        for face in lat.face_lattice(top).faces:
+            cone = face.as_cone()
+            assert_same_cone(cone, lat.cone_from_generators(
+                face.generator_vectors(), top.ambient_rank, deg=top.deg))
+            for sub in lat.face_lattice(cone).faces:
+                assert_same_cone(sub.as_cone(), lat.cone_from_generators(
+                    sub.generator_vectors(), top.ambient_rank, deg=top.deg))
+
+
+def test_face_lattice_of_a_32_gon_cone():
+    # 16 primitive directions and their negatives, sorted by angle: the
+    # cumulative sums are the vertices of a convex lattice 32-gon
+    half = [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (1, -2),
+            (2, -1), (1, 3), (3, 1), (1, -3), (3, -1), (2, 3), (3, 2),
+            (2, -3), (3, -2)]
+    steps = sorted(half + [(-x, -y) for x, y in half],
+                   key=lambda v: math.atan2(v[1], v[0]))
+    vertices = list(itertools.accumulate(steps, lambda a, b: (a[0] + b[0],
+                                                              a[1] + b[1])))
+    cone = lat.cone_from_generators([v + (1,) for v in vertices])
+    assert len(cone.generators) == len(cone.facets) == 32
+    fl = lat.face_lattice(cone)
+    assert len(fl.faces) == 66
+    assert po.poset_of_face_lattice(fl).is_eulerian()
+
+
+def test_face_lattice_face_count_budget(monkeypatch):
+    cone = lat.gorenstein_cone_over(poly("cube"))  # 28 faces
+    monkeypatch.setattr(lat, "_SUBSET_BUDGET", 27)
+    with pytest.raises(DimensionBudgetExceeded):
+        lat.face_lattice.__wrapped__(cone)
 
 
 def test_dimension_budget():

@@ -107,6 +107,14 @@ def test_tilde_s_properties_on_faces(name):
         assert total == st.s_polynomial(cone)
 
 
+@pytest.mark.parametrize("name", fx.REFLEXIVE_NAMES)
+def test_face_tilde_s_matches_tilde_s_of_the_face_cone(name):
+    p = pair(name)
+    for cone in (p.cone, p.dual):
+        for face in lat.face_lattice(cone).faces:
+            assert st.face_tilde_s(face) == st.tilde_s_polynomial(face.as_cone())
+
+
 # -- box points -----------------------------------------------------------------------
 
 def test_box_point_examples():
@@ -169,7 +177,7 @@ def test_box_points_of_lower_dimensional_non_saturated_face():
 
 def test_box_group_over_budget_raises_before_allocating():
     # the box group of (1, 0), (1, N) is Z/N
-    cone = lat.cone_from_generators([(1, 0), (1, lat._BOX_BUDGET + 1)])
+    cone = lat.cone_from_generators([(1, 0), (1, st.BOX_GROUP_BUDGET + 1)])
     tracemalloc.start()
     try:
         with pytest.raises(DimensionBudgetExceeded):
