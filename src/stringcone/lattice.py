@@ -6,9 +6,10 @@ through its Gorenstein cone, the cone over P x {1}: its extreme rays are
 the vertices of P and its primitive facet normals (a, c) are the facets
 a·x + c >= 0 of P, so the vertex reduction, the reflexivity test and the
 vertices of a reflexive polytope's dual are all read off the facets of
-that cone.  Facets are enumerated from (dim-1)-subsets of
-generators via exact null spaces, and cones of dimension lower than the
-ambient rank are handled through saturated span lattices.  A face's own
+that cone.  Facets come from the double description method in exact
+integers, and the extreme rays and lower hulls are read off the same
+incidences; cones of dimension lower than the ambient rank are handled
+through saturated span lattices.  A face's own
 facets are read off the facets of the cone it is a face of, both for its
 face cone and for the face lattice (incidence closure).  Every
 lattice-point question is one scan of the bounding box of a degree slice:
@@ -158,33 +159,55 @@ class GradedCone:
 
 
 def _cone_facets_fulldim(gens, rank):
-    """Facet normals of a full-dimensional pointed cone via null spaces of
-    (rank-1)-subsets of generators."""
-    if rank == 0:
-        return []
-    n_subsets = math.comb(len(gens), rank - 1)
-    if n_subsets > _SUBSET_BUDGET:
-        raise DimensionBudgetExceeded(
-            f"{n_subsets} candidate facet subsets exceeds budget")
-    seen = set()
-    facets = []
-    for subset in itertools.combinations(gens, rank - 1):
-        kernel = la.nullspace_fraction(list(subset)) if subset else \
-            [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-        if len(kernel) != 1:
+    """Sorted primitive facet normals of the full-dimensional cone over
+    gens: the extreme rays h of {h : h·g >= 0 for all g}, by the double
+    description method in exact integers (Motzkin et al. 1953; Fukuda and
+    Prodon 1996).  Each h keeps Z(h), the bitmask of processed generators
+    it vanishes on.  The rank generators independent of those before them
+    cut R^rank down to their simplicial cone, one Gauss-Jordan step each;
+    every other g keeps the h with h·g >= 0 and joins each adjacent pair
+    h+·g > 0 > h-·g by _eliminate.  Two normals are adjacent iff they
+    share at least rank-2 zeros and no third normal vanishes on all of them.
+    """
+    lines = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    normals, rest, start = [], [], 0
+    for i, g in enumerate(gens):
+        k = next((k for k, v in enumerate(lines) if la.dot(v, g)), None)
+        if k is None:
+            rest.append(i)
             continue
-        normal = kernel[0]
-        vals = [la.dot(normal, g) for g in gens]
-        if all(v >= 0 for v in vals):
-            cand = normal
-        elif all(v <= 0 for v in vals):
-            cand = tuple(-x for x in normal)
-        else:
-            continue
-        if cand not in seen:
-            seen.add(cand)
-            facets.append(cand)
-    return sorted(facets)
+        line = lines.pop(k)
+        if la.dot(line, g) < 0:
+            line = tuple(-x for x in line)
+        normals = [(_eliminate(h, line, g), z | 1 << i)
+                   for h, z in normals] + [(line, start)]
+        lines = [_eliminate(v, line, g) for v in lines]
+        start |= 1 << i
+    if lines:
+        raise ValueError("generators do not span the ambient space")
+    for i in rest:
+        vals = [la.dot(h, gens[i]) for h, _ in normals]
+        kept = [(h, z | 1 << i if v == 0 else z)
+                for (h, z), v in zip(normals, vals) if v >= 0]
+        neg = [(h, z) for (h, z), v in zip(normals, vals) if v < 0]
+        for (hp, zp), vp in zip(normals, vals):
+            for hn, zn in neg if vp > 0 else ():
+                common = zp & zn
+                if common.bit_count() < rank - 2 or sum(
+                        z & common == common for _, z in normals) > 2:
+                    continue
+                kept.append((_eliminate(hn, hp, gens[i]), common | 1 << i))
+        normals = kept
+        if len(normals) > _SUBSET_BUDGET:
+            raise DimensionBudgetExceeded(
+                f"more than {_SUBSET_BUDGET} facet normals")
+    return sorted(h for h, _ in normals)
+
+
+def _eliminate(v, w, g):
+    """primitive((w·g)·v - (v·g)·w), which vanishes on g."""
+    a, b = la.dot(w, g), la.dot(v, g)
+    return la.primitive_vector([a * x - b * y for x, y in zip(v, w)])
 
 
 def _lift_functional(basis_rows, values):
@@ -231,19 +254,15 @@ def cone_from_generators(generators, ambient_rank: int | None = None,
         local = _cone_facets_fulldim(sorted(set(coords)), dim)
         facets = sorted(_lift_functional(span_basis, f) for f in local)
 
-    # pointedness: the only vector killed by every facet and equation is 0
-    if la.rank_int([list(f) for f in facets] + [list(e) for e in equations]) \
-            != ambient_rank:
+    # tight facets per generator as bitmasks: the least face is spanned by
+    # the generators in it, so the cone is pointed iff none is tight on all
+    # facets, and g is extreme iff no other g' is tight wherever g is
+    tight = [sum(1 << j for j, f in enumerate(facets) if la.dot(f, g) == 0)
+             for g in gens]
+    if (1 << len(facets)) - 1 in tight:
         raise ValueError("cone is not pointed")
-
-    # extreme-ray reduction: keep generators whose minimal face is a ray
-    extreme = []
-    for g in gens:
-        tight = [list(f) for f in facets if la.dot(f, g) == 0]
-        tight += [list(e) for e in equations]
-        if la.rank_int(tight) == ambient_rank - 1:
-            extreme.append(g)
-    gens = sorted(extreme)
+    gens = [g for g, t in zip(gens, tight)
+            if sum(u & t == t for u in tight) == 1]
 
     if deg is None:
         deg = deg_functional(gens, ambient_rank)
@@ -546,46 +565,20 @@ def regular_subdivision(cone: GradedCone, heights,
 
 
 def _lower_hull_cells(cone: GradedCone, pts, heights):
-    """Index sets of the full-dimensional lower-hull cells.
+    """Index sets of the full-dimensional lower-hull cells, sorted.
 
     Affine functions on the degree-1 slice are exactly linear functionals
     on the ambient lattice, so a cell is the tight set of a functional phi
-    with phi(p) <= h(p) for every lifted point.  Candidates come from
-    dim-subsets of points, which bounds this routine to small point
-    configurations (stellar_subdivision covers the large ones).
+    with phi(p) <= h(p) for every point.  These are the facets (-phi, 1)
+    up to scale of the cone over the lifted points (p, h(p)) and the ray
+    (0, ..., 0, 1): the facets with last coordinate > 0.
     """
-    n = len(pts)
-    d = cone.dim
-    if math.comb(n, d) > _SUBSET_BUDGET:
-        raise DimensionBudgetExceeded(
-            f"lower hull over {n} points in dimension {d}")
-    cells = set()
-    for subset in itertools.combinations(range(n), d):
-        phi = _solve_rational_square([pts[i] for i in subset],
-                                     [heights[i] for i in subset])
-        if phi is None:
-            continue
-        vals = [sum(f * c for f, c in zip(phi, p)) for p in pts]
-        if any(v > h for v, h in zip(vals, heights)):
-            continue
-        tight = tuple(i for i in range(n) if vals[i] == heights[i])
-        cells.add(tight)
-    return sorted(cells)
-
-
-def _solve_rational_square(rows, rhs):
-    """Unique rational solution of rows·x = rhs, or None when singular."""
-    n = len(rows)
-    width = len(rows[0])
-    aug = [[Fraction(x) for x in row] + [Fraction(h)]
-           for row, h in zip(rows, rhs)]
-    rref, pivots = la.rref_fraction(aug)
-    if len(pivots) != n or any(p >= width for p in pivots):
-        return None
-    sol = [Fraction(0)] * width
-    for i, c in enumerate(pivots):
-        sol[c] = rref[i][-1]
-    return sol
+    lifted = [tuple(p) + (h,) for p, h in zip(pts, heights)]
+    up = (0,) * cone.ambient_rank + (1,)
+    return sorted(tuple(i for i, q in enumerate(lifted) if la.dot(f, q) == 0)
+                  for f in _cone_facets_fulldim(lifted + [up],
+                                                cone.ambient_rank + 1)
+                  if f[-1] > 0)
 
 
 def stellar_subdivision(cone: GradedCone,

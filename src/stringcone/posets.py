@@ -21,6 +21,7 @@ poset (no isomorphism detection is attempted).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import NotEulerian, NotGraded
 from .polynomials import (
@@ -193,15 +194,21 @@ def _h(p: EulerianPoset) -> UnivariatePolynomial:
     if d == 0:
         result = UnivariatePolynomial.one()
     else:
-        tm1 = UnivariatePolynomial({0: -1, 1: 1})
         base = p.rank[p.min]
         result = UnivariatePolynomial.zero()
         for x in p.elements:
             if x == p.min:
                 continue
-            result = result + tm1 ** (p.rank[x] - base - 1) * _g(p.interval(x, p.max))
+            result = result + _t_minus_1_power(p.rank[x] - base - 1) \
+                * _g(p.interval(x, p.max))
     p._shared["h"][key] = result
     return result
+
+
+@lru_cache(maxsize=None)
+def _t_minus_1_power(k: int) -> UnivariatePolynomial:
+    """(t-1)^k, computed once per exponent for every H recursion."""
+    return UnivariatePolynomial({0: -1, 1: 1}) ** k
 
 
 def _g(p: EulerianPoset) -> UnivariatePolynomial:

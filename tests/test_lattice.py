@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -159,6 +160,110 @@ def test_generator_canonicalization():
     # redundant interior ray is dropped, non-primitive input reduced
     c = lat.cone_from_generators([(0, 2), (2, 2), (1, 1), (2, 1)])
     assert c.generators == ((0, 1), (2, 1))
+
+
+# -- facets by double description ------------------------------------------------
+
+def facets_oracle(gens, rank):
+    """Facet normals of a full-dimensional pointed cone from the null
+    spaces of its (rank-1)-subsets of generators."""
+    facets = set()
+    for subset in itertools.combinations(gens, rank - 1):
+        kernel = la.nullspace_fraction(list(subset)) if subset else \
+            [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+        if len(kernel) != 1:
+            continue
+        vals = [la.dot(kernel[0], g) for g in gens]
+        if all(v >= 0 for v in vals):
+            facets.add(kernel[0])
+        elif all(v <= 0 for v in vals):
+            facets.add(tuple(-x for x in kernel[0]))
+    return sorted(facets)
+
+
+def span_facets(gens, rank, enumerate_facets):
+    """Facets of the cone over gens, enumerated in coordinates of its
+    saturated span as cone_from_generators does, then lifted."""
+    basis = la.saturation_basis(gens)
+    if len(basis) == rank:
+        return enumerate_facets(gens, rank)
+    coords = sorted({la.coordinates_in_basis(basis, g) for g in gens})
+    return sorted(lat._lift_functional(basis, f)
+                  for f in enumerate_facets(coords, len(basis)))
+
+
+def extreme_oracle(gens, facets, equations, rank):
+    """Generators whose minimal face is a ray: rank of their tight facets
+    and equations is rank - 1."""
+    return tuple(g for g in gens if la.rank_int(
+        [list(f) for f in facets if la.dot(f, g) == 0]
+        + [list(e) for e in equations]) == rank - 1)
+
+
+def random_point_sets(seed, count):
+    """Point sets at degree 1 (last coordinate 1) of rank 2-5, with
+    midpoints of pairs among them, so that many points are not extreme and
+    some sets are not full-dimensional."""
+    rng = random.Random(seed)
+    sets = []
+    for _ in range(count):
+        rank = rng.randint(2, 5)
+        pts = [tuple(rng.randint(-2, 2) for _ in range(rank - 1)) + (1,)
+               for _ in range(rng.randint(1, 12 - rank))]
+        pairs = [rng.sample(pts, 2) for _ in range(4) if len(pts) > 1]
+        pts += [tuple((x + y) // 2 for x, y in zip(a, b))
+                for a, b in pairs if all((x + y) % 2 == 0 for x, y in zip(a, b))]
+        sets.append((sorted(set(pts)), rank, (0,) * (rank - 1) + (1,)))
+    return sets
+
+
+def dd_cases():
+    """(generators, rank, grading) of every fixture cone and face cone, and
+    of the seeded random point sets."""
+    cases = []
+    for name in ORACLE_NAMES:
+        for top in oracle_cones(name):
+            for face in lat.face_lattice(top).faces:
+                if face.gen_indices:
+                    cases.append((face.generator_vectors(), top.ambient_rank,
+                                  top.deg))
+    return cases + random_point_sets(11, 300)
+
+
+def test_double_description_matches_subset_scan_oracle():
+    for gens, rank, _ in dd_cases():
+        assert span_facets(gens, rank, lat._cone_facets_fulldim) == \
+            span_facets(gens, rank, facets_oracle), (gens, rank)
+
+
+def test_extreme_rays_match_rank_oracle():
+    non_extreme = 0
+    for gens, rank, deg in dd_cases():
+        facets = span_facets(gens, rank, facets_oracle)
+        equations = la.integer_kernel([list(g) for g in gens])
+        expect = extreme_oracle(gens, facets, equations, rank)
+        cone = lat.cone_from_generators(gens, rank, deg=deg)
+        assert cone.generators == expect, (gens, rank)
+        assert cone.facets == tuple(facets)
+        non_extreme += len(gens) - len(expect)
+    assert non_extreme > 100
+
+
+def test_non_pointed_cones_raise():
+    for gens in ([(1, 0), (-1, 0), (0, 1)],              # a half-plane
+                 [(1, 0), (0, 1), (-1, -1)],              # the whole plane
+                 [(1, 0, 1), (-1, 0, -1), (0, 1, 1)],     # a half-plane, rank 3
+                 [(1, 0, 0), (-1, 0, 0)]):                # a line, dim 1
+        with pytest.raises(ValueError, match="not pointed"):
+            lat.cone_from_generators(gens)
+
+
+def test_double_description_budget(monkeypatch):
+    cone = lat.gorenstein_cone_over(poly("cube"))  # 6 facets
+    assert len(lat._cone_facets_fulldim(cone.generators, 4)) == 6
+    monkeypatch.setattr(lat, "_SUBSET_BUDGET", 5)
+    with pytest.raises(DimensionBudgetExceeded):
+        lat._cone_facets_fulldim(cone.generators, 4)
 
 
 # -- face lattices ---------------------------------------------------------------
@@ -494,3 +599,54 @@ def test_reflexivity_is_unimodular_invariant(seed):
         [tuple(sum(mat[i][k] * v[k] for k in range(p.rank))
                for i in range(p.rank)) for v in p.vertices])
     assert lat.is_reflexive(image)
+
+
+# -- lower hulls -------------------------------------------------------------------
+
+def lower_hull_oracle(cone, pts, heights):
+    """Lower-hull cells by the subset scan: for every dim-subset of points
+    through whose lifts (p, h(p)) passes a unique functional phi, the tight
+    set of phi when phi(p) <= h(p) for every point.  phi·det comes from the
+    integer adjugate, for all subsets at once; fixture points have entries
+    of at most 3, so minors, adjugates and products stay exact in int64."""
+    d = cone.dim
+    pts_a = np.array(pts, dtype=np.int64)
+    h_a = np.array(heights, dtype=np.int64)
+    subsets = np.array(list(itertools.combinations(range(len(pts)), d)))
+    rows = pts_a[subsets]                                   # (m, d, d)
+    det = np.rint(np.linalg.det(rows)).astype(np.int64)
+    adj = np.zeros_like(rows)
+    for i in range(d):
+        for j in range(d):
+            minor = np.delete(np.delete(rows, i, axis=1), j, axis=2)
+            adj[:, j, i] = (-1) ** (i + j) * np.rint(np.linalg.det(minor))
+    ok = det != 0
+    phi = np.einsum("mij,mj->mi", adj[ok], h_a[subsets[ok]]) \
+        * np.sign(det[ok])[:, None]                         # |det|·phi
+    vals = phi @ pts_a.T
+    bound = np.abs(det[ok])[:, None] * h_a[None, :]
+    below = (vals <= bound).all(axis=1)
+    return sorted({tuple(np.flatnonzero(tight).tolist())
+                   for tight in (vals == bound)[below]})
+
+
+def lower_hull_cases():
+    """Every full-dimensional fixture cone whose dim-subsets of degree-1
+    points number at most 2·10^5 (what the subset scan allowed)."""
+    cones = [c for name in ORACLE_NAMES for c in oracle_cones(name)
+             if c.dim == c.ambient_rank]
+    return [c for c in dict.fromkeys(cones) if math.comb(len(
+        lat.lattice_points_at_degree(c, 1)), c.dim) <= 200_000]
+
+
+def test_lower_hull_matches_subset_oracle():
+    rng = random.Random(5)
+    for cone in lower_hull_cases():
+        pts = lat.lattice_points_at_degree(cone, 1)
+        for generic in (False, True):
+            for spread in (0, 1, 4):
+                heights = [rng.randint(0, spread) for _ in pts]
+                if generic:
+                    heights = [h * (1 << 20) + i for i, h in enumerate(heights)]
+                assert lat._lower_hull_cells(cone, pts, heights) == \
+                    lower_hull_oracle(cone, pts, heights), (cone, heights)

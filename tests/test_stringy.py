@@ -1,5 +1,7 @@
 """S/tilde-S polynomials, stringy E-functions, Hodge tables, box points."""
 
+import itertools
+import time
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
@@ -223,6 +225,38 @@ def test_quintic_hodge_numbers():
     mirror = st.stringy_hodge_table(
         st.e_st_hypersurface(pair("quintic_mirror")), 3)
     assert mirror.entry(1, 1) == 101 and mirror.entry(2, 1) == 1
+
+
+HEXAGON = [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)]
+
+
+@pytest.mark.parametrize("vertices,h11,h21", [
+    ([u + v for u in HEXAGON for v in HEXAGON], 8, 44),         # hex x hex
+    ([u + (0, 0) for u in HEXAGON] + [(0, 0) + v for v in HEXAGON],
+     44, 8),                                                      # hex + hex
+])
+def test_hexagon_product_and_sum(vertices, h11, h21):
+    # 36 vertices (the product) or 36 dual vertices (the free sum); the
+    # two are polar duals, so the tables are mirror images
+    start = time.process_time()
+    p = lat.reflexive_pair(lat.lattice_polytope(vertices))
+    e_st = st.e_st_hypersurface(p)
+    table = st.stringy_hodge_table(e_st, 3)
+    assert (table.entry(1, 1), table.entry(2, 1)) == (h11, h21)
+    assert st.e_st_oracle(p) == e_st
+    assert time.process_time() - start < 3
+
+
+def test_quintic_from_its_monomials():
+    # the 126 monomials of a quintic, shifted by (1,...,1) and written in
+    # the basis e_i - e_0, load as the Newton simplex
+    monomials = [m for m in itertools.product(range(6), repeat=5)
+                 if sum(m) == 5]
+    p = lat.lattice_polytope([tuple(x - 1 for x in m[1:]) for m in monomials])
+    assert len(monomials) == 126 and p == fx.polytope("quintic")
+    table = st.stringy_hodge_table(st.e_st_hypersurface(
+        lat.reflexive_pair(p)), 3)
+    assert (table.entry(1, 1), table.entry(2, 1)) == (1, 101)
 
 
 @pytest.mark.parametrize("a,b", fx.MIRROR_PAIRS)
