@@ -222,29 +222,38 @@ def solve_integer(mat, rhs):
     Free coordinates of the diagonalized system are pinned to zero, so the
     returned solution is deterministic.
     """
+    return solve_integer_all(mat, [rhs])[0]
+
+
+def solve_integer_all(mat, rhss):
+    """solve_integer(mat, rhs) for each rhs, through one diagonalization."""
     if not mat:
-        return None
+        return [None] * len(rhss)
     m = len(mat)
     n = len(mat[0])
     u, d, v = _diagonalize(mat)
-    ub = [dot(u[i], rhs) for i in range(m)]
-    y = [0] * n
-    for i in range(min(m, n)):
-        di = d[i][i]
-        if di != 0:
-            if ub[i] % di != 0:
+
+    def solve(rhs):
+        ub = [dot(u[i], rhs) for i in range(m)]
+        y = [0] * n
+        for i in range(min(m, n)):
+            di = d[i][i]
+            if di != 0:
+                if ub[i] % di != 0:
+                    return None
+                y[i] = ub[i] // di
+            elif ub[i] != 0:
                 return None
-            y[i] = ub[i] // di
-        elif ub[i] != 0:
-            return None
-    for i in range(n, m):
-        if ub[i] != 0:
-            return None
-    x = tuple(sum(v[i][j] * y[j] for j in range(n)) for i in range(n))
-    for row, b in zip(mat, rhs):
-        if dot(row, x) != int(b):
-            return None
-    return x
+        for i in range(n, m):
+            if ub[i] != 0:
+                return None
+        x = tuple(sum(v[i][j] * y[j] for j in range(n)) for i in range(n))
+        for row, b in zip(mat, rhs):
+            if dot(row, x) != int(b):
+                return None
+        return x
+
+    return [solve(rhs) for rhs in rhss]
 
 
 def saturation_basis(vectors):

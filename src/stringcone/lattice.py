@@ -210,11 +210,13 @@ def _eliminate(v, w, g):
     return la.primitive_vector([a * x - b * y for x, y in zip(v, w)])
 
 
-def _lift_functional(basis_rows, values):
-    sol = la.solve_integer([list(r) for r in basis_rows], values)
-    if sol is None:
+def _lift_functionals(basis_rows, functionals):
+    """Integral lifts of functionals given by their values on a lattice
+    basis, through one diagonalization of the basis."""
+    lifts = la.solve_integer_all([list(r) for r in basis_rows], functionals)
+    if None in lifts:
         raise ArithmeticError("functional does not lift integrally")
-    return sol
+    return lifts
 
 
 def cone_from_generators(generators, ambient_rank: int | None = None,
@@ -245,14 +247,12 @@ def cone_from_generators(generators, ambient_rank: int | None = None,
     if dim == ambient_rank:
         facets = _cone_facets_fulldim(gens, ambient_rank)
     else:
-        coords = []
-        for g in gens:
-            c = la.coordinates_in_basis(span_basis, g)
-            if c is None:
-                raise ArithmeticError("generator outside saturated span")
-            coords.append(c)
+        columns = [list(r) for r in zip(*span_basis)]
+        coords = la.solve_integer_all(columns, gens)
+        if None in coords:
+            raise ArithmeticError("generator outside saturated span")
         local = _cone_facets_fulldim(sorted(set(coords)), dim)
-        facets = sorted(_lift_functional(span_basis, f) for f in local)
+        facets = sorted(_lift_functionals(span_basis, local))
 
     # tight facets per generator as bitmasks: the least face is spanned by
     # the generators in it, so the cone is pointed iff none is tight on all
@@ -399,9 +399,9 @@ def _face_as_cone(parent: GradedCone, indices: tuple[int, ...]) -> GradedCone:
     if not gens:
         return cone_from_generators((), parent.ambient_rank, deg=parent.deg)
     basis = la.saturation_basis(gens)
-    facets = sorted(_lift_functional(basis, la.primitive_vector(
-        [la.dot(h, b) for b in basis]))
-        for h in _facets_of_face(parent, frozenset(indices)).values())
+    facets = sorted(_lift_functionals(basis, [
+        la.primitive_vector([la.dot(h, b) for b in basis])
+        for h in _facets_of_face(parent, frozenset(indices)).values()]))
     return GradedCone(ambient_rank=parent.ambient_rank, generators=tuple(gens),
                       deg=parent.deg, facets=tuple(facets),
                       equations=tuple(sorted(la.integer_kernel(gens))),

@@ -14,14 +14,21 @@ convolution recursion
 and is solved bottom-up.  `b_via_g` evaluates the closed-form alternating
 sum over the interval and must agree with the recursion; the convolution
 identity check verifies that G(_, t) and (-1)^rank G(_*, t) are convolution
-inverses.  All recursions are memoized per concrete interval on the root
-poset (no isomorphism detection is attempted).
+inverses.
+
+A constructed poset is an indexed root: its elements are numbered in the
+given order, ranks are a list, and up- and down-sets are int bitsets.  An
+`EulerianPoset` is a (root, lo, hi) view of the interval between two of its
+elements, so intervals and duals are views too and build nothing; the dual
+root is built once, on first use.  The recursions are memoised on the root
+per (lo, hi) index pair (no isomorphism detection is attempted).
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache, wraps
 
 from .errors import NotEulerian, NotGraded
 from .polynomials import (
@@ -31,138 +38,136 @@ from .polynomials import (
 )
 
 
+def _bits(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class _Root:
+    """Numbered elements with their ranks, up-sets and down-sets (bitsets),
+    and the G/H/B memos of its intervals."""
+
+    def __init__(self, elements, index, rank, up, down, dual=None):
+        self.elements, self.index, self.rank = elements, index, rank
+        self.up, self.down = up, down
+        self.memo = defaultdict(dict)
+        self._dual = dual
+
+    def dual(self) -> "_Root":
+        """Same numbering, order reversed, rank complemented."""
+        if self._dual is None:
+            top = max(self.rank)
+            self._dual = _Root(self.elements, self.index,
+                               [top - r for r in self.rank],
+                               self.down, self.up, dual=self)
+        return self._dual
+
+    @cached_property
+    def unbalanced(self) -> list[tuple[int, int]]:
+        """Pairs x < y whose interval has unequal even- and odd-rank counts."""
+        even = sum(1 << i for i, r in enumerate(self.rank) if r % 2 == 0)
+        pairs = []
+        for x, above in enumerate(self.up):
+            for y in _bits(above & ~(1 << x)):
+                members = above & self.down[y]
+                if 2 * (members & even).bit_count() != members.bit_count():
+                    pairs.append((x, y))
+        return pairs
+
+
 class EulerianPoset:
     """Finite graded poset with designated minimum and maximum.
 
-    Instances are immutable; intervals share a cache dictionary with the
-    root poset so polynomial recursions are computed once per concrete
+    Instances are immutable views of the interval [lo, hi] of an indexed
+    root; `interval` and `dual` return views of the same root (or of its
+    dual root), so polynomial recursions are computed once per concrete
     (min, max) pair.
     """
 
-    def __init__(self, elements, covers, _shared=None):
-        self.elements = tuple(elements)
-        self.covers = tuple(sorted(set(covers)))
-        elems = set(self.elements)
-        if len(elems) != len(self.elements):
+    __slots__ = ("_root", "_lo", "_hi", "min", "max")
+
+    def __init__(self, elements, covers):
+        elements = tuple(elements)
+        index = {x: i for i, x in enumerate(elements)}
+        if len(index) != len(elements):
             raise ValueError("duplicate poset elements")
-        for a, b in self.covers:
-            if a not in elems or b not in elems:
+        n = len(elements)
+        upper = [[] for _ in range(n)]  # indices covering each element
+        lower = [[] for _ in range(n)]  # indices each element covers
+        for a, b in set(covers):
+            if a not in index or b not in index:
                 raise ValueError("cover relation outside element set")
-        up = {x: [] for x in self.elements}
-        down = {x: [] for x in self.elements}
-        for a, b in self.covers:
-            up[a].append(b)
-            down[b].append(a)
-        minima = [x for x in self.elements if not down[x]]
-        maxima = [x for x in self.elements if not up[x]]
-        if len(self.elements) == 1:
-            minima = maxima = list(self.elements)
+            upper[index[a]].append(index[b])
+            lower[index[b]].append(index[a])
+        minima = [i for i in range(n) if not lower[i]]
+        maxima = [i for i in range(n) if not upper[i]]
         if len(minima) != 1 or len(maxima) != 1:
             raise ValueError("poset must have unique minimum and maximum")
-        self.min = minima[0]
-        self.max = maxima[0]
-        # longest-chain ranks; gradedness demands every cover is a unit step
-        rank = {self.min: 0}
-        order = self._topological(up, down)
+        # a topological order from the minimum reaches every element unless
+        # the covers contain a cycle; down-sets and ranks follow it upwards
+        order, rank = list(minima), [0] * n
+        up, down = [1 << i for i in range(n)], [1 << i for i in range(n)]
+        indegree = [len(d) for d in lower]
         for x in order:
-            for y in up[x]:
-                r = rank[x] + 1
-                if rank.get(y, r) != r:
-                    raise NotGraded("maximal chains of different lengths")
-                rank[y] = r
-        if len(rank) != len(self.elements):
-            raise NotGraded("poset is not connected between min and max")
-        for a, b in self.covers:
-            if rank[b] != rank[a] + 1:
-                raise NotGraded("maximal chains of different lengths")
-        self.rank = rank
-        above = {}
-        for x in reversed(order):
-            s = {x}
-            for y in up[x]:
-                s |= above[y]
-            above[x] = frozenset(s)
-        below = {}
-        for x in order:
-            s = {x}
-            for y in down[x]:
-                s |= below[y]
-            below[x] = frozenset(s)
-        self._above = above
-        self._below = below
-        self._shared = _shared if _shared is not None else {
-            "g": {}, "h": {}, "b": {}, "eulerian": {}, "dual": None,
-            "intervals": {}, "order": {x: i for i, x in enumerate(self.elements)},
-            "root_covers": self.covers}
-
-    def _topological(self, up, down):
-        indeg = {x: len(down[x]) for x in self.elements}
-        queue = [x for x in self.elements if indeg[x] == 0]
-        order = []
-        while queue:
-            x = queue.pop()
-            order.append(x)
-            for y in up[x]:
-                indeg[y] -= 1
-                if indeg[y] == 0:
-                    queue.append(y)
-        if len(order) != len(self.elements):
+            for y in upper[x]:
+                down[y] |= down[x]
+                rank[y] = rank[x] + 1
+                indegree[y] -= 1
+                if indegree[y] == 0:
+                    order.append(y)
+        if len(order) != n:
             raise ValueError("cover relations contain a cycle")
-        return order
+        if any(rank[a] + 1 != rank[b] for b in range(n) for a in lower[b]):
+            raise NotGraded("maximal chains of different lengths")
+        for x in reversed(order):
+            for y in upper[x]:
+                up[x] |= up[y]
+        self._root = _Root(elements, index, rank, up, down)
+        self._lo, self._hi = minima[0], maxima[0]
+        self.min, self.max = elements[self._lo], elements[self._hi]
+
+    @classmethod
+    def _view(cls, root: _Root, lo: int, hi: int) -> "EulerianPoset":
+        view = object.__new__(cls)
+        view._root, view._lo, view._hi = root, lo, hi
+        view.min, view.max = root.elements[lo], root.elements[hi]
+        return view
 
     # -- basic structure ----------------------------------------------------
 
+    def _members(self) -> int:
+        return self._root.up[self._lo] & self._root.down[self._hi]
+
+    @property
+    def elements(self) -> tuple:
+        return tuple(self._root.elements[i] for i in _bits(self._members()))
+
     def total_rank(self) -> int:
-        return self.rank[self.max] - self.rank[self.min]
+        return self._root.rank[self._hi] - self._root.rank[self._lo]
 
     def le(self, x, y) -> bool:
-        return y in self._above[x]
+        """x <= y, both in this poset."""
+        root, members = self._root, self._members()
+        i, j = root.index[x], root.index[y]
+        return bool(members >> i & 1 and (root.up[i] & members) >> j & 1)
 
     def interval(self, x, y) -> "EulerianPoset":
-        key = (x, y)
-        cached = self._shared["intervals"].get(key)
-        if cached is not None:
-            return cached
         if not self.le(x, y):
             raise ValueError(f"{x!r} is not below {y!r}")
-        members = self._above[x] & self._below[y]
-        order = self._shared["order"]
-        covers = [(a, b) for a, b in self.covers if a in members and b in members]
-        sub = EulerianPoset(sorted(members, key=order.__getitem__),
-                            covers, _shared=self._shared)
-        self._shared["intervals"][key] = sub
-        return sub
+        index = self._root.index
+        return self._view(self._root, index[x], index[y])
 
     def dual(self) -> "EulerianPoset":
-        """Materialized dual: order reversed, rank complemented."""
-        if self._shared["dual"] is None:
-            order = self._shared["order"]
-            rev = [(b, a) for a, b in self._shared["root_covers"]]
-            root_elems = sorted(order, key=order.__getitem__)
-            self._shared["dual"] = EulerianPoset(list(reversed(root_elems)), rev)
-        return self._shared["dual"].interval(self.max, self.min)
-
-    # -- Eulerian test ------------------------------------------------------
+        """Order reversed, rank complemented: a view of the dual root."""
+        return self._view(self._root.dual(), self._hi, self._lo)
 
     def is_eulerian(self) -> bool:
-        key = (self.min, self.max)
-        cached = self._shared["eulerian"].get(key)
-        if cached is None:
-            cached = self._check_eulerian()
-            self._shared["eulerian"][key] = cached
-        return cached
-
-    def _check_eulerian(self) -> bool:
-        for x in self.elements:
-            for y in self._above[x]:
-                if self.rank[y] - self.rank[x] < 1:
-                    continue
-                members = self._above[x] & self._below[y]
-                balance = sum(1 if (self.rank[z] & 1) == 0 else -1
-                              for z in members)
-                if balance != 0:
-                    return False
-        return True
+        members = self._members()
+        return not any(members >> x & members >> y & 1
+                       for x, y in self._root.unbalanced)
 
 
 def is_eulerian(p: EulerianPoset) -> bool:
@@ -170,38 +175,40 @@ def is_eulerian(p: EulerianPoset) -> bool:
     return p.is_eulerian()
 
 
-def _require_eulerian(p: EulerianPoset) -> None:
+def _checked(p: EulerianPoset) -> tuple[_Root, int, int]:
+    """p's (root, lo, hi), once p is known to be Eulerian."""
     if not p.is_eulerian():
         raise NotEulerian("poset is not Eulerian")
+    return p._root, p._lo, p._hi
+
+
+def _per_interval(fn):
+    """Memoise fn(root, lo, hi) on the root, keyed by the (lo, hi) pair."""
+    @wraps(fn)
+    def memoised(root, lo, hi):
+        memo = root.memo[fn]
+        if (lo, hi) not in memo:
+            memo[lo, hi] = fn(root, lo, hi)
+        return memo[lo, hi]
+    return memoised
 
 
 def h_polynomial(p: EulerianPoset) -> UnivariatePolynomial:
-    _require_eulerian(p)
-    return _h(p)
+    return _h(*_checked(p))
 
 
 def g_polynomial(p: EulerianPoset) -> UnivariatePolynomial:
-    _require_eulerian(p)
-    return _g(p)
+    return _g(*_checked(p))
 
 
-def _h(p: EulerianPoset) -> UnivariatePolynomial:
-    key = (p.min, p.max)
-    cached = p._shared["h"].get(key)
-    if cached is not None:
-        return cached
-    d = p.total_rank()
-    if d == 0:
-        result = UnivariatePolynomial.one()
-    else:
-        base = p.rank[p.min]
-        result = UnivariatePolynomial.zero()
-        for x in p.elements:
-            if x == p.min:
-                continue
-            result = result + _t_minus_1_power(p.rank[x] - base - 1) \
-                * _g(p.interval(x, p.max))
-    p._shared["h"][key] = result
+@_per_interval
+def _h(root: _Root, lo: int, hi: int) -> UnivariatePolynomial:
+    if lo == hi:
+        return UnivariatePolynomial.one()
+    result = UnivariatePolynomial.zero()
+    for x in _bits(root.up[lo] & root.down[hi] & ~(1 << lo)):
+        result = result + _t_minus_1_power(root.rank[x] - root.rank[lo] - 1) \
+            * _g(root, x, hi)
     return result
 
 
@@ -211,64 +218,46 @@ def _t_minus_1_power(k: int) -> UnivariatePolynomial:
     return UnivariatePolynomial({0: -1, 1: 1}) ** k
 
 
-def _g(p: EulerianPoset) -> UnivariatePolynomial:
-    key = (p.min, p.max)
-    cached = p._shared["g"].get(key)
-    if cached is not None:
-        return cached
-    d = p.total_rank()
+@_per_interval
+def _g(root: _Root, lo: int, hi: int) -> UnivariatePolynomial:
+    d = root.rank[hi] - root.rank[lo]
     if d == 0:
-        result = UnivariatePolynomial.one()
-    else:
-        one_minus_t = UnivariatePolynomial({0: 1, 1: -1})
-        result = truncate_below(one_minus_t * _h(p), Fraction(d, 2))
-    p._shared["g"][key] = result
-    return result
+        return UnivariatePolynomial.one()
+    one_minus_t = UnivariatePolynomial({0: 1, 1: -1})
+    return truncate_below(one_minus_t * _h(root, lo, hi), Fraction(d, 2))
 
 
 def b_polynomial(p: EulerianPoset) -> BivariateLaurentPolynomial:
     """Two-variable invariant solved bottom-up from its convolution
     recursion against G."""
-    _require_eulerian(p)
-    return _b(p)
+    return _b(*_checked(p))
 
 
-def _b(p: EulerianPoset) -> BivariateLaurentPolynomial:
-    key = (p.min, p.max)
-    cached = p._shared["b"].get(key)
-    if cached is not None:
-        return cached
-    d = p.total_rank()
-    if d == 0:
-        result = BivariateLaurentPolynomial.one()
-    else:
-        base = p.rank[p.min]
-        result = _g(p).to_bivariate(1, 1)  # G(P, uv)
-        for x in p.elements:
-            if x == p.max:
-                continue
-            lower = _b(p.interval(p.min, x))
-            upper = _g(p.interval(x, p.max)).to_bivariate(-1, 1)  # t -> v/u
-            power = BivariateLaurentPolynomial.monomial(
-                d - (p.rank[x] - base), 0)
-            result = result - lower * power * upper
-    p._shared["b"][key] = result
+@_per_interval
+def _b(root: _Root, lo: int, hi: int) -> BivariateLaurentPolynomial:
+    if lo == hi:
+        return BivariateLaurentPolynomial.one()
+    result = _g(root, lo, hi).to_bivariate(1, 1)  # G(P, uv)
+    for x in _bits(root.up[lo] & root.down[hi] & ~(1 << hi)):
+        lower = _b(root, lo, x)
+        upper = _g(root, x, hi).to_bivariate(-1, 1)  # t -> v/u
+        power = BivariateLaurentPolynomial.monomial(
+            root.rank[hi] - root.rank[x], 0)
+        result = result - lower * power * upper
     return result
 
 
 def b_via_g(p: EulerianPoset) -> BivariateLaurentPolynomial:
     """Closed-form alternating sum for the B-polynomial:
     sum over x of G([x,max]*, v/u) * (-u)^(rank(max)-rank(x)) * G([min,x], uv)."""
-    _require_eulerian(p)
-    d = p.total_rank()
-    base = p.rank[p.min]
+    root, lo, hi = _checked(p)
+    dual = root.dual()
     total = BivariateLaurentPolynomial.zero()
-    for x in p.elements:
-        k = d - (p.rank[x] - base)
-        upper_dual = p.interval(x, p.max).dual()
-        term = _g(upper_dual).to_bivariate(-1, 1)
+    for x in _bits(p._members()):
+        k = root.rank[hi] - root.rank[x]
+        term = _g(dual, hi, x).to_bivariate(-1, 1)
         term = term * BivariateLaurentPolynomial.monomial(k, 0, (-1) ** k)
-        term = term * _g(p.interval(p.min, x)).to_bivariate(1, 1)
+        term = term * _g(root, lo, x).to_bivariate(1, 1)
         total = total + term
     return total
 
@@ -276,18 +265,17 @@ def b_via_g(p: EulerianPoset) -> BivariateLaurentPolynomial:
 def convolution_inverse_check(p: EulerianPoset) -> bool:
     """Both convolution identities: G(_, t) and (-1)^rank G(_*, t) must be
     two-sided inverses under the poset convolution product."""
-    _require_eulerian(p)
-    if p.total_rank() < 1:
+    root, lo, hi = _checked(p)
+    d = p.total_rank()
+    if d < 1:
         raise ValueError("convolution check needs positive rank")
-    base = p.rank[p.min]
+    dual = root.dual()
     first = UnivariatePolynomial.zero()
     second = UnivariatePolynomial.zero()
-    for x in p.elements:
-        k = p.rank[x] - base
-        lower = p.interval(p.min, x)
-        upper = p.interval(x, p.max)
-        first = first + (-1) ** k * (_g(lower.dual()) * _g(upper))
-        second = second + (-1) ** (p.total_rank() - k) * (_g(lower) * _g(upper.dual()))
+    for x in _bits(p._members()):
+        k = root.rank[x] - root.rank[lo]
+        first = first + (-1) ** k * (_g(dual, x, lo) * _g(root, x, hi))
+        second = second + (-1) ** (d - k) * (_g(root, lo, x) * _g(dual, hi, x))
     return first.is_zero() and second.is_zero()
 
 

@@ -188,8 +188,8 @@ def span_facets(gens, rank, enumerate_facets):
     if len(basis) == rank:
         return enumerate_facets(gens, rank)
     coords = sorted({la.coordinates_in_basis(basis, g) for g in gens})
-    return sorted(lat._lift_functional(basis, f)
-                  for f in enumerate_facets(coords, len(basis)))
+    return sorted(lat._lift_functionals(
+        basis, enumerate_facets(coords, len(basis))))
 
 
 def extreme_oracle(gens, facets, equations, rank):
@@ -349,6 +349,29 @@ def test_face_cones_match_cone_from_generators(name):
             for sub in lat.face_lattice(cone).faces:
                 assert_same_cone(sub.as_cone(), lat.cone_from_generators(
                     sub.generator_vectors(), top.ambient_rank, deg=top.deg))
+
+
+def test_face_cone_lifts_all_its_facets_through_one_diagonalization(
+        monkeypatch):
+    calls = []
+    diagonalize = la._diagonalize
+
+    def counted(mat):
+        calls.append(mat)
+        return diagonalize(mat)
+
+    monkeypatch.setattr(la, "_diagonalize", counted)
+    cone = lat.gorenstein_cone_over(poly("cube"))
+    per_facet_count = {}
+    for face in lat.face_lattice(cone).faces:
+        if 2 <= face.dim < cone.dim:  # edges and squares of the cube
+            calls.clear()
+            facets = lat._face_as_cone.__wrapped__(
+                cone, tuple(sorted(face.gen_indices))).facets
+            per_facet_count.setdefault(len(facets), set()).add(len(calls))
+    assert sorted(per_facet_count) == [2, 4]
+    # the same number of diagonalizations whatever the facet count
+    assert len(set().union(*per_facet_count.values())) == 1
 
 
 def test_face_lattice_of_a_32_gon_cone():

@@ -1,5 +1,8 @@
 """Eulerian posets and the G/H/B polynomial recursions."""
 
+from collections import Counter
+from functools import cache
+
 import pytest
 
 from stringcone import fixtures as fx
@@ -37,12 +40,28 @@ def test_not_graded_detection():
                                   ("c", "d"), ("a", "d")])
 
 
+@pytest.mark.parametrize("elements, covers, match", [
+    ("aab", [("a", "b")], "duplicate"),
+    ("ab", [("a", "z")], "outside"),
+    ("abc", [("a", "b")], "unique minimum"),
+    ("abcd", [("a", "b"), ("b", "c"), ("c", "b"), ("c", "d")], "cycle"),
+])
+def test_malformed_posets_rejected(elements, covers, match):
+    with pytest.raises(ValueError, match=match):
+        po.EulerianPoset(elements, covers)
+
+
 def test_non_eulerian_rejected_by_recursions():
     chain = po.EulerianPoset("abc", [("a", "b"), ("b", "c")])
     with pytest.raises(NotEulerian):
         po.g_polynomial(chain)
     with pytest.raises(NotEulerian):
         po.b_polynomial(chain)
+    # an Eulerian interval of a non-Eulerian poset is judged on its own
+    edge = chain.interval("a", "b")
+    assert po.is_eulerian(edge)
+    assert edge.elements == ("a", "b") and edge.total_rank() == 1
+    assert po.g_polynomial(edge) == U.one()
 
 
 def test_dual_poset():
@@ -171,3 +190,92 @@ def test_convolution_on_all_intervals(name):
 def test_every_fixture_face_lattice_is_eulerian(name):
     # the Eulerian test itself runs over every interval of the lattice
     assert po.is_eulerian(face_poset(name))
+
+
+# -- independent oracle ------------------------------------------------------------
+
+def _add(p, q, sign=1):
+    out = Counter(p)
+    for k, c in q.items():
+        out[k] += sign * c
+    return {k: c for k, c in out.items() if c}
+
+
+def _mul(p, q):
+    out = Counter()
+    for a, x in p.items():
+        for b, y in q.items():
+            out[tuple(i + j for i, j in zip(a, b))] += x * y
+    return {k: c for k, c in out.items() if c}
+
+
+def textbook_ghb(elements, rank):
+    """G, H and B of the intervals [x, y] of frozensets ordered by
+    inclusion, graded by rank, from their defining recursions on
+    {exponents: coefficient} dicts."""
+    @cache
+    def h(x, y):
+        total = {(0,): 1} if x == y else {}
+        for z in elements:
+            if x < z <= y:
+                power = {(0,): 1}
+                for _ in range(rank[z] - rank[x] - 1):
+                    power = _mul(power, {(0,): -1, (1,): 1})
+                total = _add(total, _mul(power, g(z, y)))
+        return total
+
+    @cache
+    def g(x, y):
+        if x == y:
+            return {(0,): 1}
+        return {k: c for k, c in _mul({(0,): 1, (1,): -1}, h(x, y)).items()
+                if 2 * k[0] < rank[y] - rank[x]}
+
+    @cache
+    def b(x, y):
+        # sum over z of B([x,z]) u^(rank y - rank z) G([z,y]; v/u) = G(uv)
+        total = {(i, i): c for (i,), c in g(x, y).items()}
+        for z in elements:
+            if x <= z < y:
+                upper = {(rank[y] - rank[z] - i, i): c
+                         for (i,), c in g(z, y).items()}
+                total = _add(total, _mul(b(x, z), upper), -1)
+        return total
+
+    return g, h, b
+
+
+def _univariate(p):
+    return U({i: c for (i,), c in p.items()})
+
+
+def assert_matches_textbook(poset, rename, rank):
+    """Compare G/H/B on every interval of poset, whose element x is the
+    frozenset rename(x) of the oracle's inclusion order."""
+    g, h, b = textbook_ghb([rename(x) for x in poset.elements], rank)
+    for interval in all_intervals(poset):
+        x, y = rename(interval.min), rename(interval.max)
+        assert po.g_polynomial(interval) == _univariate(g(x, y))
+        assert po.h_polynomial(interval) == _univariate(h(x, y))
+        assert po.b_polynomial(interval) == B(b(x, y))
+
+
+@pytest.mark.parametrize("name", fx.REFLEXIVE_NAMES)
+def test_ghb_match_textbook_recursion_on_face_lattices(name):
+    fl = lat.face_lattice(lat.gorenstein_cone_over(fx.polytope(name)))
+    poset = po.poset_of_face_lattice(fl)
+    top = fl.maximum()
+    assert_matches_textbook(poset, lambda f: f,
+                            {f.gen_indices: f.dim for f in fl.faces})
+    # the dual order is inclusion of complements, ranked by codimension
+    every = top.gen_indices
+    assert_matches_textbook(poset.dual(), lambda f: every - f,
+                            {every - f.gen_indices: top.dim - f.dim
+                             for f in fl.faces})
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_ghb_match_textbook_recursion_on_boolean_lattices(n):
+    poset = po.boolean_lattice(n)
+    assert_matches_textbook(poset, lambda s: s,
+                            {s: len(s) for s in poset.elements})

@@ -207,6 +207,22 @@ def test_e_st_diamond():
     assert st.e_st_oracle(pair("diamond")) == expected
 
 
+def test_e_st_hypersurface_builds_one_poset_per_face_lattice(monkeypatch):
+    calls = []
+    init = po.EulerianPoset.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return init(self, *args, **kwargs)
+
+    monkeypatch.setattr(po.EulerianPoset, "__init__", counted)
+    st.face_tilde_s.cache_clear()
+    st._lattice_poset.cache_clear()
+    st.e_st_hypersurface(pair("cube"))
+    # one root each for K and K*: intervals are views of their lattice's root
+    assert len(calls) == st._lattice_poset.cache_info().misses == 2
+
+
 @pytest.mark.parametrize("name", fx.REFLEXIVE_NAMES)
 def test_two_formulas_agree(name):
     p = pair(name)
