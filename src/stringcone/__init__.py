@@ -29,9 +29,7 @@ from .lattice import (
 )
 from .polynomials import (
     BivariateLaurentPolynomial,
-    Monomial,
     UnivariatePolynomial,
-    substitute,
     truncate_below,
 )
 from .posets import (
@@ -71,7 +69,6 @@ from .stringy import (
     tilde_s_simplicial,
 )
 from .koszul import (
-    DifferentialBlock,
     KoszulComplex,
     PairedMonomialSpace,
     build_complex,

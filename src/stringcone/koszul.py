@@ -11,7 +11,9 @@ any product that leaves the orthogonality locus:
 D^2 = 0 holds unconditionally because pairings of cone points are
 nonnegative, so the projected multiplications commute.  The differential
 preserves s = (exterior degree) + deg(m) - deg(n) and raises
-t = deg(m) + deg(n) by one; cohomology is reported per (s, t) piece.
+t = deg(m) + deg(n) by one, so it is stored as one int64 COO matrix per
+piece, from (s, t) to (s, t+1), whose basis is numbered as it is
+enumerated; cohomology is reported per (s, t) piece.
 
 For regular f, g the cohomology matches, piece by piece, the sum over
 faces C of tilde-S coefficient products placed at exterior degree
@@ -39,54 +41,48 @@ from .stringy import face_tilde_s
 
 
 @dataclass(frozen=True)
-class DifferentialBlock:
-    """Matrix of the differential between two graded pieces."""
+class Differential:
+    """D from the (s, t) piece to the (s, t+1) piece as int64 triplets:
+    entry vals[k] sits at target row rows[k], source column cols[k]."""
 
-    source: tuple  # (deg m, deg n, exterior degree)
-    target: tuple
-    matrix: tuple  # rows = target basis, columns = source basis
+    shape: tuple  # (dim of (s, t+1), dim of (s, t))
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    def dense(self) -> np.ndarray:
+        mat = np.zeros(self.shape, dtype=np.int64)
+        np.add.at(mat, (self.rows, self.cols), self.vals)
+        return mat
 
 
 @dataclass(frozen=True)
 class PairedMonomialSpace:
-    """Basis bookkeeping for the complex, keyed by graded piece."""
+    """Basis of the complex: each conserved piece (s, t) lists its
+    elements (exterior index tuple, m, n) in the order they are numbered."""
 
     pair: ReflexivePair
     cap: int
-    pieces: dict  # (a, b, e) -> list of (exterior index tuple, m, n)
-
-    def piece_dim(self, key) -> int:
-        return len(self.pieces.get(key, ()))
+    pieces: dict  # (s, t) -> list of (exterior index tuple, m, n)
 
     def total_dim(self) -> int:
         return sum(len(v) for v in self.pieces.values())
 
 
+@dataclass(frozen=True)
 class KoszulComplex:
-    """Assembled blocks of D together with the scalar field context."""
+    """The differential of every piece, over the scalar field of f and g."""
 
-    def __init__(self, space: PairedMonomialSpace, blocks, field: str):
-        self.space = space
-        self.blocks = list(blocks)
-        self.field = field
+    space: PairedMonomialSpace
+    blocks: dict  # (s, t) -> Differential into (s, t+1)
+    field: str
 
     def verify_d_squared(self) -> bool:
-        """The composite into each target must vanish after summing over
-        every intermediate piece."""
-        by_source: dict = {}
-        for b in self.blocks:
-            by_source.setdefault(b.source, []).append(b)
-        for src, firsts in by_source.items():
-            composites: dict = {}
-            for b1 in firsts:
-                m1 = np.array(b1.matrix, dtype=np.int64)
-                for b2 in by_source.get(b1.target, ()):
-                    m2 = np.array(b2.matrix, dtype=np.int64)
-                    composites[b2.target] = composites.get(b2.target, 0) \
-                        + m2 @ m1
-            for total in composites.values():
-                if np.any(total):
-                    return False
+        """D(s, t+1) D(s, t) = 0 over the integers on every piece."""
+        for (s, t), first in self.blocks.items():
+            second = self.blocks.get((s, t + 1))
+            if second is not None and np.any(second.dense() @ first.dense()):
+                return False
         return True
 
 
@@ -113,41 +109,47 @@ def _exterior_wedge(index: tuple, vector) -> list:
     return out
 
 
+def _as_array(points, rank: int) -> np.ndarray:
+    return np.array(list(points), dtype=np.int64).reshape(-1, rank)
+
+
 def build_complex(pair: ReflexivePair, f: DegreeOneElement,
                   g: DegreeOneElement, cap: int | None = None,
                   dual_subdivision: FanSubdivision | None = None,
-                  check_regular: bool = True,
-                  field: str | None = None) -> KoszulComplex:
-    """Assemble all differential blocks with source bidegrees within cap.
+                  check_regular: bool = True) -> KoszulComplex:
+    """Assemble the differential of every piece (s, t) whose basis has
+    bidegrees within cap, over the scalar field of f and g.
 
-    f lives on the cone, g on the dual cone; both are checked for
-    regularity unless check_regular is disabled (degenerate inputs still
-    give a complex: the defining identity D^2 = 0 is unconditional).
+    f lives on the cone, g on the dual cone, both over the same field;
+    both are checked for regularity unless check_regular is disabled
+    (degenerate inputs still give a complex: D^2 = 0 is unconditional).
     """
     k_cone, k_dual = pair.cone, pair.dual
     if f.cone != k_cone or g.cone != k_dual:
         raise ValueError("elements must live on the cone and its dual")
+    if la.parse_field(f.field) != la.parse_field(g.field):
+        raise ValueError(f"f is over {f.field} but g over {g.field}")
     if cap is None:
         cap = k_cone.dim
     if cap < k_cone.dim:
         raise CapTooSmall(f"cap {cap} below cone dimension {k_cone.dim}")
     rank = k_cone.ambient_rank
 
-    points_k = [p for d in range(cap + 1)
-                for p in lat.lattice_points_at_degree(k_cone, d)]
-    points_d = [p for d in range(cap + 1)
-                for p in lat.lattice_points_at_degree(k_dual, d)]
-    deg_k = {p: la.dot(k_cone.deg, p) for p in points_k}
-    deg_d = {p: la.dot(k_dual.deg, p) for p in points_d}
-    arr_d = np.array(points_d, dtype=np.int64).reshape(-1, rank)
-    orthogonal_n = {m: [points_d[y] for y in np.flatnonzero(arr_d @ m == 0)]
-                    for m in points_k}
-    # a piece (a, b, e) has pairs[a, b] C(rank, e) elements and D maps it to
-    # (a+1, b, e-1) and (a, b+1, e+1): sum_e C(r, e) C(r, e -+ 1) = C(2r, r-1)
-    pairs = Counter((deg_k[m], deg_d[n])
-                    for m, ns in orthogonal_n.items() for n in ns)
-    cells = math.comb(2 * rank, rank - 1) * sum(
-        c * (pairs[a + 1, b] + pairs[a, b + 1]) for (a, b), c in pairs.items())
+    deg_k, deg_d = ({p: d for d in range(cap + 1)
+                     for p in lat.lattice_points_at_degree(cone, d)}
+                    for cone in (k_cone, k_dual))
+    points_d = list(deg_d)
+    arr_d = _as_array(points_d, rank)
+    orthogonal = {m: np.flatnonzero(arr_d @ m == 0) for m in deg_k}
+    # the pairs of bidegree (a, b) give C(rank, e) elements to the piece
+    # (e + a - b, a + b) for each e; D maps (s, t) into (s, t+1)
+    pairs = Counter((a, deg_d[points_d[y]])
+                    for m, a in deg_k.items() for y in orthogonal[m])
+    dims = Counter()
+    for (a, b), c in pairs.items():
+        for e in range(rank + 1):
+            dims[e + a - b, a + b] += c * math.comb(rank, e)
+    cells = sum(size * dims[s, t + 1] for (s, t), size in dims.items())
     if cells > MATRIX_CELL_BUDGET:
         raise DimensionBudgetExceeded(
             f"Koszul differential of {cells} dense cells exceeds budget "
@@ -157,111 +159,71 @@ def build_complex(pair: ReflexivePair, f: DegreeOneElement,
             verdict = is_sigma_regular(elem, sub)
             if not verdict.regular:
                 raise NotRegular(verdict.detail)
-    field = field or f.field
 
-    if dual_subdivision is None:
-        common = None
-    else:
-        common = _cell_masks(dual_subdivision, points_d)
-
+    exterior = [idx for e in range(rank + 1)
+                for idx in combinations(range(rank), e)]
     pieces: dict = {}
     index_of: dict = {}
-    for m in points_k:
-        for n in orthogonal_n[m]:
-            for e in range(rank + 1):
-                for idx in combinations(range(rank), e):
-                    key = (deg_k[m], deg_d[n], e)
-                    lst = pieces.setdefault(key, [])
-                    index_of[(idx, m, n)] = (key, len(lst))
-                    lst.append((idx, m, n))
+    for m, a in deg_k.items():
+        for n in (points_d[y] for y in orthogonal[m]):
+            b = deg_d[n]
+            for idx in exterior:
+                basis = pieces.setdefault((len(idx) + a - b, a + b), [])
+                index_of[idx, m, n] = len(basis)
+                basis.append((idx, m, n))
     space = PairedMonomialSpace(pair=pair, cap=cap, pieces=pieces)
 
-    blocks: dict = {}
+    # the projection keeps f(m') [m'] on [m, n] when m'.n = 0, and g(n') [n']
+    # when m.n' = 0 and, on a deformed dual side, n and n' share a cell
+    f_zero = arr_d @ _as_array((p for p, _ in f.coefficients), rank).T == 0
+    g_zero = _as_array(deg_k, rank) @ _as_array(
+        (p for p, _ in g.coefficients), rank).T == 0
+    masks = (None if dual_subdivision is None
+             else _cell_masks(dual_subdivision, points_d))
+    coo = {st: ([], [], []) for st in pieces}
+    for (m, a), g_row in zip(deg_k.items(), g_zero):
+        for y in orthogonal[m]:
+            n = points_d[y]
+            b = deg_d[n]
+            moves = []  # (vector, coefficient, exterior move, target m, n)
+            if a < cap:
+                moves += [(mp, c, _exterior_contract,
+                           tuple(u + v for u, v in zip(m, mp)), n)
+                          for (mp, c), z in zip(f.coefficients, f_zero[y])
+                          if z]
+            if b < cap:
+                moves += [(np_, c, _exterior_wedge, m,
+                           tuple(u + v for u, v in zip(n, np_)))
+                          for (np_, c), z in zip(g.coefficients, g_row)
+                          if z and (masks is None or masks[n] & masks[np_])]
+            for idx in exterior:
+                src = index_of[idx, m, n]
+                rows, cols, vals = coo[len(idx) + a - b, a + b]
+                for vec, c, move, m2, n2 in moves:
+                    for new, sign in move(idx, vec):
+                        rows.append(index_of[new, m2, n2])
+                        cols.append(src)
+                        vals.append(sign * c)
 
-    def add_entry(src_key, src_pos, tgt_key, tgt_pos, value):
-        mat = blocks.setdefault((src_key, tgt_key), {})
-        mat[(tgt_pos, src_pos)] = mat.get((tgt_pos, src_pos), 0) + value
-
-    for key, basis in pieces.items():
-        a, b, e = key
-        for src_pos, (idx, m, n) in enumerate(basis):
-            if a + 1 <= cap:
-                for mp, c in f.coefficients:
-                    if la.dot(mp, n) != 0:
-                        continue  # projection kills the product
-                    m2 = tuple(x + y for x, y in zip(m, mp))
-                    for rest, sign in _exterior_contract(idx, mp):
-                        tgt = index_of.get((rest, m2, n))
-                        if tgt is not None:
-                            add_entry(key, src_pos, tgt[0], tgt[1], sign * c)
-            if b + 1 <= cap:
-                for np_, c in g.coefficients:
-                    if la.dot(m, np_) != 0:
-                        continue
-                    if common is not None and not (common[n] & common[np_]):
-                        continue  # deformed dual-side product vanishes
-                    n2 = tuple(x + y for x, y in zip(n, np_))
-                    for new, sign in _exterior_wedge(idx, np_):
-                        tgt = index_of.get((new, m, n2))
-                        if tgt is not None:
-                            add_entry(key, src_pos, tgt[0], tgt[1], sign * c)
-
-    built = []
-    for (src_key, tgt_key), entries in sorted(blocks.items()):
-        rows = len(pieces.get(tgt_key, ()))
-        cols = len(pieces.get(src_key, ()))
-        mat = [[0] * cols for _ in range(rows)]
-        for (i, j), v in entries.items():
-            mat[i][j] = v
-        built.append(DifferentialBlock(
-            source=src_key, target=tgt_key,
-            matrix=tuple(tuple(row) for row in mat)))
-    return KoszulComplex(space=space, blocks=built, field=field)
+    blocks = {(s, t): Differential(
+        shape=(len(pieces.get((s, t + 1), ())), len(pieces[s, t])),
+        rows=np.array(rows, dtype=np.int64),
+        cols=np.array(cols, dtype=np.int64),
+        vals=np.array(vals, dtype=np.int64))
+        for (s, t), (rows, cols, vals) in coo.items()}
+    return KoszulComplex(space=space, blocks=blocks, field=f.field)
 
 
 def cohomology_dims(complex_: KoszulComplex) -> dict:
-    """dim ker - dim im per conserved piece (s, t) where s = e + a - b and
-    t = a + b; the differential maps (s, t) to (s, t+1)."""
-    space = complex_.space
-    grouped: dict = {}
-    for key, basis in space.pieces.items():
-        a, b, e = key
-        st = (e + a - b, a + b)
-        grouped.setdefault(st, []).append(key)
-
-    def assemble(st):
-        """Matrix of D from the (s,t) piece to the (s,t+1) piece."""
-        s, t = st
-        src_keys = sorted(grouped.get((s, t), []))
-        tgt_keys = sorted(grouped.get((s, t + 1), []))
-        src_off = {}
-        off = 0
-        for k in src_keys:
-            src_off[k] = off
-            off += space.piece_dim(k)
-        tgt_off = {}
-        t_off = 0
-        for k in tgt_keys:
-            tgt_off[k] = t_off
-            t_off += space.piece_dim(k)
-        mat = np.zeros((t_off, off), dtype=np.int64)
-        for block in complex_.blocks:
-            if block.source in src_off and block.target in tgt_off:
-                sub = np.array(block.matrix, dtype=np.int64).reshape(
-                    space.piece_dim(block.target), space.piece_dim(block.source))
-                i0 = tgt_off[block.target]
-                j0 = src_off[block.source]
-                mat[i0:i0 + sub.shape[0], j0:j0 + sub.shape[1]] += sub
-        return mat
-
-    ranks = {st: la.rank(assemble(st), complex_.field) for st in grouped}
+    """dim ker - dim im of D on each conserved piece (s, t), where
+    s = e + deg m - deg n and t = deg m + deg n."""
+    ranks = {st: la.rank(d.dense(), complex_.field)
+             for st, d in complex_.blocks.items()}
     dims = {}
-    for st in grouped:
-        s, t = st
-        total = sum(space.piece_dim(k) for k in grouped[st])
-        h = total - ranks.get(st, 0) - ranks.get((s, t - 1), 0)
+    for (s, t), basis in complex_.space.pieces.items():
+        h = len(basis) - ranks[s, t] - ranks.get((s, t - 1), 0)
         if h:
-            dims[st] = h
+            dims[s, t] = h
     return dims
 
 

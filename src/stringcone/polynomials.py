@@ -143,26 +143,6 @@ def truncate_below(p: UnivariatePolynomial, r) -> UnivariatePolynomial:
     return UnivariatePolynomial({k: c for k, c in p.coeffs.items() if k < bound})
 
 
-class Monomial:
-    """Signed monomial ±u^a v^b, the only legal substitution image."""
-
-    __slots__ = ("sign", "u", "v")
-
-    def __init__(self, sign: int, u: int, v: int):
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        self.sign = sign
-        self.u = u
-        self.v = v
-
-    U = None  # populated below
-    V = None
-
-
-Monomial.U = Monomial(1, 1, 0)
-Monomial.V = Monomial(1, 0, 1)
-
-
 class BivariateLaurentPolynomial:
     """Sparse Laurent polynomial in u, v with integer coefficients."""
 
@@ -271,16 +251,3 @@ class BivariateLaurentPolynomial:
             else:
                 parts.append(f"{c}*{m}")
         return " + ".join(parts).replace("+ -", "- ")
-
-
-def substitute(p: BivariateLaurentPolynomial, image_of_u: Monomial,
-               image_of_v: Monomial) -> BivariateLaurentPolynomial:
-    """Exact monomial substitution u -> image_of_u, v -> image_of_v."""
-    out: dict[tuple[int, int], int] = {}
-    for (a, b), c in p.terms.items():
-        ua, va = image_of_u.u * a, image_of_u.v * a
-        ub, vb = image_of_v.u * b, image_of_v.v * b
-        sign = (image_of_u.sign ** (a & 1)) * (image_of_v.sign ** (b & 1))
-        key = (ua + ub, va + vb)
-        out[key] = out.get(key, 0) + sign * c
-    return BivariateLaurentPolynomial(out)

@@ -2,6 +2,7 @@
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from stringcone import fixtures as fx
@@ -9,7 +10,8 @@ from stringcone import koszul as kz
 from stringcone import lattice as lat
 from stringcone import semigroup as sg
 from stringcone import stringy as st
-from stringcone.errors import CapTooSmall, NotRegular
+from stringcone.errors import (CapTooSmall, DimensionBudgetExceeded,
+                               NotRegular)
 
 
 def make_pair(name):
@@ -35,9 +37,7 @@ def test_d_squared_zero_elements():
     assert complex_.verify_d_squared()
     # zero differential: cohomology equals the full graded pieces
     dims = kz.cohomology_dims(complex_)
-    sizes = Counter()
-    for (a, b, e), basis in complex_.space.pieces.items():
-        sizes[(e + a - b, a + b)] += len(basis)
+    sizes = {key: len(basis) for key, basis in complex_.space.pieces.items()}
     assert dims == {k: v for k, v in sizes.items() if v}
 
 
@@ -47,6 +47,45 @@ def test_d_squared_single_monomial():
     _, g = elements(pair, 1)
     complex_ = kz.build_complex(pair, apex, g, check_regular=False)
     assert complex_.verify_d_squared()
+
+
+def test_field_mismatch_rejected():
+    # a prime f with a rational g would otherwise rank mod p without warning
+    pair = make_pair("diamond")
+    f = sg.random_degree_one(pair.cone, 0)
+    g = sg.random_degree_one(pair.dual, 17, field="rational")
+    with pytest.raises(ValueError, match="rational"):
+        kz.build_complex(pair, f, g)
+
+
+@pytest.mark.parametrize("name", ["segment", "diamond", "square", "p2",
+                                  "p2_dual"])
+def test_budget_counts_built_differentials(name, monkeypatch):
+    # the budget check runs before assembly; it must count exactly the
+    # cells of the differentials that assembly then builds
+    pair = make_pair(name)
+    f, g = elements(pair, 0)
+    complex_ = kz.build_complex(pair, f, g)
+    cells = sum(d.shape[0] * d.shape[1] for d in complex_.blocks.values())
+    assert cells == {"segment": 336, "diamond": 183_348, "square": 183_348,
+                     "p2": 189_248, "p2_dual": 189_248}[name]
+    monkeypatch.setattr(kz, "MATRIX_CELL_BUDGET", cells - 1)
+    with pytest.raises(DimensionBudgetExceeded, match=str(cells)):
+        kz.build_complex(pair, f, g)
+    monkeypatch.setattr(kz, "MATRIX_CELL_BUDGET", cells)
+    kz.build_complex(pair, f, g)
+
+
+def test_differentials_map_st_to_st_plus_one():
+    pair = make_pair("diamond")
+    f, g = elements(pair, 0)
+    complex_ = kz.build_complex(pair, f, g)
+    pieces = complex_.space.pieces
+    assert complex_.blocks.keys() == pieces.keys()
+    for (s, t), d in complex_.blocks.items():
+        assert d.shape == (len(pieces.get((s, t + 1), ())), len(pieces[s, t]))
+        assert d.rows.dtype == d.cols.dtype == d.vals.dtype == np.int64
+        assert d.dense().shape == d.shape
 
 
 def test_cap_too_small():

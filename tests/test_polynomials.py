@@ -8,9 +8,7 @@ from hypothesis import given, settings, strategies as st
 from stringcone.errors import DivisionNotExact
 from stringcone.polynomials import (
     BivariateLaurentPolynomial as B,
-    Monomial,
     UnivariatePolynomial as U,
-    substitute,
     truncate_below,
 )
 
@@ -41,34 +39,6 @@ def test_univariate_ring(a, b):
     assert a * b == b * a
     assert (a + b) - b == a
     assert (a * b)(3) == a(3) * b(3)
-
-
-@given(bivariate)
-@settings(max_examples=60, deadline=None)
-def test_identity_substitution(p):
-    assert substitute(p, Monomial.U, Monomial.V) == p
-
-
-@given(bivariate)
-@settings(max_examples=60, deadline=None)
-def test_substitution_composition(p):
-    # u -> 1/u twice is the identity
-    inv_u = Monomial(1, -1, 0)
-    assert substitute(substitute(p, inv_u, Monomial.V), inv_u, Monomial.V) == p
-
-
-def test_substitute_examples():
-    # uv with u -> 1/u gives v/u
-    p = B({(1, 1): 1})
-    assert substitute(p, Monomial(1, -1, 0), Monomial.V) == B({(-1, 1): 1})
-    # 1 + uv under u -> 1/u
-    q = B({(0, 0): 1, (1, 1): 1})
-    assert substitute(q, Monomial(1, -1, 0), Monomial.V) == \
-        B({(0, 0): 1, (-1, 1): 1})
-    # t + t^2 encoded as t = uv, then u -> 1/u
-    ts = U({1: 1, 2: 1}).to_bivariate(1, 1)
-    assert substitute(ts, Monomial(1, -1, 0), Monomial.V) == \
-        B({(-1, 1): 1, (-2, 2): 1})
 
 
 def test_truncate_below():
