@@ -4,18 +4,17 @@ All geometry in this package reduces to small exact-arithmetic kernels:
 
 * Smith-form based integer solving (grading functionals, lattice kernels,
   saturations),
-* Fraction Gaussian elimination for small dense matrices,
 * row echelon and RREF over a prime field p < 2**22 (blocked float64
   multiply, exact because every intermediate value stays below 2**53),
 * certified rational rank for the large multiplication matrices: one
   mod-p echelon proposes the rank and names a square subsystem, Dixon
   p-adic lifting produces candidate kernel vectors, and an exact bigint
-  verification promotes the answer from "probable" to proven.  On any
-  failure we fall back to plain Fraction elimination, which is always
-  correct.
+  verification promotes the answer from "probable" to proven.  Fraction
+  Gaussian elimination, which is always correct, is only the fallback
+  after every prime attempt failed.
 
-`rank` and `ranks_with_prefix` dispatch on a field descriptor, so callers
-hold one code path for both scalar fields.
+`rank`, `ranks_with_prefix` and `rref` dispatch on a field descriptor, so
+callers hold one code path for both scalar fields.
 """
 
 from __future__ import annotations
@@ -36,9 +35,8 @@ DEFAULT_PRIME = 2097169
 MIN_FIELD_CHAR = 2_000_000
 MAX_FIELD_CHAR = 1 << 22  # exclusive; the float64 kernels need p < 2**22
 
-# rank_rational_certified: Fraction elimination up to this many cells,
-# and this many primes tried before falling back to it
-CERTIFY_SMALL_CELLS = 4000
+# rank_rational_certified: primes tried before falling back to Fraction
+# elimination
 CERTIFY_PRIMES = 3
 
 _BLOCK = 64
@@ -87,7 +85,7 @@ def dot(u, v) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Fraction elimination (small matrices, ultimate fallback)
+# Fraction elimination (RREF over Q, rank fallback)
 # ---------------------------------------------------------------------------
 
 def rref_fraction(rows):
@@ -596,8 +594,6 @@ def rank_rational_certified(rows) -> int:
     mat = np.asarray(rows, dtype=np.int64)
     if mat.size == 0:
         return 0
-    if mat.size <= CERTIFY_SMALL_CELLS:
-        return rank_fraction(mat.tolist())
     for p in islice(primes_below(DEFAULT_PRIME + 1), CERTIFY_PRIMES):
         result = _certify_left_kernel(mat, p)
         if result is not None:
@@ -666,3 +662,15 @@ def ranks_with_prefix(mat: np.ndarray, split: int,
     if split == mat.shape[1]:
         return prefix, prefix
     return prefix, rank_rational_certified(mat)
+
+
+def rref(rows, field: str):
+    """(pivot columns, nonzero rows of the reduced row echelon form) over
+    the field a descriptor names: Fractions over Q, residues in [0, p) over
+    GF(p).  Entries are integers, or Fractions over Q."""
+    _, p = parse_field(field)
+    if p:
+        _, pivots, mat = rref_mod_p(rows, p)
+        return pivots, mat[:len(pivots)].tolist()
+    mat, pivots = rref_fraction(rows)
+    return pivots, mat[:len(pivots)]

@@ -79,21 +79,13 @@ def random_degree_one(cone: GradedCone, seed: int,
 
 def grading_functionals(cone: GradedCone) -> list[tuple]:
     """dim-many coordinate functionals whose restrictions to the span are
-    linearly independent; deterministic greedy choice."""
-    gens = [list(g) for g in cone.generators]
-    if not gens:
+    linearly independent: the pivot columns of the generator matrix, the
+    deterministic greedy choice of the leftmost independent coordinates."""
+    if not cone.generators:
         return []
-    chosen: list[int] = []
-    rows: list[list[int]] = []
-    for i in range(cone.ambient_rank):
-        col = [g[i] for g in gens]
-        if la.rank_int(rows + [col]) > len(rows):
-            rows.append(col)
-            chosen.append(i)
-        if len(chosen) == cone.dim:
-            break
+    pivots, _ = la.rref(cone.generators, "rational")
     return [tuple(int(j == i) for j in range(cone.ambient_rank))
-            for i in chosen]
+            for i in pivots]
 
 
 def logarithmic_derivatives(g: DegreeOneElement) -> list[dict]:
@@ -198,16 +190,30 @@ class _QuotientWorkspace:
         return mat
 
     def augmented_with_interior(self, mat, k: int):
-        rows_pts = self.points[k]
-        index = {p: i for i, p in enumerate(rows_pts)}
-        cols = []
-        for p in self.interior[k]:
-            e = np.zeros(len(rows_pts), dtype=np.int64)
-            e[index[p]] = 1
-            cols.append(e)
-        if not cols:
+        if not self.interior[k]:
             return mat
-        return np.concatenate([mat, np.stack(cols, axis=1)], axis=1)
+        index = {p: i for i, p in enumerate(self.points[k])}
+        units = np.eye(len(index), dtype=np.int64)[
+            :, [index[p] for p in self.interior[k]]]
+        return np.concatenate([mat, units], axis=1)
+
+    def dims(self) -> tuple[list, list]:
+        """Dimensions of the quotient and of its interior image at degrees
+        0 .. dim+1."""
+        r0 = [1]
+        r1 = [1 if self.interior[0] else 0]
+        field = self.g.field
+        for k in range(1, self.cone.dim + 2):
+            mat = self.multiplication_matrix(k)
+            aug = self.augmented_with_interior(mat, k)
+            if aug is mat:
+                rank_m = rank_aug = la.rank(mat, field)
+            else:
+                rank_m, rank_aug = la.ranks_with_prefix(aug, mat.shape[1],
+                                                        field)
+            r0.append(len(self.points[k]) - rank_m)
+            r1.append(rank_aug - rank_m)
+        return r0, r1
 
 
 def graded_quotient_dims(g: DegreeOneElement,
@@ -219,23 +225,8 @@ def graded_quotient_dims(g: DegreeOneElement,
     as the regularity cutoff)."""
     if subdivision is None:
         subdivision = lat.trivial_subdivision(g.cone)
-    ws = _QuotientWorkspace(g, subdivision)
+    r0, r1 = _QuotientWorkspace(g, subdivision).dims()
     dim = g.cone.dim
-    r0 = []
-    r1 = []
-    for k in range(dim + 2):
-        if k == 0:
-            r0.append(1)
-            r1.append(1 if ws.interior[0] else 0)
-            continue
-        mat = ws.multiplication_matrix(k)
-        aug = ws.augmented_with_interior(mat, k)
-        if aug is mat:
-            rank_m = rank_aug = la.rank(mat, g.field)
-        else:
-            rank_m, rank_aug = la.ranks_with_prefix(aug, mat.shape[1], g.field)
-        r0.append(len(ws.points[k]) - rank_m)
-        r1.append(rank_aug - rank_m)
     s_total = s_polynomial(g.cone)(1)
     regular = (r0[dim + 1] == 0 and r1[dim + 1] == 0
                and sum(r0[: dim + 1]) == s_total)
@@ -285,7 +276,8 @@ def pairing_matrix(g: DegreeOneElement, subdivision: FanSubdivision | None,
                    k: int):
     """Multiplication pairing between the degree-k quotient and the
     complementary-degree interior quotient, evaluated in the 1-dimensional
-    top interior quotient; full rank for regular elements."""
+    top interior quotient; full rank for regular elements.  Entries are
+    Fractions over Q and integers standing for their residues over GF(p)."""
     if subdivision is None:
         subdivision = lat.trivial_subdivision(g.cone)
     verdict = is_sigma_regular(g, subdivision)
@@ -294,73 +286,43 @@ def pairing_matrix(g: DegreeOneElement, subdivision: FanSubdivision | None,
     dim = g.cone.dim
     if k > dim or k < 0:
         return []
+    ws = _QuotientWorkspace(g, subdivision)
     # symmetry of the induced interior pairing, asserted as rank equality
-    report = graded_quotient_dims(g, subdivision)
-    if report.dims_R1[k] != report.dims_R1[dim - k]:
+    _, r1 = ws.dims()
+    if r1[k] != r1[dim - k]:
         raise NotRegular(
             f"interior ranks at degrees {k} and {dim - k} differ")
-    ws = _QuotientWorkspace(g, subdivision)
-    kind, prime = la.parse_field(g.field)
 
-    def quotient_basis(kk: int, interior: bool):
+    def quotient(kk: int, interior: bool):
+        """(basis, pivots, reduced rows): the RREF of the image of
+        multiplication in the degree-kk monomials (interior ones when
+        interior); the monomials off its pivots span the quotient."""
         pts = ws.interior[kk] if interior else ws.points[kk]
-        if kk == 0:
-            return list(pts), []
-        mat = ws.multiplication_matrix(kk, interior_source=interior)
-        if mat.shape[1] == 0:
-            return list(pts), []
-        rows = mat.T.tolist()  # span of the image inside the degree piece
-        if kind == "prime":
-            _, pivots, rref = la.rref_mod_p(rows, prime)
-            reduced = [[int(x) for x in row] for row in rref.tolist()]
-        else:
-            rref, pivots = la.rref_fraction(rows)
-            reduced = rref
-        basis = [pts[i] for i in range(len(pts)) if i not in set(pivots)]
-        echelon = [(p, reduced[i]) for i, p in enumerate(pivots)]
-        return basis, echelon
+        image = (ws.multiplication_matrix(kk, interior_source=interior)
+                 .T.tolist() if kk else [])
+        pivots, reduced = la.rref(image, g.field)
+        bound = set(pivots)
+        return ([p for i, p in enumerate(pts) if i not in bound],
+                pivots, reduced)
 
-    basis_k, _ = quotient_basis(k, interior=False)
-    basis_comp, _ = quotient_basis(dim - k, interior=True)
-    top_basis, top_echelon = quotient_basis(dim, interior=True)
+    basis_k = quotient(k, interior=False)[0]
+    basis_comp = quotient(dim - k, interior=True)[0]
+    top_basis, pivots, reduced = quotient(dim, interior=True)
     if len(top_basis) != 1:
         raise NotRegular("top interior quotient is not one-dimensional")
-    top_index = {p: i for i, p in enumerate(ws.interior[dim])}
-    free_coord = top_index[top_basis[0]]
+    # class of each interior degree-dim monomial in the one-dimensional top
+    # quotient, in the basis of the free monomial: 1 there, and -R[i][free]
+    # at the pivot of row i of the reduced image R
+    top = ws.interior[dim]
+    free = top.index(top_basis[0])
+    top_class = {top_basis[0]: 1}
+    top_class.update((top[c], -row[free]) for c, row in zip(pivots, reduced))
 
-    def evaluate_top(point) -> object:
-        """Class of an interior degree-dim monomial in the 1-dim quotient."""
-        vec = [0] * len(ws.interior[dim])
-        vec[top_index[point]] = 1
-        if kind == "prime":
-            vec = [v % prime for v in vec]
-            for pcoord, row in top_echelon:
-                c = vec[pcoord]
-                if c:
-                    vec = [(a - c * b) % prime for a, b in zip(vec, row)]
-        else:
-            from fractions import Fraction
-            vec = [Fraction(v) for v in vec]
-            for pcoord, row in top_echelon:
-                c = vec[pcoord]
-                if c:
-                    vec = [a - c * b for a, b in zip(vec, row)]
-        return vec[free_coord]
-
-    matrix = []
-    for a in basis_k:
-        row = []
-        for b in basis_comp:
-            if ws.masks[a] & ws.masks[b]:
-                row.append(evaluate_top(tuple(x + y for x, y in zip(a, b))))
-            else:
-                row.append(0)
-        matrix.append(row)
+    matrix = [[top_class[tuple(x + y for x, y in zip(a, b))]
+               if ws.masks[a] & ws.masks[b] else 0 for b in basis_comp]
+              for a in basis_k]
     if matrix and matrix[0]:
-        if kind == "prime":
-            rank = la.rank_mod_p(matrix, prime)
-        else:
-            rank = la.rank_fraction(matrix)
+        rank = len(la.rref(matrix, g.field)[0])
         if rank != len(matrix) or len(matrix) != len(matrix[0]):
             raise NotRegular(
                 f"pairing at degree {k} is {len(matrix)}x{len(matrix[0])} "

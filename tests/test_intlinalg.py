@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stringcone import intlinalg as la
 
@@ -147,16 +147,22 @@ def test_certified_rank_with_planted_kernel():
     assert la.rank_rational_certified(mat) == r
 
 
+def _record_calls(monkeypatch, calls, *names):
+    """Append (name, args) to calls for each call of the named kernels."""
+    for name in names:
+        fn = getattr(la, name)
+        monkeypatch.setattr(la, name, lambda *a, fn=fn, name=name:
+                            calls.append((name, a)) or fn(*a))
+
+
 def test_certified_rank_dixon_route_with_dependent_leading_rows(monkeypatch):
     rng = np.random.default_rng(23)
     mat = dependent_rows_first(rng, 60, 90, 50, lead=5)
     calls = []
-    for name in ("echelon_mod_p", "rref_mod_p"):
-        fn = getattr(la, name)
-        monkeypatch.setattr(la, name, lambda *a, fn=fn, name=name:
-                            calls.append(name) or fn(*a))
+    _record_calls(monkeypatch, calls, "echelon_mod_p", "rref_mod_p")
     assert la.rank_rational_certified(mat) == la.rank_fraction(mat.tolist())
-    assert calls == ["echelon_mod_p", "rref_mod_p"]  # one pass, then Dixon
+    # one pass, then Dixon
+    assert [name for name, _ in calls] == ["echelon_mod_p", "rref_mod_p"]
 
 
 def test_certified_rank_full_rank_shortcut():
@@ -165,8 +171,31 @@ def test_certified_rank_full_rank_shortcut():
     assert la.rank_rational_certified(mat) == 90
 
 
-def test_certified_rank_small_matrix_path():
+def test_certified_rank_small_matrix_takes_dixon_route(monkeypatch):
+    calls = []
+    _record_calls(monkeypatch, calls, "echelon_mod_p", "rref_mod_p",
+                  "rank_fraction")
     assert la.rank_rational_certified([[1, 2, 3], [2, 4, 6], [0, 1, 1]]) == 2
+    assert [name for name, _ in calls] == ["echelon_mod_p", "rref_mod_p"]
+
+
+@given(small_matrices)
+@example([[0, 0, 0], [0, 0, 0]])
+@settings(max_examples=80, deadline=None)
+def test_certified_rank_matches_fraction_rank(rows):
+    assert la.rank_rational_certified(rows) == la.rank_fraction(rows)
+
+
+def test_certified_rank_retries_with_next_prime(monkeypatch):
+    # every entry vanishes mod DEFAULT_PRIME, so the first prime sees rank 0
+    mat = [[la.DEFAULT_PRIME * x for x in row]
+           for row in ([1, 2, 3], [2, 4, 6], [0, 1, 1])]
+    calls = []
+    _record_calls(monkeypatch, calls, "echelon_mod_p", "rank_fraction")
+    assert la.rank_rational_certified(mat) == 2
+    primes = la.primes_below(la.DEFAULT_PRIME + 1)
+    assert [(name, a[1]) for name, a in calls] == [
+        ("echelon_mod_p", next(primes)), ("echelon_mod_p", next(primes))]
 
 
 def test_dixon_solver_exact_solution():

@@ -1,5 +1,7 @@
 """Deformed semigroup-ring quotients, regularity, pairings."""
 
+from fractions import Fraction
+
 import pytest
 
 from stringcone import fixtures as fx
@@ -238,3 +240,110 @@ def test_pairing_rational_backend():
     g = sg.random_degree_one(k_cone("p2"), seed=1, field="rational")
     mat = sg.pairing_matrix(g, None, 1)
     assert len(mat) == len(mat[0]) == 1 and mat[0][0] != 0
+
+
+# -- one rank route per field, and the closed forms against their loops ---------
+
+@pytest.mark.parametrize("name", ["diamond", "square"])
+def test_rational_dims_make_no_fraction_rank(name, monkeypatch):
+    calls = []
+    rank_fraction = la.rank_fraction
+    monkeypatch.setattr(la, "rank_fraction",
+                        lambda rows: calls.append(rows) or rank_fraction(rows))
+    cone = k_cone(name)
+    g = sg.random_degree_one(cone, seed=0, field="rational")
+    for sub in (None, lat.stellar_subdivision(cone)):
+        sg.graded_quotient_dims(g, sub)
+    assert calls == []
+
+
+def pairing_oracle(g, subdivision, k):
+    """The pairing by one reduction loop per top monomial over the field's
+    own kernels (rref_mod_p or rref_fraction)."""
+    if subdivision is None:
+        subdivision = lat.trivial_subdivision(g.cone)
+    ws = sg._QuotientWorkspace(g, subdivision)
+    _, prime = la.parse_field(g.field)
+    dim = g.cone.dim
+
+    def quotient_basis(kk, interior):
+        pts = ws.interior[kk] if interior else ws.points[kk]
+        if kk == 0:
+            return list(pts), []
+        mat = ws.multiplication_matrix(kk, interior_source=interior)
+        if mat.shape[1] == 0:
+            return list(pts), []
+        rows = mat.T.tolist()
+        if prime:
+            _, pivots, reduced = la.rref_mod_p(rows, prime)
+            reduced = reduced.tolist()
+        else:
+            reduced, pivots = la.rref_fraction(rows)
+        basis = [pts[i] for i in range(len(pts)) if i not in pivots]
+        return basis, [(p, reduced[i]) for i, p in enumerate(pivots)]
+
+    basis_k, _ = quotient_basis(k, False)
+    basis_comp, _ = quotient_basis(dim - k, True)
+    top_basis, top_echelon = quotient_basis(dim, True)
+    top_index = {p: i for i, p in enumerate(ws.interior[dim])}
+
+    def evaluate_top(point):
+        vec = [0] * len(top_index)
+        vec[top_index[point]] = 1
+        if not prime:
+            vec = [Fraction(v) for v in vec]
+        for pcoord, row in top_echelon:
+            c = vec[pcoord]
+            if c:
+                vec = [a - c * b for a, b in zip(vec, row)]
+                if prime:
+                    vec = [v % prime for v in vec]
+        return vec[top_index[top_basis[0]]]
+
+    return [[evaluate_top(tuple(x + y for x, y in zip(a, b)))
+             if ws.masks[a] & ws.masks[b] else 0 for b in basis_comp]
+            for a in basis_k]
+
+
+@pytest.mark.parametrize("name", ["diamond", "square", "p2", "p2_dual"])
+@pytest.mark.parametrize("field", [sg.DEFAULT_FIELD, "rational"])
+def test_pairing_matches_reduction_loop(name, field):
+    cone = k_cone(name)
+    g = sg.random_degree_one(cone, seed=4, field=field)
+    _, prime = la.parse_field(field)
+    for sub in (None, lat.stellar_subdivision(cone)):
+        for k in range(cone.dim + 1):
+            got = sg.pairing_matrix(g, sub, k)
+            want = pairing_oracle(g, sub, k)
+            if prime:
+                got = [[x % prime for x in row] for row in got]
+            assert got == want
+
+
+def functionals_oracle(cone):
+    """The greedy choice by one exact rank per coordinate."""
+    gens = [list(g) for g in cone.generators]
+    chosen, rows = [], []
+    for i in range(cone.ambient_rank):
+        col = [g[i] for g in gens]
+        if gens and la.rank_int(rows + [col]) > len(rows):
+            rows.append(col)
+            chosen.append(i)
+        if len(chosen) == cone.dim:
+            break
+    return [tuple(int(j == i) for j in range(cone.ambient_rank))
+            for i in chosen]
+
+
+@pytest.mark.parametrize("name", fx.polytope_names())
+def test_grading_functionals_match_greedy_ranks(name):
+    cone = lat.gorenstein_cone_over(fx.polytope(name))
+    for face in lat.face_lattice(cone).faces:
+        fc = face.as_cone()
+        assert sg.grading_functionals(fc) == functionals_oracle(fc)
+
+
+@pytest.mark.parametrize("name", fx.fan_names())
+def test_grading_functionals_match_greedy_ranks_on_fans(name):
+    for cone in fx.fan(name).cones:
+        assert sg.grading_functionals(cone) == functionals_oracle(cone)
