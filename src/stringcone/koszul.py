@@ -35,8 +35,7 @@ from . import intlinalg as la
 from . import lattice as lat
 from .errors import CapTooSmall, DimensionBudgetExceeded, NotRegular
 from .lattice import FanSubdivision, ReflexivePair
-from .semigroup import (MATRIX_CELL_BUDGET, DegreeOneElement, _cell_masks,
-                        is_sigma_regular)
+from .semigroup import MATRIX_CELL_BUDGET, DegreeOneElement, is_sigma_regular
 from .stringy import face_tilde_s
 
 
@@ -178,8 +177,8 @@ def build_complex(pair: ReflexivePair, f: DegreeOneElement,
     f_zero = arr_d @ _as_array((p for p, _ in f.coefficients), rank).T == 0
     g_zero = _as_array(deg_k, rank) @ _as_array(
         (p for p, _ in g.coefficients), rank).T == 0
-    masks = (None if dual_subdivision is None
-             else _cell_masks(dual_subdivision, points_d))
+    masks = (None if dual_subdivision is None else dict(zip(
+        points_d, lat.cell_masks(dual_subdivision.max_cones, points_d))))
     coo = {st: ([], [], []) for st in pieces}
     for (m, a), g_row in zip(deg_k.items(), g_zero):
         for y in orthogonal[m]:

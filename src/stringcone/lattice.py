@@ -303,6 +303,32 @@ def point_in_cone(cone: GradedCone, x, strict: bool = False) -> bool:
     return all(la.dot(f, x) >= 0 for f in cone.facets)
 
 
+def cell_masks(cells, points) -> list[int]:
+    """Bit i of a point's mask is set iff cells[i] contains the point: one
+    int64 matrix product per cell (exact for lattice-scan coordinates, as
+    in _slice_scan), its facets and equations against all points at once.
+    Masks are Python ints, so any number of cells fits."""
+    if not len(points):
+        return []
+    pts = np.asarray(points, dtype=np.int64).reshape(len(points), -1)
+    inside = np.empty((len(pts), len(cells)), dtype=bool)
+    for i, cell in enumerate(cells):
+        vals = pts @ np.array(cell.facets + cell.equations,
+                              dtype=np.int64).reshape(-1, pts.shape[1]).T
+        nf = len(cell.facets)
+        inside[:, i] = ((vals[:, :nf] >= 0).all(axis=1)
+                        & (vals[:, nf:] == 0).all(axis=1))
+    return [int.from_bytes(row.tobytes(), "little")
+            for row in np.packbits(inside, axis=1, bitorder="little")]
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 # ---------------------------------------------------------------------------
 # Lattice point enumeration
 # ---------------------------------------------------------------------------
@@ -511,9 +537,11 @@ class FanSubdivision:
 
     def restrict_to_face(self, face_cone: GradedCone) -> "FanSubdivision":
         """Induced subdivision on a face of the parent."""
+        gens = sorted({g for cell in self.max_cones for g in cell.generators})
+        on_face = {g for g, m in zip(gens, cell_masks((face_cone,), gens)) if m}
         cells = []
         for cell in self.max_cones:
-            inside = [g for g in cell.generators if point_in_cone(face_cone, g)]
+            inside = [g for g in cell.generators if g in on_face]
             if not inside:
                 continue
             sub = cone_from_generators(inside, self.parent.ambient_rank,
@@ -581,78 +609,76 @@ def _lower_hull_cells(cone: GradedCone, pts, heights):
                   if f[-1] > 0)
 
 
-def stellar_subdivision(cone: GradedCone,
-                        center: Vector | None = None) -> FanSubdivision:
-    """Regular subdivision that cones a degree-1 point over every facet.
-
-    Induced by heights -1 at the center and 0 elsewhere; fast even for
-    large point configurations.  Default center: the unique interior
-    degree-1 point (exists for cones over reflexive polytopes).
-    """
-    pts = lattice_points_at_degree(cone, 1)
-    if center is None:
-        interior = lattice_points_at_degree(cone, 1, interior_only=True)
-        if len(interior) != 1:
-            raise ValueError("no canonical interior degree-1 center")
-        center = interior[0]
-    if center not in pts:
-        raise ValueError("center must be a degree-1 lattice point")
-    heights = tuple(-1 if p == center else 0 for p in pts)
-    cells = []
-    for f in cone.facets:
-        on_facet = [g for g in cone.generators if la.dot(f, g) == 0]
-        cells.append(cone_from_generators(on_facet + [center],
-                                          cone.ambient_rank, deg=cone.deg))
-    sub = FanSubdivision(parent=cone,
-                         max_cones=tuple(sorted(cells, key=lambda c: c.generators)),
-                         provenance=("heights", heights))
-    validate_subdivision(sub)
-    return sub
+def stellar_subdivision(cone: GradedCone) -> FanSubdivision:
+    """The regular subdivision with height -1 at the unique interior
+    degree-1 point (it exists for cones over reflexive polytopes) and 0 at
+    every other degree-1 point: that point coned over every facet."""
+    interior = lattice_points_at_degree(cone, 1, interior_only=True)
+    if len(interior) != 1:
+        raise ValueError("no canonical interior degree-1 center")
+    return regular_subdivision(cone, [-1 if p == interior[0] else 0
+                                      for p in lattice_points_at_degree(cone, 1)])
 
 
-def validate_subdivision(sub: FanSubdivision, sample_degree: int = 3) -> None:
-    """Containment, coverage on a degree-bounded sample, and pairwise
-    common-face checks; raises InvalidSubdivision on failure."""
-    parent = sub.parent
-    if not sub.max_cones:
+def validate_subdivision(sub: FanSubdivision) -> None:
+    """Containment, coverage of the parent's points of degree <= 3, and
+    pairwise common-face checks, with every membership read off
+    cell_masks; raises InvalidSubdivision on failure."""
+    parent, cells = sub.parent, sub.max_cones
+    if not cells:
         raise InvalidSubdivision("no maximal cones")
-    for cell in sub.max_cones:
-        if cell.dim != parent.dim:
-            raise InvalidSubdivision("maximal cone of wrong dimension")
-        for g in cell.generators:
-            if not point_in_cone(parent, g):
-                raise InvalidSubdivision("cell generator outside parent")
-            if la.dot(parent.deg, g) != 1:
-                raise InvalidSubdivision("cell generator not at degree 1")
-    for k in range(sample_degree + 1):
-        for p in lattice_points_at_degree(parent, k):
-            if not any(point_in_cone(cell, p) for cell in sub.max_cones):
-                raise InvalidSubdivision(f"point {p} not covered")
-    sample = [p for k in range(min(sample_degree, 2) + 1)
-              for p in lattice_points_at_degree(parent, k)]
-    for c1, c2 in itertools.combinations(sub.max_cones, 2):
-        in12 = sorted(g for g in c1.generators if point_in_cone(c2, g))
-        in21 = sorted(g for g in c2.generators if point_in_cone(c1, g))
+    if any(cell.dim != parent.dim for cell in cells):
+        raise InvalidSubdivision("maximal cone of wrong dimension")
+    gens = sorted({g for cell in cells for g in cell.generators})
+    if not all(cell_masks((parent,), gens)):
+        raise InvalidSubdivision("cell generator outside parent")
+    if any(la.dot(parent.deg, g) != 1 for g in gens):
+        raise InvalidSubdivision("cell generator not at degree 1")
+    slices = [lattice_points_at_degree(parent, k) for k in range(4)]
+    sample = [p for pts in slices for p in pts]
+    masks = cell_masks(cells, sample)
+    for p, mask in zip(sample, masks):
+        if not mask:
+            raise InvalidSubdivision(f"point {p} not covered")
+    # the points of degree 1 and 2 (the origin lies in every face) by the
+    # pairs of cells that share them
+    shared: dict[tuple[int, int], list[int]] = {}
+    for idx in range(1, sum(map(len, slices[:3]))):
+        for pair in itertools.combinations(_bits(masks[idx]), 2):
+            shared.setdefault(pair, []).append(idx)
+    gen_masks = dict(zip(gens, cell_masks(cells, gens)))
+    # per cell and generator, the bitmask of the cell's facets tight on it
+    tight = [{g: sum(1 << j for j, f in enumerate(cell.facets)
+                     if la.dot(f, g) == 0) for g in cell.generators}
+             for cell in cells]
+    for i, j in itertools.combinations(range(len(cells)), 2):
+        in12 = [g for g in cells[i].generators if gen_masks[g] >> j & 1]
+        in21 = [g for g in cells[j].generators if gen_masks[g] >> i & 1]
         if in12 != in21:
             raise InvalidSubdivision("intersection is not a common face")
-        for cone_ in (c1, c2):
-            if sorted(_minimal_face_of(cone_, in12)) != in12:
-                raise InvalidSubdivision("intersection is not a face")
-        if in12:
-            common = cone_from_generators(in12, parent.ambient_rank,
-                                          deg=parent.deg)
-            for p in sample:
-                if point_in_cone(c1, p) and point_in_cone(c2, p) \
-                        and not point_in_cone(common, p):
-                    raise InvalidSubdivision(
-                        f"shared point {p} outside the common face")
+        cut = _face_cut(cells[i], tight[i], in12)
+        _face_cut(cells[j], tight[j], in12)
+        if (i, j) in shared:
+            # the common face is cut out of cell i by the facets tight on it
+            idx = shared[i, j]
+            rows = [cells[i].facets[b] for b in _bits(cut)]
+            vals = np.array([sample[x] for x in idx], dtype=np.int64) \
+                @ np.array(rows, dtype=np.int64).reshape(-1, parent.ambient_rank).T
+            bad = np.flatnonzero(vals.any(axis=1))
+            if bad.size:
+                raise InvalidSubdivision(f"shared point {sample[idx[bad[0]]]} "
+                                         f"outside the common face")
 
 
-def _minimal_face_of(cone: GradedCone, gens_subset) -> tuple[Vector, ...]:
-    tight = [f for f in cone.facets
-             if all(la.dot(f, g) == 0 for g in gens_subset)]
-    return tuple(g for g in cone.generators
-                 if all(la.dot(f, g) == 0 for f in tight))
+def _face_cut(cell: GradedCone, tight: dict, subset) -> int:
+    """The facets of the cell (a bitmask) tight on every generator of
+    subset; raises unless they cut out the face spanned by exactly subset."""
+    cut = (1 << len(cell.facets)) - 1
+    for g in subset:
+        cut &= tight[g]
+    if [g for g, t in tight.items() if t & cut == cut] != subset:
+        raise InvalidSubdivision("intersection is not a face")
+    return cut
 
 
 # ---------------------------------------------------------------------------

@@ -115,13 +115,12 @@ class UnivariatePolynomial:
         """Whether p(t) == t^n p(1/t)."""
         return self.degree() <= n and self.reversed(n) == self
 
-    def to_bivariate(self, u_exp: int, v_exp: int,
-                     sign: int = 1) -> "BivariateLaurentPolynomial":
-        """Substitute t -> sign * u^u_exp * v^v_exp."""
+    def to_bivariate(self, u_exp: int, v_exp: int) -> "BivariateLaurentPolynomial":
+        """Substitute t -> u^u_exp * v^v_exp."""
         out: dict[tuple[int, int], int] = {}
         for k, c in self.coeffs.items():
             key = (u_exp * k, v_exp * k)
-            out[key] = out.get(key, 0) + c * sign**k
+            out[key] = out.get(key, 0) + c
         return BivariateLaurentPolynomial(out)
 
     def __repr__(self) -> str:

@@ -44,8 +44,8 @@ class DegreeOneElement:
         return dict(self.coefficients)
 
     def restrict(self, subcone: GradedCone) -> "DegreeOneElement":
-        kept = tuple((m, c) for m, c in self.coefficients
-                     if lat.point_in_cone(subcone, m))
+        inside = lat.cell_masks((subcone,), [m for m, _ in self.coefficients])
+        kept = tuple(mc for mc, bit in zip(self.coefficients, inside) if bit)
         return DegreeOneElement(cone=subcone, coefficients=kept,
                                 field=self.field)
 
@@ -107,25 +107,12 @@ def deformed_product(subdivision: FanSubdivision, m1, m2):
     both points, None (the zero product) otherwise."""
     m1 = tuple(int(x) for x in m1)
     m2 = tuple(int(x) for x in m2)
-    parent = subdivision.parent
-    for m in (m1, m2):
-        if not lat.point_in_cone(parent, m):
+    for m, bit in zip((m1, m2), lat.cell_masks((subdivision.parent,),
+                                                (m1, m2))):
+        if not bit:
             raise PointOutsideCone(f"{m} is outside the cone")
-    for cell in subdivision.max_cones:
-        if lat.point_in_cone(cell, m1) and lat.point_in_cone(cell, m2):
-            return tuple(a + b for a, b in zip(m1, m2))
-    return None
-
-
-def _cell_masks(subdivision: FanSubdivision, points) -> dict:
-    masks = {}
-    for p in points:
-        mask = 0
-        for i, cell in enumerate(subdivision.max_cones):
-            if lat.point_in_cone(cell, p):
-                mask |= 1 << i
-        masks[p] = mask
-    return masks
+    mask1, mask2 = lat.cell_masks(subdivision.max_cones, (m1, m2))
+    return tuple(a + b for a, b in zip(m1, m2)) if mask1 & mask2 else None
 
 
 @dataclass(frozen=True)
@@ -165,10 +152,8 @@ class _QuotientWorkspace:
                 f"multiplication matrix of {cells} cells exceeds budget "
                 f"{MATRIX_CELL_BUDGET}")
         all_pts = [p for k in range(dim + 2) for p in self.points[k]]
-        if subdivision.is_trivial():
-            self.masks = {p: 1 for p in all_pts}
-        else:
-            self.masks = _cell_masks(subdivision, all_pts)
+        self.masks = dict(zip(all_pts, lat.cell_masks(subdivision.max_cones,
+                                                      all_pts)))
 
     def multiplication_matrix(self, k: int, interior_source: bool = False):
         """Rows indexed by degree-k points (interior points when
@@ -306,8 +291,8 @@ def pairing_matrix(g: DegreeOneElement, subdivision: FanSubdivision | None,
                 pivots, reduced)
 
     basis_k = quotient(k, interior=False)[0]
-    basis_comp = quotient(dim - k, interior=True)[0]
     top_basis, pivots, reduced = quotient(dim, interior=True)
+    basis_comp = top_basis if k == 0 else quotient(dim - k, interior=True)[0]
     if len(top_basis) != 1:
         raise NotRegular("top interior quotient is not one-dimensional")
     # class of each interior degree-dim monomial in the one-dimensional top

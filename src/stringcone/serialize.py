@@ -6,7 +6,6 @@ output is deterministic (sorted keys, fixed term order).
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .errors import ParseError
 from .lattice import Fan, FanSubdivision, LatticePolytope, RationalPolytope
@@ -141,14 +140,7 @@ def parse_polynomial(text: str):
 
 
 def dump_hodge_table(table) -> str:
-    entries = []
-    for (p, q), h in table.entries:
-        fp, fq = Fraction(p), Fraction(q)
-        entries.append({
-            "p": str(fp) if fp.denominator != 1 else int(fp),
-            "q": str(fq) if fq.denominator != 1 else int(fq),
-            "h": h,
-        })
+    entries = [{"p": p, "q": q, "h": h} for (p, q), h in table.entries]
     return json.dumps({"dimension": table.dimension, "entries": entries},
                       sort_keys=True)
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -166,8 +165,7 @@ def box_points(cone: GradedCone) -> BoxPointTable:
 @dataclass(frozen=True)
 class HodgeTable:
     """Nonnegative (p,q)-indexed table; signed coefficients of an
-    E-polynomial.  Keys may be exact rationals for orbifold-type tables;
-    every table produced here has integer keys."""
+    E-polynomial."""
 
     dimension: int
     entries: tuple  # sorted tuple of ((p, q), h) pairs
@@ -188,9 +186,7 @@ class HodgeTable:
     def to_e_polynomial(self) -> BivariateLaurentPolynomial:
         total = BivariateLaurentPolynomial.zero()
         for (p, q), h in self.entries:
-            if Fraction(p).denominator != 1 or Fraction(q).denominator != 1:
-                raise ValueError("non-integral bidegrees have no E-polynomial")
-            total = total + _UV(int(p), int(q), (-1) ** int(p + q) * h)
+            total = total + _UV(p, q, (-1) ** (p + q) * h)
         return total
 
 
@@ -269,17 +265,6 @@ def mirror_transform(e_poly: BivariateLaurentPolynomial,
 # Toric varieties: stringy and intersection E-polynomials
 # ---------------------------------------------------------------------------
 
-def _fan_interval(fan: Fan, low: GradedCone, high: GradedCone) -> po.EulerianPoset:
-    members = [c for c in fan.cones
-               if set(low.generators) <= set(c.generators)
-               and set(c.generators) <= set(high.generators)]
-    elements = [c.generators for c in members]
-    covers = [(a.generators, b.generators)
-              for a in members for b in members
-              if b.dim == a.dim + 1 and set(a.generators) <= set(b.generators)]
-    return po.EulerianPoset(elements, covers)
-
-
 def e_st_toric(fan: Fan) -> BivariateLaurentPolynomial:
     """Sum of (uv-1)^codim * S(cone, uv) over the cones of a complete fan
     of Gorenstein cones."""
@@ -296,7 +281,7 @@ def e_st_toric(fan: Fan) -> BivariateLaurentPolynomial:
 def e_int_orbit_closure(fan: Fan, cone: GradedCone) -> BivariateLaurentPolynomial:
     """Intersection-cohomology E-polynomial of the orbit closure of a cone:
     sum over cones containing it of torus E-factors weighted by dual-interval
-    G-polynomials."""
+    G-polynomials, each interval read off the upper cone's face lattice."""
     canon = lat.cone_from_generators(cone.generators, fan.rank)
     if canon not in fan.cones:
         raise ConeNotInFan(f"{cone} is not a cone of the fan")
@@ -306,7 +291,9 @@ def e_int_orbit_closure(fan: Fan, cone: GradedCone) -> BivariateLaurentPolynomia
     for upper in fan.cones:
         if not set(canon.generators) <= set(upper.generators):
             continue
-        interval = _fan_interval(fan, canon, upper)
+        low = frozenset(map(upper.generators.index, canon.generators))
+        interval = _lattice_poset(upper).interval(
+            low, frozenset(range(len(upper.generators))))
         g = po.g_polynomial(interval.dual()).to_bivariate(1, 1)
         total = total + uv_minus_1 ** (d - upper.dim) * g
     return total

@@ -10,7 +10,9 @@ import time
 
 from stringcone import fixtures as fx
 from stringcone import lattice as lat
+from stringcone import stringy as st
 from stringcone import verify as vf
+from stringcone.polynomials import UnivariatePolynomial
 
 
 def _report(results, budget=None, elapsed=None):
@@ -84,3 +86,21 @@ def test_criterion_9_koszul_comparison():
 
 def test_criterion_10_cohomology_table_consistency():
     _report(vf.criterion_cohomology_table())
+
+
+def test_criterion_10_fails_when_tilde_s_is_perturbed(monkeypatch):
+    # tilde-S of every ray raised by t: the table and the tilde-S
+    # E-function move together, the oracle E-function does not
+    names = ("segment", "diamond", "cube", "quintic")
+    assert all(r.passed for r in vf.criterion_cohomology_table(names))
+    original = st.face_tilde_s
+
+    def bumped(face):
+        ts = original(face)
+        return ts + UnivariatePolynomial({1: 1}) if face.dim == 1 else ts
+
+    monkeypatch.setattr(st, "face_tilde_s", bumped)
+    assert not any(r.passed for r in vf.criterion_two_formula(names))
+    results = vf.criterion_cohomology_table(names)
+    assert [r.passed for r in results] == [False] * len(names)
+    assert "out of range" in results[0].detail

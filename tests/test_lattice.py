@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -569,6 +570,111 @@ def test_invalid_subdivision_detected():
                              provenance=("explicit",))
     with pytest.raises(InvalidSubdivision):
         lat.validate_subdivision(bad)
+
+
+FIXTURE_CONES = [pytest.param(cone, id=f"{name}{side}")
+                 for name in fx.REFLEXIVE_NAMES
+                 for side, cone in (("", fx.reflexive_pair(name).cone),
+                                    ("-dual", fx.reflexive_pair(name).dual))]
+
+
+def _generic_quintic_subdivision():
+    cone = lat.gorenstein_cone_over(poly("quintic"))
+    rng = random.Random(1)
+    heights = [rng.randrange(10) for _ in lat.lattice_points_at_degree(cone, 1)]
+    return lat.regular_subdivision(cone, heights, force_generic=True)
+
+
+def _assert_masks_match_point_in_cone(sub, degrees):
+    pts = [p for k in degrees for p in lat.lattice_points_at_degree(sub.parent, k)]
+    masks = lat.cell_masks(sub.max_cones, pts)
+    assert len(masks) == len(pts)
+    for p, mask in zip(pts, masks):
+        assert mask == sum(1 << i for i, cell in enumerate(sub.max_cones)
+                           if lat.point_in_cone(cell, p))
+
+
+@pytest.mark.parametrize("cone", FIXTURE_CONES)
+def test_cell_masks_match_point_in_cone_on_stellar(cone):
+    _assert_masks_match_point_in_cone(lat.stellar_subdivision(cone), range(4))
+
+
+def test_cell_masks_match_point_in_cone_on_generic_subdivision():
+    cone = fx.reflexive_pair("quartic_dual").cone
+    pts = lat.lattice_points_at_degree(cone, 1)
+    sub = lat.regular_subdivision(cone, [sum(x * x for x in p) for p in pts],
+                                  force_generic=True)
+    assert len(sub.max_cones) > 30
+    _assert_masks_match_point_in_cone(sub, range(4))
+
+
+def test_cell_masks_beyond_64_cells():
+    sub = _generic_quintic_subdivision()
+    assert len(sub.max_cones) == 102
+    _assert_masks_match_point_in_cone(sub, [1])
+
+
+def test_cell_masks_on_lower_dimensional_cones():
+    cone = lat.gorenstein_cone_over(poly("cube"))
+    faces = [f.as_cone() for f in lat.face_lattice(cone).faces]
+    pts = [p for k in range(3) for p in lat.lattice_points_at_degree(cone, k)]
+    for p, mask in zip(pts, lat.cell_masks(faces, pts)):
+        assert mask == sum(1 << i for i, face in enumerate(faces)
+                           if lat.point_in_cone(face, p))
+    assert lat.cell_masks(faces, []) == []
+
+
+@pytest.mark.parametrize("cone", FIXTURE_CONES)
+def test_stellar_is_regular_with_center_heights(cone):
+    sub = lat.stellar_subdivision(cone)
+    pts = lat.lattice_points_at_degree(cone, 1)
+    (center,) = lat.lattice_points_at_degree(cone, 1, interior_only=True)
+    heights = [-1 if p == center else 0 for p in pts]
+    assert sub == lat.regular_subdivision(cone, heights)
+    assert sub.provenance == ("heights", tuple(heights))
+    # the center coned over every facet
+    coned = {lat.cone_from_generators(
+        [g for g in cone.generators if la.dot(f, g) == 0] + [center],
+        cone.ambient_rank, deg=cone.deg) for f in cone.facets}
+    assert set(sub.max_cones) == coned and len(coned) == len(cone.facets)
+
+
+def test_stellar_needs_a_full_dimensional_cone():
+    cone = lat.gorenstein_cone_over(poly("cube"))
+    facet = lat.face_lattice(cone).faces[-2].as_cone()
+    with pytest.raises(ValueError):
+        lat.stellar_subdivision(facet)
+
+
+def test_validating_102_generic_quintic_cells_is_fast():
+    start = time.process_time()
+    sub = _generic_quintic_subdivision()
+    elapsed = time.process_time() - start
+    assert len(sub.max_cones) == 102
+    assert elapsed < 5.0
+
+
+def _diamond_cells(*triangles):
+    cone = lat.gorenstein_cone_over(poly("diamond"))
+    cells = [lat.cone_from_generators([v + (1,) for v in t], deg=cone.deg)
+             for t in triangles]
+    return lat.FanSubdivision(parent=cone, max_cones=tuple(cells),
+                              provenance=("explicit",))
+
+
+def test_overlapping_cells_detected():
+    upper, lower = ((-1, 0), (1, 0), (0, 1)), ((-1, 0), (1, 0), (0, -1))
+    right = ((0, -1), (0, 1), (1, 0))
+    lat.validate_subdivision(_diamond_cells(upper, lower))
+    with pytest.raises(InvalidSubdivision, match="outside the common face"):
+        lat.validate_subdivision(_diamond_cells(upper, lower, right))
+
+
+def test_intersection_that_is_not_a_face_detected():
+    whole = ((-1, 0), (1, 0), (0, 1), (0, -1))
+    upper = ((-1, 0), (1, 0), (0, 1))
+    with pytest.raises(InvalidSubdivision, match="not a face"):
+        lat.validate_subdivision(_diamond_cells(whole, upper))
 
 
 def test_restrict_subdivision_to_face():

@@ -236,6 +236,24 @@ def test_pairing_requires_regularity():
         sg.pairing_matrix(bad, None, 1)
 
 
+def test_pairing_at_degree_zero_reduces_the_top_image_once(monkeypatch):
+    cone = k_cone("p2_dual")
+    g = sg.random_degree_one(cone, seed=1, field="rational")
+    sub = lat.stellar_subdivision(cone)
+    images = []
+    build = sg._QuotientWorkspace.multiplication_matrix
+
+    def counted(self, k, interior_source=False):
+        if interior_source:
+            images.append(k)
+        return build(self, k, interior_source)
+
+    monkeypatch.setattr(sg._QuotientWorkspace, "multiplication_matrix", counted)
+    mat = sg.pairing_matrix(g, sub, 0)
+    assert len(mat) == len(mat[0]) == 1 and mat[0][0] != 0
+    assert images.count(cone.dim) == 1
+
+
 def test_pairing_rational_backend():
     g = sg.random_degree_one(k_cone("p2"), seed=1, field="rational")
     mat = sg.pairing_matrix(g, None, 1)

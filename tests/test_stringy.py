@@ -344,6 +344,44 @@ def test_toric_stringy_decomposes_over_orbit_closures(name):
     assert total == st.e_st_toric(fan)
 
 
+def _fan_interval_oracle(fan, low, high):
+    """The interval [low, high] of the fan built afresh from its cones
+    ordered by generator-set inclusion."""
+    members = [c for c in fan.cones
+               if set(low.generators) <= set(c.generators) <= set(high.generators)]
+    covers = [(a.generators, b.generators) for a in members for b in members
+              if b.dim == a.dim + 1 and set(a.generators) <= set(b.generators)]
+    return po.EulerianPoset([c.generators for c in members], covers)
+
+
+@pytest.mark.parametrize("name", ["p1", "p2", "p112"])
+def test_orbit_closure_intervals_match_fan_intervals(name, monkeypatch):
+    fan = fx.fan(name)
+    expected = {}
+    for cone in fan.cones:
+        total = B.zero()
+        for upper in fan.cones:
+            if set(cone.generators) <= set(upper.generators):
+                interval = _fan_interval_oracle(fan, cone, upper)
+                total = total + B({(1, 1): 1, (0, 0): -1}) ** (
+                    fan.rank - upper.dim) * po.g_polynomial(
+                        interval.dual()).to_bivariate(1, 1)
+        expected[cone] = total
+    calls = []
+    init = po.EulerianPoset.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return init(self, *args, **kwargs)
+
+    monkeypatch.setattr(po.EulerianPoset, "__init__", counted)
+    st._lattice_poset.cache_clear()
+    for cone in fan.cones:
+        assert st.e_int_orbit_closure(fan, cone) == expected[cone]
+    # one face-lattice root per upper cone, every interval a view of it
+    assert len(calls) == st._lattice_poset.cache_info().misses == len(fan.cones)
+
+
 # -- string cohomology table -----------------------------------------------------------------
 
 def test_table_diamond():
