@@ -27,11 +27,7 @@ from .lattice import (
     stellar_subdivision,
     trivial_subdivision,
 )
-from .polynomials import (
-    BivariateLaurentPolynomial,
-    UnivariatePolynomial,
-    truncate_below,
-)
+from .polynomials import BivariateLaurentPolynomial, UnivariatePolynomial
 from .posets import (
     EulerianPoset,
     b_polynomial,
@@ -40,7 +36,6 @@ from .posets import (
     convolution_inverse_check,
     g_polynomial,
     h_polynomial,
-    is_eulerian,
 )
 from .semigroup import (
     DegreeOneElement,

@@ -66,9 +66,6 @@ class RationalPolytope:
     rank: int
     vertices: tuple[tuple[Fraction, ...], ...]
 
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for v in self.vertices for x in v)
-
 
 def _homogenized_generators(vertices) -> tuple[Vector, ...]:
     """Vertices v -> primitive generators of the cone over v x {1}."""
@@ -488,9 +485,6 @@ class ReflexivePair:
     cone: GradedCone
     dual: GradedCone
 
-    def swapped(self) -> "ReflexivePair":
-        return ReflexivePair(cone=self.dual, dual=self.cone)
-
     def dual_face(self, face: Face) -> Face:
         """Order-reversing bijection between the two face lattices."""
         if face.cone == self.cone:
@@ -532,27 +526,6 @@ class FanSubdivision:
     max_cones: tuple[GradedCone, ...]
     provenance: tuple
 
-    def is_trivial(self) -> bool:
-        return len(self.max_cones) == 1 and self.max_cones[0] == self.parent
-
-    def restrict_to_face(self, face_cone: GradedCone) -> "FanSubdivision":
-        """Induced subdivision on a face of the parent."""
-        gens = sorted({g for cell in self.max_cones for g in cell.generators})
-        on_face = {g for g, m in zip(gens, cell_masks((face_cone,), gens)) if m}
-        cells = []
-        for cell in self.max_cones:
-            inside = [g for g in cell.generators if g in on_face]
-            if not inside:
-                continue
-            sub = cone_from_generators(inside, self.parent.ambient_rank,
-                                       deg=self.parent.deg)
-            if sub.dim == face_cone.dim and sub not in cells:
-                cells.append(sub)
-        if not cells:
-            cells = [face_cone]
-        return FanSubdivision(parent=face_cone, max_cones=tuple(sorted(
-            cells, key=lambda c: c.generators)), provenance=("restricted",))
-
 
 def trivial_subdivision(cone: GradedCone) -> FanSubdivision:
     return FanSubdivision(parent=cone, max_cones=(cone,),
@@ -564,15 +537,16 @@ def regular_subdivision(cone: GradedCone, heights,
     """Lower-hull subdivision induced by lifting the degree-1 lattice points
     by the given heights.
 
-    Any integer height vector yields a valid subdivision (constant heights
-    give the trivial one).  With force_generic the heights are perturbed
+    Any integer height vector with one entry per degree-1 point yields a
+    valid subdivision (constant heights give the trivial one); a vector of
+    another length raises InvalidSubdivision.  With force_generic the heights are perturbed
     lexicographically (h -> h*B + index) so every cell is simplicial; the
     perturbation is recorded in the provenance.
     """
     pts = lattice_points_at_degree(cone, 1)
     heights = [int(h) for h in heights]
     if len(heights) != len(pts):
-        raise ValueError(
+        raise InvalidSubdivision(
             f"got {len(heights)} heights for {len(pts)} degree-1 points")
     if cone.dim != cone.ambient_rank:
         raise ValueError("subdivisions are built for full-dimensional cones")

@@ -1,9 +1,9 @@
-"""Sparse exact polynomial arithmetic in one and two variables.
+"""Exact polynomial arithmetic in one and two variables.
 
 Two immutable value types cover every polynomial in the package:
 
-* :class:`UnivariatePolynomial` — integer coefficients, nonnegative
-  exponents; used for S-, G-, H- and Hilbert-style series data.
+* :class:`UnivariatePolynomial` — a dense tuple of integer coefficients
+  indexed by exponent; used for S-, G-, H- and Hilbert-style series data.
 * :class:`BivariateLaurentPolynomial` — integer coefficients indexed by
   (possibly negative) exponent pairs of the two formal variables u, v;
   the universal value type for E-functions and B-polynomials.
@@ -13,49 +13,44 @@ Coefficients are Python integers, so all arithmetic is exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Mapping
+from itertools import zip_longest
+from typing import Iterable, Mapping
 
 from .errors import DivisionNotExact
 
 
-def _clean(terms: Mapping) -> dict:
-    return {k: int(c) for k, c in terms.items() if c != 0}
-
-
 class UnivariatePolynomial:
-    """Sparse polynomial in one variable t with integer coefficients."""
+    """Polynomial in one variable t with integer coefficients: coeffs[k]
+    is the coefficient of t^k, with no trailing zero."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Mapping[int, int] | None = None):
-        cleaned = _clean(coeffs or {})
-        if any(k < 0 for k in cleaned):
-            raise ValueError("negative exponent in univariate polynomial")
-        object.__setattr__(self, "coeffs", dict(sorted(cleaned.items())))
+    def __init__(self, coeffs: Iterable[int] = ()):
+        coeffs = tuple(coeffs)
+        n = len(coeffs)
+        while n and not coeffs[n - 1]:
+            n -= 1
+        object.__setattr__(self, "coeffs", coeffs[:n])
 
     @classmethod
     def zero(cls) -> "UnivariatePolynomial":
-        return cls({})
+        return cls()
 
     @classmethod
     def one(cls) -> "UnivariatePolynomial":
-        return cls({0: 1})
-
-    @classmethod
-    def t(cls, k: int = 1, c: int = 1) -> "UnivariatePolynomial":
-        return cls({k: c})
+        return cls((1,))
 
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return max(self.coeffs, default=-1)
+        return len(self.coeffs) - 1
 
     def coeff(self, k: int) -> int:
-        return self.coeffs.get(k, 0)
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def coeff_list(self, upto: int | None = None) -> list[int]:
         n = self.degree() if upto is None else upto
-        return [self.coeff(k) for k in range(max(n, -1) + 1)]
+        head = list(self.coeffs[:max(n + 1, 0)])
+        return head + [0] * (n + 1 - len(head))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -64,82 +59,54 @@ class UnivariatePolynomial:
         return isinstance(other, UnivariatePolynomial) and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(tuple(self.coeffs.items()))
+        return hash(self.coeffs)
 
     def __add__(self, other: "UnivariatePolynomial") -> "UnivariatePolynomial":
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return UnivariatePolynomial(out)
+        return UnivariatePolynomial(
+            a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0))
 
     def __neg__(self) -> "UnivariatePolynomial":
-        return UnivariatePolynomial({k: -c for k, c in self.coeffs.items()})
+        return UnivariatePolynomial(-c for c in self.coeffs)
 
     def __sub__(self, other: "UnivariatePolynomial") -> "UnivariatePolynomial":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return UnivariatePolynomial({k: c * other for k, c in self.coeffs.items()})
-        out: dict[int, int] = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                k = k1 + k2
-                out[k] = out.get(k, 0) + c1 * c2
+            return UnivariatePolynomial(c * other for c in self.coeffs)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] += a * b
         return UnivariatePolynomial(out)
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "UnivariatePolynomial":
-        if n < 0:
-            raise ValueError("negative power")
-        result = UnivariatePolynomial.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __call__(self, value: int):
-        return sum(c * value**k for k, c in self.coeffs.items())
-
-    def reversed(self, n: int) -> "UnivariatePolynomial":
-        """t^n * p(1/t); requires degree(p) <= n."""
-        if self.degree() > n:
-            raise ValueError("degree exceeds reversal bound")
-        return UnivariatePolynomial({n - k: c for k, c in self.coeffs.items()})
-
     def is_palindromic(self, n: int) -> bool:
         """Whether p(t) == t^n p(1/t)."""
-        return self.degree() <= n and self.reversed(n) == self
+        padded = self.coeff_list(n)
+        return self.degree() <= n and padded == padded[::-1]
 
     def to_bivariate(self, u_exp: int, v_exp: int) -> "BivariateLaurentPolynomial":
         """Substitute t -> u^u_exp * v^v_exp."""
         out: dict[tuple[int, int], int] = {}
-        for k, c in self.coeffs.items():
+        for k, c in enumerate(self.coeffs):
             key = (u_exp * k, v_exp * k)
             out[key] = out.get(key, 0) + c
         return BivariateLaurentPolynomial(out)
 
     def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
         parts = []
-        for k, c in self.coeffs.items():
+        for k, c in enumerate(self.coeffs):
+            if not c:
+                continue
             if k == 0:
                 parts.append(f"{c}")
             else:
                 mono = "t" if k == 1 else f"t^{k}"
                 parts.append(mono if c == 1 else f"-{mono}" if c == -1 else f"{c}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-
-def truncate_below(p: UnivariatePolynomial, r) -> UnivariatePolynomial:
-    """Keep exactly the terms of degree strictly below r (r may be rational)."""
-    bound = Fraction(r)
-    return UnivariatePolynomial({k: c for k, c in p.coeffs.items() if k < bound})
+        return " + ".join(parts).replace("+ -", "- ") or "0"
 
 
 class BivariateLaurentPolynomial:
@@ -148,7 +115,7 @@ class BivariateLaurentPolynomial:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
-        cleaned = _clean(terms or {})
+        cleaned = {k: int(c) for k, c in (terms or {}).items() if c != 0}
         object.__setattr__(self, "terms", dict(sorted(cleaned.items())))
 
     @classmethod
@@ -162,12 +129,6 @@ class BivariateLaurentPolynomial:
     @classmethod
     def monomial(cls, a: int, b: int, c: int = 1) -> "BivariateLaurentPolynomial":
         return cls({(a, b): c})
-
-    def coeff(self, a: int, b: int) -> int:
-        return self.terms.get((a, b), 0)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, BivariateLaurentPolynomial)

@@ -26,16 +26,12 @@ per (lo, hi) index pair (no isomorphism detection is attempted).
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
-from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
 
 from .errors import NotEulerian, NotGraded
-from .polynomials import (
-    BivariateLaurentPolynomial,
-    UnivariatePolynomial,
-    truncate_below,
-)
+from .polynomials import BivariateLaurentPolynomial, UnivariatePolynomial
 
 
 def _bits(mask: int):
@@ -165,14 +161,10 @@ class EulerianPoset:
         return self._view(self._root.dual(), self._hi, self._lo)
 
     def is_eulerian(self) -> bool:
+        """True iff every nontrivial interval balances even and odd ranks."""
         members = self._members()
         return not any(members >> x & members >> y & 1
                        for x, y in self._root.unbalanced)
-
-
-def is_eulerian(p: EulerianPoset) -> bool:
-    """True iff every nontrivial interval balances even and odd ranks."""
-    return p.is_eulerian()
 
 
 def _checked(p: EulerianPoset) -> tuple[_Root, int, int]:
@@ -203,28 +195,34 @@ def g_polynomial(p: EulerianPoset) -> UnivariatePolynomial:
 
 @_per_interval
 def _h(root: _Root, lo: int, hi: int) -> UnivariatePolynomial:
+    """One coefficient list summed over the elements x > lo of the interval,
+    each adding the convolution (t-1)^(rank(x)-1) * G([x, hi])."""
     if lo == hi:
         return UnivariatePolynomial.one()
-    result = UnivariatePolynomial.zero()
+    base = root.rank[lo] + 1
+    acc = [0] * (root.rank[hi] - root.rank[lo])  # deg H <= rank - 1
     for x in _bits(root.up[lo] & root.down[hi] & ~(1 << lo)):
-        result = result + _t_minus_1_power(root.rank[x] - root.rank[lo] - 1) \
-            * _g(root, x, hi)
-    return result
+        power = _t_minus_1_power(root.rank[x] - base)
+        for j, g in enumerate(_g(root, x, hi).coeffs):
+            for i, c in enumerate(power, j):
+                acc[i] += c * g
+    return UnivariatePolynomial(acc)
 
 
 @lru_cache(maxsize=None)
-def _t_minus_1_power(k: int) -> UnivariatePolynomial:
-    """(t-1)^k, computed once per exponent for every H recursion."""
-    return UnivariatePolynomial({0: -1, 1: 1}) ** k
+def _t_minus_1_power(k: int) -> tuple[int, ...]:
+    """Coefficients of (t-1)^k: the signed binomials (-1)^(k-i) C(k, i)."""
+    return tuple((-1) ** (k - i) * math.comb(k, i) for i in range(k + 1))
 
 
 @_per_interval
 def _g(root: _Root, lo: int, hi: int) -> UnivariatePolynomial:
+    """G read off H: the coefficients h_k - h_(k-1) of (1-t) H for k < d/2."""
     d = root.rank[hi] - root.rank[lo]
     if d == 0:
         return UnivariatePolynomial.one()
-    one_minus_t = UnivariatePolynomial({0: 1, 1: -1})
-    return truncate_below(one_minus_t * _h(root, lo, hi), Fraction(d, 2))
+    h = [0] + _h(root, lo, hi).coeff_list(d)
+    return UnivariatePolynomial(h[k + 1] - h[k] for k in range((d + 1) // 2))
 
 
 def b_polynomial(p: EulerianPoset) -> BivariateLaurentPolynomial:

@@ -212,7 +212,7 @@ def graded_quotient_dims(g: DegreeOneElement,
         subdivision = lat.trivial_subdivision(g.cone)
     r0, r1 = _QuotientWorkspace(g, subdivision).dims()
     dim = g.cone.dim
-    s_total = s_polynomial(g.cone)(1)
+    s_total = sum(s_polynomial(g.cone).coeffs)
     regular = (r0[dim + 1] == 0 and r1[dim + 1] == 0
                and sum(r0[: dim + 1]) == s_total)
     return GradedQuotientReport(

@@ -120,23 +120,8 @@ def dump_bivariate(p: BivariateLaurentPolynomial) -> str:
 
 
 def dump_univariate(p: UnivariatePolynomial) -> str:
-    terms = [{"t": k, "c": str(c)} for k, c in p.coeffs.items()]
+    terms = [{"t": k, "c": str(c)} for k, c in enumerate(p.coeffs) if c]
     return json.dumps({"vars": ["t"], "terms": terms}, sort_keys=True)
-
-
-def parse_polynomial(text: str):
-    """Inverse of dump_bivariate / dump_univariate."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"polynomial JSON: {exc.msg}") from exc
-    if data.get("vars") == ["t"]:
-        return UnivariatePolynomial(
-            {int(t["t"]): int(t["c"]) for t in data["terms"]})
-    if data.get("vars") == ["u", "v"]:
-        return BivariateLaurentPolynomial(
-            {(int(t["u"]), int(t["v"])): int(t["c"]) for t in data["terms"]})
-    raise ParseError("polynomial JSON: unknown variable list")
 
 
 def dump_hodge_table(table) -> str:

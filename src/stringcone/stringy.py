@@ -46,11 +46,10 @@ BOX_GROUP_BUDGET = 1_000_000  # box points take ~330 B each: ~0.3 GB
 
 def _times_one_minus_t_pow(counts, d: int) -> UnivariatePolynomial:
     """(1-t)^d * sum_k counts[k] t^k, truncated at degree d."""
-    coeffs = {}
-    for j in range(d + 1):
-        coeffs[j] = sum(counts[i] * (-1) ** (j - i) * math.comb(d, j - i)
-                        for i in range(j + 1))
-    return UnivariatePolynomial(coeffs)
+    return UnivariatePolynomial(
+        sum(counts[i] * (-1) ** (j - i) * math.comb(d, j - i)
+            for i in range(j + 1))
+        for j in range(d + 1))
 
 
 @lru_cache(maxsize=None)
@@ -178,10 +177,6 @@ class HodgeTable:
 
     def as_dict(self) -> dict:
         return {pq: h for pq, h in self.entries}
-
-    def is_symmetric(self) -> bool:
-        d = self.as_dict()
-        return all(d.get((q, p), 0) == h for (p, q), h in d.items())
 
     def to_e_polynomial(self) -> BivariateLaurentPolynomial:
         total = BivariateLaurentPolynomial.zero()
@@ -311,8 +306,10 @@ def string_cohomology_table(pair: ReflexivePair) -> HodgeTable:
     for face, dual in _faces_with_duals(pair):
         ts = face_tilde_s(face)
         ts_dual = face_tilde_s(dual)
-        for a, ca in ts_dual.coeffs.items():
-            for b, cb in ts.coeffs.items():
+        for a, ca in enumerate(ts_dual.coeffs):
+            for b, cb in enumerate(ts.coeffs):
+                if not (ca and cb):
+                    continue
                 p = a - b + face.dim - 1
                 q = a + b - 1
                 if not (0 <= p <= d - 1 and 0 <= q <= d - 1):

@@ -294,8 +294,11 @@ def criterion_koszul(seeds=(0, 1, 2),
             f = sg.random_degree_one(pair.cone, seed)
             g = sg.random_degree_one(pair.dual, seed + 17)
             for sub in (None, lat.stellar_subdivision(pair.dual)):
-                report = kz.compare_with_decomposition(
-                    pair, f, g, dual_subdivision=sub)
+                complex_ = kz.build_complex(pair, f, g, dual_subdivision=sub)
+                if not complex_.verify_d_squared():
+                    ok = False
+                    detail.append(f"seed {seed}: D^2 != 0")
+                report = kz.decomposition_report(complex_)
                 if not report.matches:
                     ok = False
                     detail.append(f"seed {seed}: {report.computed} "

@@ -9,6 +9,7 @@ import dataclasses
 import time
 
 from stringcone import fixtures as fx
+from stringcone import koszul as kz
 from stringcone import lattice as lat
 from stringcone import stringy as st
 from stringcone import verify as vf
@@ -84,6 +85,18 @@ def test_criterion_9_koszul_comparison():
     _report(results, budget=600, elapsed=time.time() - start)
 
 
+def test_criterion_9_fails_when_d_squared_is_not_zero(monkeypatch):
+    # a complex whose D^2 check fails must fail the criterion even though
+    # its cohomology still matches the face-sum prediction
+    assert all(r.passed for r in vf.criterion_koszul(seeds=(0,),
+                                                     names=("segment",)))
+    monkeypatch.setattr(kz.KoszulComplex, "verify_d_squared",
+                        lambda self: False)
+    results = vf.criterion_koszul(seeds=(0,), names=("segment",))
+    assert [r.passed for r in results] == [False]
+    assert "D^2 != 0" in results[0].detail
+
+
 def test_criterion_10_cohomology_table_consistency():
     _report(vf.criterion_cohomology_table())
 
@@ -97,7 +110,7 @@ def test_criterion_10_fails_when_tilde_s_is_perturbed(monkeypatch):
 
     def bumped(face):
         ts = original(face)
-        return ts + UnivariatePolynomial({1: 1}) if face.dim == 1 else ts
+        return ts + UnivariatePolynomial((0, 1)) if face.dim == 1 else ts
 
     monkeypatch.setattr(st, "face_tilde_s", bumped)
     assert not any(r.passed for r in vf.criterion_two_formula(names))

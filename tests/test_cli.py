@@ -1,6 +1,7 @@
 """File formats and the command-line interface."""
 
 import json
+import pathlib
 import time
 
 import pytest
@@ -47,9 +48,14 @@ def test_fan_roundtrip(tmp_path):
 
 def test_polynomial_roundtrip():
     e = st.e_st_hypersurface(fx.reflexive_pair("diamond"))
-    assert ser.parse_polynomial(ser.dump_bivariate(e)) == e
+    data = json.loads(ser.dump_bivariate(e))
+    assert data["vars"] == ["u", "v"]
+    assert B({(t["u"], t["v"]): int(t["c"]) for t in data["terms"]}) == e
     s = st.s_polynomial(lat.gorenstein_cone_over(fx.polytope("cube")))
-    assert ser.parse_polynomial(ser.dump_univariate(s)) == s
+    data = json.loads(ser.dump_univariate(s))
+    assert data["vars"] == ["t"]
+    assert {t["t"]: int(t["c"]) for t in data["terms"]} == \
+        {k: c for k, c in enumerate(s.coeffs) if c}
 
 
 def test_parse_errors(tmp_path):
@@ -73,8 +79,8 @@ def test_e_st_hypersurface_diamond(fixture_dir, capsys):
     code, out = run_cli(
         ["e-st", "--hypersurface", str(fixture_dir / "diamond.json")], capsys)
     assert code == 0
-    poly = ser.parse_polynomial(out)
-    assert poly == B({(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1})
+    expected = B({(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1})
+    assert out == ser.dump_bivariate(expected) + "\n"
 
 
 def test_check_reflexive_false_exits_zero(fixture_dir, capsys):
@@ -133,6 +139,25 @@ def test_subdivide_subcommand(fixture_dir, tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert len(data["cones"]) == 4  # stellar split of the square cone
+
+
+@pytest.mark.parametrize("command,option,count,points", [
+    ("subdivide", "--heights", 4, 5),
+    ("ring-dims", "--subdivide", 4, 5),
+    # five heights fit the diamond's cone, but koszul subdivides the dual
+    # cone (the square's, with 9 degree-1 points)
+    ("koszul", "--subdivide", 5, 9),
+])
+def test_wrong_number_of_heights_exits_2(command, option, count, points,
+                                         fixture_dir, tmp_path, capsys):
+    hpath = tmp_path / "h.json"
+    hpath.write_text(json.dumps({"heights": [0] * count}))
+    code = cli.main([command, str(fixture_dir / "diamond.json"),
+                     option, str(hpath)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == (f"InvalidSubdivision: got {count} heights for {points} "
+                   "degree-1 points\n")
 
 
 def test_box_subcommand(fixture_dir, capsys):
@@ -241,3 +266,18 @@ def test_polytope_subcommand_smoke(command, expect, fixture_dir, capsys):
     code, out = run_cli(command + [str(fixture_dir / "diamond.json")], capsys)
     assert code == 0
     assert expect in out
+
+
+SWEEP = json.loads((pathlib.Path(__file__).parent / "cli_sweep.json").read_text())
+
+
+@pytest.mark.parametrize("record", SWEEP,
+                         ids=["-".join(r["args"]) for r in SWEEP])
+def test_output_matches_recorded_sweep(record, fixture_dir, capsys):
+    # stdout of s-poly, tilde-s, g-poly, b-poly, e-st and hodge on every
+    # reflexive fixture and e-st --toric on the fans, byte for byte as
+    # recorded before the dense univariate polynomials
+    *flags, name = record["args"]
+    code = cli.main(flags + [str(fixture_dir / name)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (0, record["stdout"], "")

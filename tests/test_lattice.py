@@ -27,9 +27,13 @@ def poly(name):
     return fx.polytope(name)
 
 
+def is_integral(q):
+    return all(x.denominator == 1 for v in q.vertices for x in v)
+
+
 def to_lattice(q):
     """The lattice polytope on the vertices of an integral RationalPolytope."""
-    assert q.is_integral()
+    assert is_integral(q)
     return lat.lattice_polytope([tuple(int(x) for x in v) for v in q.vertices])
 
 
@@ -57,9 +61,9 @@ def test_rational_dual_roundtrip():
     # a non-reflexive polytope with 0 interior still dualizes exactly
     p = lat.lattice_polytope([(-1,), (2,)])
     d = lat.dual_polytope(p)
-    assert not d.is_integral()
+    assert not is_integral(d)
     back = lat.dual_polytope(d)
-    assert back.is_integral() and to_lattice(back) == p
+    assert is_integral(back) and to_lattice(back) == p
 
 
 # -- reflexivity ---------------------------------------------------------------
@@ -95,7 +99,7 @@ def test_is_reflexive_matches_dual_and_interior_oracle(name):
     # lattice point; the facet-distance test must agree on every image
     base = DIAMOND_X2 if name == "diamond_x2" else poly(name)
     for p in (base, sheared(base)):
-        oracle = (lat.dual_polytope(p).is_integral()
+        oracle = (is_integral(lat.dual_polytope(p))
                   and lat.interior_lattice_points(p) == [(0,) * p.rank])
         assert lat.is_reflexive(p) == oracle
         assert oracle == (name in fx.REFLEXIVE_NAMES)
@@ -524,7 +528,7 @@ def test_trivial_subdivision_from_zero_heights():
     square_cone = lat.cone_from_generators(
         [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)])
     sub = lat.regular_subdivision(square_cone, [0, 0, 0, 0])
-    assert sub.is_trivial()
+    assert sub.max_cones == (sub.parent,)
 
 
 def test_square_splits_into_two_triangles():
@@ -570,6 +574,12 @@ def test_invalid_subdivision_detected():
                              provenance=("explicit",))
     with pytest.raises(InvalidSubdivision):
         lat.validate_subdivision(bad)
+
+
+def test_wrong_number_of_heights_is_invalid():
+    cone = lat.gorenstein_cone_over(poly("square"))  # 9 degree-1 points
+    with pytest.raises(InvalidSubdivision, match="got 5 heights for 9"):
+        lat.regular_subdivision(cone, [0] * 5)
 
 
 FIXTURE_CONES = [pytest.param(cone, id=f"{name}{side}")
@@ -675,16 +685,6 @@ def test_intersection_that_is_not_a_face_detected():
     upper = ((-1, 0), (1, 0), (0, 1))
     with pytest.raises(InvalidSubdivision, match="not a face"):
         lat.validate_subdivision(_diamond_cells(whole, upper))
-
-
-def test_restrict_subdivision_to_face():
-    k = lat.gorenstein_cone_over(poly("square"))
-    sub = lat.stellar_subdivision(k)
-    face = lat.face_lattice(k).faces[-2].as_cone()  # a facet
-    induced = sub.restrict_to_face(face)
-    assert all(c.dim == face.dim for c in induced.max_cones)
-    for cell in induced.max_cones:
-        assert all(lat.point_in_cone(face, g) for g in cell.generators)
 
 
 # -- fans ---------------------------------------------------------------------------

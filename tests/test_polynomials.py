@@ -1,6 +1,4 @@
-"""Sparse exact polynomial arithmetic."""
-
-from fractions import Fraction
+"""Exact polynomial arithmetic: dense univariate, sparse Laurent."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,15 +7,38 @@ from stringcone.errors import DivisionNotExact
 from stringcone.polynomials import (
     BivariateLaurentPolynomial as B,
     UnivariatePolynomial as U,
-    truncate_below,
 )
 
 bivariate = st.dictionaries(
     st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
     st.integers(-999, 999), max_size=8).map(B)
 
-univariate = st.dictionaries(
-    st.integers(0, 9), st.integers(-999, 999), max_size=7).map(U)
+# coefficient sequences, trailing zeros included
+coefficients = st.lists(st.integers(-999, 999), max_size=8)
+
+
+def sparse(coeffs):
+    """{exponent: coefficient} of the nonzero terms."""
+    return {k: c for k, c in enumerate(coeffs) if c}
+
+
+def sparse_add(p, q):
+    out = dict(p)
+    for k, c in q.items():
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def sparse_mul(p, q):
+    out = {}
+    for k1, c1 in p.items():
+        for k2, c2 in q.items():
+            out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def sparse_palindromic(p, n):
+    return all(k <= n for k in p) and p == {n - k: c for k, c in p.items()}
 
 
 @given(bivariate, bivariate, bivariate)
@@ -33,43 +54,32 @@ def test_ring_axioms(a, b, c):
     assert a - a == B.zero()
 
 
-@given(univariate, univariate)
-@settings(max_examples=80, deadline=None)
+@given(coefficients, coefficients)
+@settings(max_examples=120, deadline=None)
 def test_univariate_ring(a, b):
-    assert a * b == b * a
-    assert (a + b) - b == a
-    assert (a * b)(3) == a(3) * b(3)
+    p, q = U(a), U(b)
+    assert sparse(p.coeffs) == sparse(a)
+    assert not p.coeffs or p.coeffs[-1] != 0  # no trailing zero
+    assert sparse((p + q).coeffs) == sparse_add(sparse(a), sparse(b))
+    assert sparse((p * q).coeffs) == sparse_mul(sparse(a), sparse(b))
+    assert sparse((3 * p).coeffs) == sparse_mul(sparse(a), {0: 3})
+    assert p * q == q * p
+    assert (p + q) - q == p
+    assert p * U.one() == p and p + U.zero() == p
 
 
-def test_truncate_below():
-    assert truncate_below(U({0: 1, 2: -1}), 1) == U({0: 1})
-    assert truncate_below(U({0: 1, 1: 1, 2: 1}), Fraction(3, 2)) == \
-        U({0: 1, 1: 1})
-    assert truncate_below(U.zero(), 5) == U.zero()
-
-
-@given(univariate, st.integers(0, 8))
-@settings(max_examples=60, deadline=None)
-def test_truncation_splits_polynomial(p, r):
-    low = truncate_below(p, r)
-    assert low + (p - low) == p
-    assert all(k < r for k in low.coeffs)
+@given(coefficients, st.integers(0, 9))
+@settings(max_examples=120, deadline=None)
+def test_palindromicity_matches_reference(a, n):
+    assert U(a).is_palindromic(n) == sparse_palindromic(sparse(a), n)
 
 
 def test_palindromicity_helper():
-    assert U({0: 1, 1: 2, 2: 1}).is_palindromic(2)
-    assert not U({0: 1, 1: 2}).is_palindromic(2)
-    assert U({1: 1, 2: 1}).is_palindromic(3)
+    assert U((1, 2, 1)).is_palindromic(2)
+    assert not U((1, 2)).is_palindromic(2)
+    assert U((0, 1, 1)).is_palindromic(3)
+    assert not U((1, 0, 1)).is_palindromic(1)
     assert U.zero().is_palindromic(0)
-
-
-def test_reversal_and_negative_exponent_guard():
-    p = U({0: 1, 1: 2})
-    assert p.reversed(2) == U({1: 2, 2: 1})
-    with pytest.raises(ValueError):
-        p.reversed(0)
-    with pytest.raises(ValueError):
-        U({-1: 1})
 
 
 def test_monomial_division_exactness():
@@ -80,8 +90,21 @@ def test_monomial_division_exactness():
 
 
 def test_powers_and_degree():
-    t = U.t()
-    assert (U.one() + t) ** 3 == U({0: 1, 1: 3, 2: 3, 3: 1})
-    assert t.degree() == 1 and U.zero().degree() == -1
+    one_plus_t = U((1, 1))
+    assert one_plus_t * one_plus_t * one_plus_t == U((1, 3, 3, 1))
+    assert one_plus_t.degree() == 1 and U.zero().degree() == -1
+    assert U((0, 0, 5, 0, 0)).degree() == 2
     uv = B.monomial(1, 1)
     assert uv ** 4 == B.monomial(4, 4)
+
+
+def test_coefficients_and_text():
+    p = U((0, -1, 0, 3))
+    assert p.coeff(1) == -1 and p.coeff(2) == 0 and p.coeff(7) == 0
+    assert p.coeff_list() == [0, -1, 0, 3]
+    assert p.coeff_list(5) == [0, -1, 0, 3, 0, 0]
+    assert p.coeff_list(1) == [0, -1]
+    assert repr(p) == "-t + 3*t^3"
+    assert repr(U((2, 1, -2))) == "2 + t - 2*t^2"
+    assert repr(U.zero()) == "0"
+    assert p.to_bivariate(-1, 1) == B({(-1, 1): -1, (-3, 3): 3})

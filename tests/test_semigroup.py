@@ -20,6 +20,26 @@ def k_cone(name):
     return lat.gorenstein_cone_over(fx.polytope(name))
 
 
+def restrict_to_face(sub, face_cone):
+    """The subdivision that sub induces on a face of its parent."""
+    gens = sorted({g for cell in sub.max_cones for g in cell.generators})
+    on_face = {g for g, m in zip(gens, lat.cell_masks((face_cone,), gens))
+               if m}
+    cells = []
+    for cell in sub.max_cones:
+        inside = [g for g in cell.generators if g in on_face]
+        if not inside:
+            continue
+        restricted = lat.cone_from_generators(
+            inside, sub.parent.ambient_rank, deg=sub.parent.deg)
+        if restricted.dim == face_cone.dim and restricted not in cells:
+            cells.append(restricted)
+    return lat.FanSubdivision(
+        parent=face_cone,
+        max_cones=tuple(sorted(cells or [face_cone], key=lambda c: c.generators)),
+        provenance=("restricted",))
+
+
 def expected_vectors(cone):
     return (tuple(st.s_polynomial(cone).coeff_list(cone.dim)),
             tuple(st.tilde_s_polynomial(cone).coeff_list(cone.dim)))
@@ -146,7 +166,7 @@ def test_dims_match_s_and_tilde_s(name):
         rep = sg.graded_quotient_dims(sg.random_degree_one(cone, seed=seed))
         assert rep.dims_R0 == expect_r0
         assert rep.dims_R1 == expect_r1
-        assert sum(rep.dims_R0) == st.s_polynomial(cone)(1)
+        assert sum(rep.dims_R0) == sum(st.s_polynomial(cone).coeffs)
         assert rep.dims_R1 == rep.dims_R1[::-1]  # palindromic
 
 
@@ -202,8 +222,18 @@ def test_regularity_restricts_to_faces():
         if face.dim in (0, cone.dim):
             continue
         fc = face.as_cone()
-        verdict = sg.is_sigma_regular(g.restrict(fc), sub.restrict_to_face(fc))
+        verdict = sg.is_sigma_regular(g.restrict(fc), restrict_to_face(sub, fc))
         assert verdict.regular
+
+
+def test_restrict_subdivision_to_face():
+    k = k_cone("square")
+    sub = lat.stellar_subdivision(k)
+    face = lat.face_lattice(k).faces[-2].as_cone()  # a facet
+    induced = restrict_to_face(sub, face)
+    assert all(c.dim == face.dim for c in induced.max_cones)
+    for cell in induced.max_cones:
+        assert all(lat.point_in_cone(face, g) for g in cell.generators)
 
 
 # -- pairing ---------------------------------------------------------------------------

@@ -42,8 +42,8 @@ def k_cone(name):
 
 def test_s_polynomial_examples():
     assert st.s_polynomial(ZERO2) == U.one()
-    assert st.s_polynomial(A1) == U({0: 1, 1: 1})
-    assert st.s_polynomial(k_cone("diamond")) == U({0: 1, 1: 2, 2: 1})
+    assert st.s_polynomial(A1) == U((1, 1))
+    assert st.s_polynomial(k_cone("diamond")) == U((1, 2, 1))
 
 
 def test_s_from_series_oracle():
@@ -53,32 +53,33 @@ def test_s_from_series_oracle():
     for i, c in enumerate(series):
         for j, b in ((0, 1), (1, -2), (2, 1)):
             acc[i + j] = acc.get(i + j, 0) + c * b
-    assert U({k: v for k, v in acc.items() if k <= 2}) == st.s_polynomial(A1)
+    assert U(acc.get(k, 0) for k in range(3)) == st.s_polynomial(A1)
 
 
 @pytest.mark.parametrize("name", fx.REFLEXIVE_NAMES)
 def test_s_reciprocity(name):
     for cone in (k_cone(name),):
-        assert st.s_polynomial(cone).reversed(cone.dim) == \
-            st.s_polynomial_interior(cone)
+        assert st.s_polynomial(cone).coeff_list(cone.dim)[::-1] == \
+            st.s_polynomial_interior(cone).coeff_list(cone.dim)
 
 
 def test_s_reciprocity_on_faces():
     for face in lat.face_lattice(k_cone("cube")).faces:
         c = face.as_cone()
-        assert st.s_polynomial(c).reversed(c.dim) == st.s_polynomial_interior(c)
+        assert st.s_polynomial(c).coeff_list(c.dim)[::-1] == \
+            st.s_polynomial_interior(c).coeff_list(c.dim)
 
 
 # -- tilde-S ------------------------------------------------------------------------
 
 def test_tilde_s_examples():
-    assert st.tilde_s_polynomial(A1) == U({1: 1})
+    assert st.tilde_s_polynomial(A1) == U((0, 1))
     assert st.tilde_s_polynomial(SQUARE_CONE) == U.zero()
-    assert st.tilde_s_polynomial(k_cone("diamond")) == U({1: 1, 2: 1})
+    assert st.tilde_s_polynomial(k_cone("diamond")) == U((0, 1, 1))
 
 
 def test_tilde_s_simplicial_examples():
-    assert st.tilde_s_simplicial(A1) == U({1: 1})
+    assert st.tilde_s_simplicial(A1) == U((0, 1))
     assert st.tilde_s_simplicial(UNIMODULAR) == U.zero()
     assert st.tilde_s_simplicial(ZERO2) == U.one()
     with pytest.raises(NotSimplicial):
@@ -289,7 +290,7 @@ def test_hodge_table_sign_rule():
     e = B({(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1})
     table = st.stringy_hodge_table(e, 1)
     assert table.as_dict() == {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}
-    assert table.is_symmetric()
+    assert all(table.entry(q, p) == h for (p, q), h in table.entries)
     assert table.to_e_polynomial() == e
 
 
