@@ -4,14 +4,21 @@ All geometry in this package reduces to small exact-arithmetic kernels:
 
 * Smith-form based integer solving (grading functionals, lattice kernels,
   saturations),
-* row echelon and RREF over a prime field p < 2**22 (blocked float64
-  multiply, exact because every intermediate value stays below 2**53),
+* row echelon over a prime field p < 2**22 in two stages.  The sparse front
+  end (`sparse_echelon_mod_p`) reduces only the nonzero entries and
+  eliminates on them with Markowitz pivoting, column with the fewest
+  entries first.  Once the cheapest pivot costs more than 1/HANDOFF_SHARE
+  of the active rows x columns plus HANDOFF_FLOOR, the remaining core goes
+  to the dense kernel (`echelon_mod_p`: blocked float64 multiply, exact
+  because every intermediate value stays below 2**53, leftmost pivots).
+  RREF over GF(p) is dense,
 * certified rational rank for the large multiplication matrices: one
-  mod-p echelon proposes the rank and names a square subsystem, Dixon
-  p-adic lifting produces candidate kernel vectors, and an exact bigint
-  verification promotes the answer from "probable" to proven.  Fraction
-  Gaussian elimination, which is always correct, is only the fallback
-  after every prime attempt failed.
+  mod-p echelon proposes the rank (and the prefix rank, for
+  `ranks_with_prefix`) and names a square subsystem, Dixon p-adic lifting
+  produces candidate kernel vectors, and an exact bigint verification
+  promotes the answer from "probable" to proven.  Fraction Gaussian
+  elimination, which is always correct, is only the fallback after every
+  prime attempt failed.
 
 `rank`, `ranks_with_prefix` and `rref` dispatch on a field descriptor, so
 callers hold one code path for both scalar fields.
@@ -19,6 +26,7 @@ callers hold one code path for both scalar fields.
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 from itertools import islice
@@ -40,6 +48,17 @@ MAX_FIELD_CHAR = 1 << 22  # exclusive; the float64 kernels need p < 2**22
 CERTIFY_PRIMES = 3
 
 _BLOCK = 64
+
+# The HANDOFF rule: sparse_echelon_mod_p hands its core to echelon_mod_p
+# once its Markowitz pivot's cost, (count - 1) * (length - 1) dict updates,
+# exceeds 1/HANDOFF_SHARE of the active rows x columns plus HANDOFF_FLOOR.
+# One dict update costs about as much as the dense kernel's work on a few
+# thousand cells; the floor covers its per-column overhead on small cores.
+# Both values were the fastest of those tried on the multiplication
+# matrices of the 2-d and 3-d fixture cones and on the Koszul
+# differentials of the 2-d fixtures.
+HANDOFF_SHARE = 512
+HANDOFF_FLOOR = 512
 
 
 def parse_field(field: str):
@@ -426,16 +445,99 @@ def echelon_mod_p(rows, p: int):
     return r, pivots, order
 
 
+def sparse_echelon_mod_p(rows, p: int, split: int | None = None):
+    """Row echelon over GF(p) that eliminates on the nonzeros first.
+
+    Markowitz pivoting on rows held as {column: residue} dicts: the active
+    column with the fewest entries (columns below `split` until they are
+    exhausted), and in it the row with the fewest entries.  Once that
+    pivot's cost passes the HANDOFF rule, the remaining core goes to
+    echelon_mod_p in one call, made even for an empty core.
+
+    Returns (rank, pivots, order) like echelon_mod_p, in elimination order:
+    rows order[:rank] and columns pivots form a square matrix invertible
+    mod p, and the pivots below `split` come first and count the rank of
+    the first `split` columns.
+    """
+    mat = np.asarray(rows)
+    if mat.size == 0:
+        return echelon_mod_p(rows, p)
+    m, n = mat.shape
+    split = n if split is None else split
+    ri, ci = np.nonzero(mat)
+    vals = mat[ri, ci] % p
+    rows_ = [{} for _ in range(m)]
+    cols = [set() for _ in range(n)]
+    for i, c, v in zip(*(a[vals != 0].tolist() for a in (ri, ci, vals))):
+        rows_[i][c] = v
+        cols[c].add(i)
+    heap = [(c >= split, len(col), c) for c, col in enumerate(cols) if col]
+    heapq.heapify(heap)
+    nrows, ncols = sum(1 for row in rows_ if row), len(heap)
+    pivots, order = [], []
+    while heap:
+        _, count, c = heap[0]
+        col = cols[c]
+        if len(col) != count:  # stale: a fresh entry was pushed
+            heapq.heappop(heap)
+            continue
+        i = (min(col, key=lambda j: (len(rows_[j]), j)) if count > 1
+             else next(iter(col)))
+        prow = rows_[i]
+        if ((count - 1) * (len(prow) - 1)
+                > nrows * ncols / HANDOFF_SHARE + HANDOFF_FLOOR):
+            break
+        heapq.heappop(heap)
+        inv = pow(prow.pop(c), -1, p)
+        others = [(k, v * inv % p) for k, v in prow.items()]
+        col.discard(i)
+        for j in col:
+            row = rows_[j]
+            f = row.pop(c)
+            for k, v in others:
+                old = row.get(k)
+                if old is None:
+                    row[k] = -f * v % p
+                    cols[k].add(j)
+                elif (new := (old - f * v) % p):
+                    row[k] = new
+                else:
+                    del row[k]
+                    cols[k].discard(j)
+            nrows -= not row
+        col.clear()
+        for k, _ in others:
+            cols[k].discard(i)
+            if cols[k]:
+                heapq.heappush(heap, (k >= split, len(cols[k]), k))
+            ncols -= not cols[k]
+        rows_[i] = {}
+        nrows -= 1
+        ncols -= 1
+        pivots.append(c)
+        order.append(i)
+    core_rows = [i for i, row in enumerate(rows_) if row]
+    core_cols = np.flatnonzero([len(col) for col in cols])
+    core = np.zeros((len(core_rows), core_cols.size), dtype=np.int64)
+    for a, i in enumerate(core_rows):
+        core[a, np.searchsorted(core_cols, list(rows_[i]))] = list(
+            rows_[i].values())
+    del rows_, cols  # freed before the dense kernel makes its copies
+    _, core_piv, core_order = echelon_mod_p(core, p)
+    pivots += core_cols[core_piv].tolist()
+    order += [core_rows[a] for a in core_order]
+    return len(pivots), pivots, order + sorted(set(range(m)) - set(order))
+
+
 def rank_mod_p(rows, p: int) -> int:
-    return echelon_mod_p(rows, p)[0]
+    return sparse_echelon_mod_p(rows, p)[0]
 
 
 def ranks_with_prefix_mod_p(rows, split: int, p: int) -> tuple[int, int]:
     """(rank of the first `split` columns, rank of the whole matrix) from a
-    single elimination; columns are processed left to right, so pivots with
-    index below `split` are exactly the prefix rank."""
-    _, pivots, _ = echelon_mod_p(rows, p)
-    return sum(1 for c in pivots if c < split), len(pivots)
+    single elimination that exhausts the first `split` columns first."""
+    rank_, pivots, _ = sparse_echelon_mod_p(rows, p, split)
+    return sum(1 for c in pivots if c < split), rank_
 
 
 def rref_mod_p(rows, p: int):
@@ -594,22 +696,37 @@ def rank_rational_certified(rows) -> int:
     mat = np.asarray(rows, dtype=np.int64)
     if mat.size == 0:
         return 0
+    return _certified_ranks(mat, mat.shape[1])[1]
+
+
+def _certified_ranks(mat: np.ndarray, split: int) -> tuple[int, int]:
+    """(rank of mat[:, :split], rank of mat) over Q, both certified from
+    one prefix-first elimination per prime attempt."""
+    ncols = mat.shape[1]
     for p in islice(primes_below(DEFAULT_PRIME + 1), CERTIFY_PRIMES):
-        result = _certify_left_kernel(mat, p)
-        if result is not None:
-            return result
-    return rank_fraction(mat.tolist())
+        r, piv, order = sparse_echelon_mod_p(mat, p, split)
+        prefix = _certify_left_kernel(mat[:, :split], p, sum(
+            1 for c in piv if c < split), piv, order)
+        if prefix is None:
+            continue
+        full = (prefix if split == ncols
+                else _certify_left_kernel(mat, p, r, piv, order))
+        if full is not None:
+            return prefix, full
+    _, piv = rref_fraction(mat.tolist())
+    return sum(1 for c in piv if c < split), len(piv)
 
 
-def _certify_left_kernel(mat: np.ndarray, prime: int):
-    """Certified rank via exact left-kernel vectors, or None on failure."""
+def _certify_left_kernel(mat: np.ndarray, prime: int, r: int, piv, order):
+    """Certified rank of mat from an echelon mod prime that names r
+    independent rows order[:r] and pivot columns piv[:r], or None."""
     nrows, ncols = mat.shape
-    r, piv, order = echelon_mod_p(mat, prime)
     if r == nrows or r == ncols:
         return r  # full rank mod p pins the rank over Q
     if r == 0:
         return 0 if not mat.any() else None
     independent = order[:r]
+    piv = piv[:r]
     # the left-kernel vector with a 1 at a dependent row f solves
     # y @ mat[independent] = -mat[f]; on the pivot columns that is the
     # square system square @ y = -mat[f, piv]
@@ -658,10 +775,7 @@ def ranks_with_prefix(mat: np.ndarray, split: int,
     _, p = parse_field(field)
     if p:
         return ranks_with_prefix_mod_p(mat, split, p)
-    prefix = rank(mat[:, :split], field)
-    if split == mat.shape[1]:
-        return prefix, prefix
-    return prefix, rank_rational_certified(mat)
+    return _certified_ranks(np.asarray(mat, dtype=np.int64), split)
 
 
 def rref(rows, field: str):

@@ -162,16 +162,25 @@ def build_complex(pair: ReflexivePair, f: DegreeOneElement,
     exterior = [idx for e in range(rank + 1)
                 for idx in combinations(range(rank), e)]
     pieces: dict = {}
-    index_of: dict = {}
+    index_of: dict = {}  # (m, n) -> number of (exterior[q], m, n), per q
     for m, a in deg_k.items():
         for n in (points_d[y] for y in orthogonal[m]):
             b = deg_d[n]
+            ids = index_of[m, n] = []
             for idx in exterior:
                 basis = pieces.setdefault((len(idx) + a - b, a + b), [])
-                index_of[idx, m, n] = len(basis)
+                ids.append(len(basis))
                 basis.append((idx, m, n))
     space = PairedMonomialSpace(pair=pair, cap=cap, pieces=pieces)
 
+    # contraction by each point of f and wedge by each point of g, once per
+    # exterior index: q -> [(position of the result, signed coefficient)]
+    position = {idx: q for q, idx in enumerate(exterior)}
+    tables = {(move, vec): [[(position[new], c) for new, c in move(idx, vec)]
+                            for idx in exterior]
+              for move, elem in ((_exterior_contract, f),
+                                 (_exterior_wedge, g))
+              for vec, _ in elem.coefficients}
     # the projection keeps f(m') [m'] on [m, n] when m'.n = 0, and g(n') [n']
     # when m.n' = 0 and, on a deformed dual side, n and n' share a cell
     f_zero = arr_d @ _as_array((p for p, _ in f.coefficients), rank).T == 0
@@ -184,25 +193,24 @@ def build_complex(pair: ReflexivePair, f: DegreeOneElement,
         for y in orthogonal[m]:
             n = points_d[y]
             b = deg_d[n]
-            moves = []  # (vector, coefficient, exterior move, target m, n)
+            moves = []  # (move table, coefficient, numbers of the target)
             if a < cap:
-                moves += [(mp, c, _exterior_contract,
-                           tuple(u + v for u, v in zip(m, mp)), n)
+                moves += [(tables[_exterior_contract, mp], c,
+                           index_of[tuple(u + v for u, v in zip(m, mp)), n])
                           for (mp, c), z in zip(f.coefficients, f_zero[y])
                           if z]
             if b < cap:
-                moves += [(np_, c, _exterior_wedge, m,
-                           tuple(u + v for u, v in zip(n, np_)))
+                moves += [(tables[_exterior_wedge, np_], c,
+                           index_of[m, tuple(u + v for u, v in zip(n, np_))])
                           for (np_, c), z in zip(g.coefficients, g_row)
                           if z and (masks is None or masks[n] & masks[np_])]
-            for idx in exterior:
-                src = index_of[idx, m, n]
+            for q, (idx, src) in enumerate(zip(exterior, index_of[m, n])):
                 rows, cols, vals = coo[len(idx) + a - b, a + b]
-                for vec, c, move, m2, n2 in moves:
-                    for new, sign in move(idx, vec):
-                        rows.append(index_of[new, m2, n2])
+                for table, c, target in moves:
+                    for q2, w in table[q]:
+                        rows.append(target[q2])
                         cols.append(src)
-                        vals.append(sign * c)
+                        vals.append(w * c)
 
     blocks = {(s, t): Differential(
         shape=(len(pieces.get((s, t + 1), ())), len(pieces[s, t])),

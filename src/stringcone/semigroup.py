@@ -191,11 +191,7 @@ class _QuotientWorkspace:
         for k in range(1, self.cone.dim + 2):
             mat = self.multiplication_matrix(k)
             aug = self.augmented_with_interior(mat, k)
-            if aug is mat:
-                rank_m = rank_aug = la.rank(mat, field)
-            else:
-                rank_m, rank_aug = la.ranks_with_prefix(aug, mat.shape[1],
-                                                        field)
+            rank_m, rank_aug = la.ranks_with_prefix(aug, mat.shape[1], field)
             r0.append(len(self.points[k]) - rank_m)
             r1.append(rank_aug - rank_m)
         return r0, r1

@@ -81,13 +81,16 @@ def face_tilde_s(face: lat.Face) -> UnivariatePolynomial:
     """tilde-S of the face's cone, summed over the faces G <= F of the
     parent's lattice (so its G-polynomials are memoised once per cone)."""
     poset = _lattice_poset(face.cone)
-    total = UnivariatePolynomial.zero()
+    acc = [0] * (face.dim + 1)  # deg S(f) + deg G([f, face]) <= dim face
     for f in lat.face_lattice(face.cone).faces:
         if f.gen_indices <= face.gen_indices:
             g = po.g_polynomial(poset.interval(f.gen_indices, face.gen_indices))
+            s = s_polynomial(f.as_cone()).coeffs
             sign = (-1) ** (face.dim - f.dim)
-            total = total + sign * (s_polynomial(f.as_cone()) * g)
-    return total
+            for j, gj in enumerate(g.coeffs):
+                for i, sj in enumerate(s, j):
+                    acc[i] += sign * sj * gj
+    return UnivariatePolynomial(acc)
 
 
 def tilde_s_polynomial(cone: GradedCone) -> UnivariatePolynomial:

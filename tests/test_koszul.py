@@ -170,3 +170,45 @@ def test_rational_field_variant():
     g = sg.random_degree_one(pair.dual, 17, field="rational")
     report = kz.compare_with_decomposition(pair, f, g)
     assert report.matches
+
+
+def term_by_term_triplets(complex_, f, g, sub):
+    """(row, column, value) of every piece's differential, one exterior
+    contraction or wedge per (basis element, coefficient point)."""
+    space = complex_.space
+    index_of = {elem: i for basis in space.pieces.values()
+                for i, elem in enumerate(basis)}
+    points = sorted({n for *_, n in index_of} | {q for q, _ in g.coefficients})
+    masks = (None if sub is None
+             else dict(zip(points, lat.cell_masks(sub.max_cones, points))))
+    out = {}
+    for (s, t), basis in space.pieces.items():
+        triplets = out[s, t] = []
+        for src, (idx, m, n) in enumerate(basis):
+            a = (s + t - len(idx)) // 2
+            for mp, c in f.coefficients:
+                if a < space.cap and np.dot(mp, n) == 0:
+                    m2 = tuple(u + v for u, v in zip(m, mp))
+                    triplets += [(index_of[new, m2, n], src, w * c) for new, w
+                                 in kz._exterior_contract(idx, mp)]
+            for np_, c in g.coefficients:
+                if (t - a < space.cap and np.dot(m, np_) == 0
+                        and (masks is None or masks[n] & masks[np_])):
+                    n2 = tuple(u + v for u, v in zip(n, np_))
+                    triplets += [(index_of[new, m, n2], src, w * c) for new, w
+                                 in kz._exterior_wedge(idx, np_)]
+    return out
+
+
+@pytest.mark.parametrize("stellar", [False, True])
+@pytest.mark.parametrize("name", ["diamond", "square", "p2", "p2_dual"])
+def test_tabulated_moves_match_term_by_term_assembly(name, stellar):
+    pair = make_pair(name)
+    f, g = elements(pair, 3)
+    sub = lat.stellar_subdivision(pair.dual) if stellar else None
+    complex_ = kz.build_complex(pair, f, g, dual_subdivision=sub)
+    expected = term_by_term_triplets(complex_, f, g, sub)
+    assert complex_.blocks.keys() == expected.keys()
+    for st_, d in complex_.blocks.items():
+        got = zip(d.rows.tolist(), d.cols.tolist(), d.vals.tolist())
+        assert sorted(got) == sorted(expected[st_])

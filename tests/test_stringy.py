@@ -118,6 +118,23 @@ def test_face_tilde_s_matches_tilde_s_of_the_face_cone(name):
             assert st.face_tilde_s(face) == st.tilde_s_polynomial(face.as_cone())
 
 
+@pytest.mark.parametrize("name", fx.REFLEXIVE_NAMES)
+def test_face_tilde_s_matches_polynomial_face_sum(name):
+    p = pair(name)
+    for cone in (p.cone, p.dual):
+        fl = lat.face_lattice(cone)
+        poset = st._lattice_poset(cone)
+        for face in fl.faces:
+            total = U.zero()
+            for f in fl.faces:
+                if f.gen_indices <= face.gen_indices:
+                    g = po.g_polynomial(
+                        poset.interval(f.gen_indices, face.gen_indices))
+                    total = total + (-1) ** (face.dim - f.dim) * (
+                        st.s_polynomial(f.as_cone()) * g)
+            assert st.face_tilde_s(face) == total
+
+
 # -- box points -----------------------------------------------------------------------
 
 def test_box_point_examples():
