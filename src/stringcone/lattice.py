@@ -11,10 +11,13 @@ integers, and the extreme rays and lower hulls are read off the same
 incidences; cones of dimension lower than the ambient rank are handled
 through saturated span lattices.  A face's own
 facets are read off the facets of the cone it is a face of, both for its
-face cone and for the face lattice (incidence closure).  Every
-lattice-point question is one scan of the bounding box of a degree slice:
-each facet functional is broadcast over the per-axis coordinate ranges,
-so the scan holds a few bytes per box cell.
+face cone and for the face lattice (incidence closure).  The lattice
+points of a degree slice come from one scan of its bounding box: each
+facet functional is broadcast over the per-axis coordinate ranges, so
+the scan holds a few bytes per box cell.  S-polynomials do not scan
+(stringy.face_s counts box classes); the scan serves the semigroup ring,
+the Koszul complex and the tests.  Every int64 kernel first checks that
+its values cannot wrap.
 """
 
 from __future__ import annotations
@@ -300,13 +303,24 @@ def point_in_cone(cone: GradedCone, x, strict: bool = False) -> bool:
     return all(la.dot(f, x) >= 0 for f in cone.facets)
 
 
+def _check_int64(functionals, points, rank: int) -> None:
+    """Raise DimensionBudgetExceeded unless max|coefficient| * max|coordinate|
+    * rank < 2^62, so that no functional's value on a point wraps in int64."""
+    flat = itertools.chain.from_iterable
+    bound = max(map(abs, flat(functionals)), default=0) \
+        * max(map(abs, flat(points)), default=0) * rank
+    if bound >= 1 << 62:
+        raise DimensionBudgetExceeded(f"int64 values up to {bound} reach 2^62")
+
+
 def cell_masks(cells, points) -> list[int]:
     """Bit i of a point's mask is set iff cells[i] contains the point: one
-    int64 matrix product per cell (exact for lattice-scan coordinates, as
-    in _slice_scan), its facets and equations against all points at once.
-    Masks are Python ints, so any number of cells fits."""
+    int64 matrix product per cell, its facets and equations against all
+    points at once.  Masks are Python ints, so any number of cells fits."""
     if not len(points):
         return []
+    _check_int64([f for cell in cells for f in cell.facets + cell.equations],
+                 points, len(points[0]))
     pts = np.asarray(points, dtype=np.int64).reshape(len(points), -1)
     inside = np.empty((len(pts), len(cells)), dtype=bool)
     for i, cell in enumerate(cells):
@@ -347,6 +361,8 @@ def _slice_scan(cone: GradedCone, k: int, interior: bool, count_only: bool):
     size = math.prod(shape)
     if size > _BOX_BUDGET:
         raise DimensionBudgetExceeded(f"bounding box of size {size}")
+    _check_int64((cone.deg,) + cone.equations + cone.facets, (lo, hi),
+                 cone.ambient_rank)
     axes = np.ix_(*(np.arange(l, h + 1, dtype=np.int64)
                     for l, h in zip(lo, hi)))
 

@@ -2,7 +2,14 @@
 
 The S-polynomial of a graded cone is (1-t)^dim times the generating series
 of its lattice points graded by degree (the h*-polynomial of the degree-1
-slice).  The tilde-S polynomial corrects the alternating face sum of
+slice).  It is counted with no lattice-point scan (Stanley 1980): over
+the simplices of a pulling triangulation of the face, by the degrees of
+the classes of each simplex's box group.  The simplices are half-open, so
+they partition the face (Koeppe and Verdoolaege 2008, Thm 3).  Facet i is
+open when the i-th generator coordinate of the reference point, the sum
+of the face's generators perturbed lexicographically by them in index
+order, is negative; a class with i-th coordinate 0 then counts one degree
+higher.  The tilde-S polynomial corrects the alternating face sum of
 S-polynomials by G-polynomials of the upper face intervals and records the
 graded dimensions of the interior quotient modules.
 
@@ -52,13 +59,85 @@ def _times_one_minus_t_pow(counts, d: int) -> UnivariatePolynomial:
         for j in range(d + 1))
 
 
+def _box_classes(u, orders):
+    """(L, chunks): the classes a (0 <= a_i < orders[i]) of the box group
+    of D = U M V, as their generator coordinates frac(a D^-1 U) in int64
+    numerators over L = lcm(orders), in chunks of at most BOX_GROUP_BUDGET
+    rows (each entry below n * order * L before the reduction mod L)."""
+    size = math.prod(orders)
+    if size > lat._BOX_BUDGET:
+        raise DimensionBudgetExceeded(f"box group of order {size}")
+    big_l = math.lcm(*orders)
+    steps = np.array([[big_l // o * (x % o) for x in row]
+                      for o, row in zip(orders, u)], dtype=np.int64)
+
+    def chunk(start):
+        rest = np.arange(start, min(size, start + BOX_GROUP_BUDGET),
+                         dtype=np.int64)
+        nums = np.zeros((len(rest), len(orders)), dtype=np.int64)
+        for o, step in zip(orders, steps):
+            nums += (rest % o)[:, None] * step
+            rest //= o
+        return nums % big_l
+
+    return big_l, map(chunk, range(0, size, BOX_GROUP_BUDGET))
+
+
+def _half_open_degrees(gens, simplex, members) -> np.ndarray:
+    """Box classes of the simplex by degree, made half-open against the
+    reference point of the face on the generator indices `members` (see
+    the module docstring)."""
+    n = len(simplex)
+    u, d, v = la._diagonalize([gens[i] for i in simplex])
+    diag = [d[i][i] for i in range(n)]
+    big_l, chunks = _box_classes(u, [abs(x) for x in diag])
+    cols, scale = list(zip(*v))[:n], [big_l // x for x in diag]
+
+    def lam(x):  # L * (generator coordinates of x) = ((x V)_i L / d_i) U
+        y = [la.dot(x, c) * s for c, s in zip(cols, scale)]
+        return [la.dot(y, c) for c in zip(*u)]
+
+    sign = lam([sum(c) for c in zip(*(gens[k] for k in members))])
+    for k in members:  # the tie-break, only where a coordinate is still 0
+        if all(sign):
+            break
+        sign = [s or x for s, x in zip(sign, lam(gens[k]))]
+    is_open = np.array([s < 0 for s in sign], dtype=bool)
+    return sum(np.bincount(nums.sum(axis=1) // big_l
+                           + (nums[:, is_open] == 0).sum(axis=1),
+                           minlength=n + 1) for nums in chunks)
+
+
 @lru_cache(maxsize=None)
+def _pulling_triangulation(face: lat.Face) -> tuple:
+    """Simplices (sorted generator indices) triangulating the face with no
+    new rays: its smallest generator index coned over the triangulations
+    of the facets, read off the parent's face lattice, that miss it."""
+    if len(face.gen_indices) == face.dim:
+        return (tuple(sorted(face.gen_indices)),)
+    apex = min(face.gen_indices)
+    return tuple((apex,) + s for f in lat.face_lattice(face.cone).faces
+                 if f.dim == face.dim - 1 and f.gen_indices < face.gen_indices
+                 and apex not in f.gen_indices
+                 for s in _pulling_triangulation(f))
+
+
+@lru_cache(maxsize=None)
+def face_s(face: lat.Face) -> UnivariatePolynomial:
+    """S of a face from its generator indices in the parent cone: the box
+    classes of the half-open simplices of its pulling triangulation, each
+    over (1-t)^dim, counted by degree."""
+    members = sorted(face.gen_indices)
+    return UnivariatePolynomial(sum(
+        _half_open_degrees(face.cone.generators, simplex, members)
+        for simplex in _pulling_triangulation(face)).tolist())
+
+
 def s_polynomial(cone: GradedCone) -> UnivariatePolynomial:
-    """(1-t)^dim * sum_n t^deg(n), truncated at degree dim (exact: the full
-    series is a polynomial of degree <= dim)."""
-    d = cone.dim
-    counts = [lat.count_lattice_points_at_degree(cone, k) for k in range(d + 1)]
-    return _times_one_minus_t_pow(counts, d)
+    """(1-t)^dim * sum_n t^deg(n), a polynomial of degree <= dim: face_s
+    of the cone's top face."""
+    return face_s(lat.Face(cone=cone, dim=cone.dim,
+                           gen_indices=frozenset(range(len(cone.generators)))))
 
 
 @lru_cache(maxsize=None)
@@ -85,7 +164,7 @@ def face_tilde_s(face: lat.Face) -> UnivariatePolynomial:
     for f in lat.face_lattice(face.cone).faces:
         if f.gen_indices <= face.gen_indices:
             g = po.g_polynomial(poset.interval(f.gen_indices, face.gen_indices))
-            s = s_polynomial(f.as_cone()).coeffs
+            s = face_s(f).coeffs
             sign = (-1) ** (face.dim - f.dim)
             for j, gj in enumerate(g.coeffs):
                 for i, sj in enumerate(s, j):
@@ -108,7 +187,7 @@ def tilde_s_simplicial(cone: GradedCone) -> UnivariatePolynomial:
     fl = lat.face_lattice(cone)
     total = UnivariatePolynomial.zero()
     for f in fl.faces:
-        total = total + (-1) ** (cone.dim - f.dim) * s_polynomial(f.as_cone())
+        total = total + (-1) ** (cone.dim - f.dim) * face_s(f)
     return total
 
 
@@ -129,27 +208,19 @@ class BoxPointTable:
 
 def box_points(cone: GradedCone) -> BoxPointTable:
     """Enumerate sum(a_i g_i), all a_i in (0,1), by shift (the t^l count of
-    tilde-S), each shift's points in lexicographic order.  They are the
-    classes a V^-1 (0 <= a_i < |d_i|) of Z^n / Z^n M, M the generators in a
-    saturated span basis and D = U M V diagonal, with coordinates
-    frac(a D^-1 U), computed as integer numerators over L = lcm |d_i|
-    (each below n L^2 before the reduction mod L)."""
+    tilde-S), each shift's points in lexicographic order: the box classes
+    (see _box_classes) with no zero coordinate, num G / L exactly."""
     if not cone.is_simplicial():
         raise NotSimplicial("box points need a simplicial cone")
     gens = cone.generators
     if not gens:
         return BoxPointTable(cone=cone, by_shift={})
-    basis = la.saturation_basis(gens)
-    u, d, _ = la._diagonalize([la.coordinates_in_basis(basis, g) for g in gens])
+    u, d, _ = la._diagonalize(gens)
     orders = [abs(d[i][i]) for i in range(len(gens))]
     if math.prod(orders) > BOX_GROUP_BUDGET:
         raise DimensionBudgetExceeded(
             f"box group of order {math.prod(orders)} exceeds budget")
-    big_l = math.lcm(*orders)
-    steps = np.array([[big_l // o * (x % o) for x in row]
-                      for o, row in zip(orders, u)], dtype=np.int64)
-    classes = np.indices(orders, dtype=np.int64).reshape(len(orders), -1).T
-    nums = classes @ steps % big_l
+    big_l, (nums,) = _box_classes(u, orders)  # one chunk within the budget
     nums = nums[(nums != 0).all(axis=1)]  # the open box
     # exact points num G / L, in Python ints so that no coordinate wraps
     points = (nums.astype(object) @ np.array(gens, dtype=object)) // big_l
@@ -237,7 +308,7 @@ def e_st_oracle(pair: ReflexivePair) -> BivariateLaurentPolynomial:
     dual_lattice = lat.face_lattice(pair.dual)
     numerator = BivariateLaurentPolynomial.zero()
     for face, dual in _faces_with_duals(pair):
-        s1 = s_polynomial(face.as_cone()).to_bivariate(-1, 1)  # S(C1, v/u)
+        s1 = face_s(face).to_bivariate(-1, 1)  # S(C1, v/u)
         u_pow = _UV(face.dim, 0)
         # faces of K* inside the dual face
         sub_faces = [g for g in dual_lattice.faces
@@ -245,7 +316,7 @@ def e_st_oracle(pair: ReflexivePair) -> BivariateLaurentPolynomial:
         for c2 in sub_faces:
             interval = dual_poset.interval(c2.gen_indices, dual.gen_indices)
             b = po.b_polynomial(interval)
-            s2 = s_polynomial(c2.as_cone()).to_bivariate(1, 1)  # S(C2, uv)
+            s2 = face_s(c2).to_bivariate(1, 1)  # S(C2, uv)
             sign = (-1) ** (dim_k - c2.dim)
             numerator = numerator + sign * (u_pow * b * s1 * s2)
     return numerator.divide_by_monomial(1, 1).require_polynomial()

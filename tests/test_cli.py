@@ -185,6 +185,31 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "ParseError" in err
 
 
+# the Newton polytope of P(2,3,3,8,14)[30] in the kernel basis of its
+# weights, and in an LLL-reduced basis
+P233814_KERNEL = [(-2, -1, 1, 0), (-2, 1, 2, -1), (-2, 9, -1, -1),
+                  (-1, -1, -1, 1), (0, -1, 2, -1), (1, -1, 2, -1),
+                  (8, -1, -1, -1), (13, -1, -1, -1)]
+P233814_LLL = [(0, 1, 0, 0), (-1, 1, 0, 1), (-1, -2, -1, 5), (1, 0, 0, 0),
+               (-1, 1, 0, -1), (-1, 1, 1, 0), (-1, -2, -1, -5), (-1, -2, 4, 0)]
+
+
+@pytest.mark.parametrize("vertices", [P233814_KERNEL, P233814_LLL],
+                         ids=["kernel", "lll"])
+def test_hodge_of_p233814_in_both_bases(vertices, tmp_path, capsys):
+    # in the kernel basis a 3-face cone of the dual polytope has facet
+    # functionals of about 3*10^52; no S-polynomial needs that face cone
+    path = tmp_path / "p233814.json"
+    path.write_text(json.dumps({"rank": 4, "vertices": vertices}))
+    code, out = run_cli(["hodge", "--hypersurface", str(path)], capsys)
+    assert code == 0
+    table = {(e["p"], e["q"]): e["h"] for e in json.loads(out)["entries"]}
+    assert table == {(0, 0): 1, (3, 3): 1, (3, 0): 1, (0, 3): 1,
+                     (1, 1): 21, (2, 2): 21, (2, 1): 57, (1, 2): 57}
+    pair = lat.reflexive_pair(ser.load_polytope(str(path)))
+    assert st.e_st_oracle(pair) == st.e_st_hypersurface(pair)
+
+
 def test_byte_identical_reruns(fixture_dir, capsys):
     args = ["e-st", "--hypersurface", str(fixture_dir / "quartic.json")]
     _, out1 = run_cli(args, capsys)

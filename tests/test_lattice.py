@@ -664,6 +664,22 @@ def test_validating_102_generic_quintic_cells_is_fast():
     assert elapsed < 5.0
 
 
+def test_int64_kernels_refuse_values_that_could_wrap():
+    # the Newton polytope of P(2,3,3,8,14)[30] in the kernel basis of its
+    # weights: one 3-face cone of its dual has facet functionals of ~3*10^52
+    pair = lat.reflexive_pair(lat.lattice_polytope([
+        (-2, -1, 1, 0), (-2, 1, 2, -1), (-2, 9, -1, -1), (-1, -1, -1, 1),
+        (0, -1, 2, -1), (1, -1, 2, -1), (8, -1, -1, -1), (13, -1, -1, -1)]))
+    cones = [f.as_cone() for f in lat.face_lattice(pair.dual).faces]
+    cone = max(cones, key=lambda c: max(map(abs, itertools.chain(*c.facets)),
+                                        default=0))
+    assert cone.dim == 3 and max(map(abs, itertools.chain(*cone.facets))) > 10**52
+    with pytest.raises(DimensionBudgetExceeded):
+        lat.count_lattice_points_at_degree(cone, 1)
+    with pytest.raises(DimensionBudgetExceeded):
+        lat.cell_masks((cone,), cone.generators)
+
+
 def _diamond_cells(*triangles):
     cone = lat.gorenstein_cone_over(poly("diamond"))
     cells = [lat.cone_from_generators([v + (1,) for v in t], deg=cone.deg)

@@ -1,10 +1,14 @@
 """S/tilde-S polynomials, stringy E-functions, Hodge tables, box points."""
 
+import importlib.util
 import itertools
+import random
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -68,6 +72,128 @@ def test_s_reciprocity_on_faces():
         c = face.as_cone()
         assert st.s_polynomial(c).coeff_list(c.dim)[::-1] == \
             st.s_polynomial_interior(c).coeff_list(c.dim)
+
+
+def scan_s(cone):
+    """The slow reference: (1-t)^dim times the scanned point counts."""
+    d = cone.dim
+    return st._times_one_minus_t_pow(
+        [lat.count_lattice_points_at_degree(cone, k) for k in range(d + 1)], d)
+
+
+def cold_caches():
+    for mod in (la, lat, po, st):
+        for value in vars(mod).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+def perfbench_workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def sheared_hodge_polytopes():
+    """The hodge benchmark's polytopes, sheared as its seed-3 batch."""
+    wl = perfbench_workloads()
+    transform = wl.unimodular_transform(random.Random("hodge:3"), 4)
+    return ([transform(wl.newton_simplex(w))
+             for w, _ in wl.WEIGHTED_SIMPLICES.values()]
+            + [transform(wl.polygon_product(a, b))
+               for (a, b), _ in wl.PRODUCTS.values()])
+
+
+@pytest.mark.parametrize("name", fx.REFLEXIVE_NAMES)
+def test_face_s_matches_scan_on_every_fixture_face(name):
+    # in the cones over the square and the 3-cube the unperturbed reference
+    # point lies on an interior wall of the pulling triangulation, so a
+    # missing tie-break counts the points on that wall twice or not at all
+    for top in (pair(name).cone, pair(name).dual):
+        for face in lat.face_lattice(top).faces:
+            assert st.face_s(face) == scan_s(face.as_cone()), face
+
+
+def test_face_s_matches_scan_on_the_sheared_hodge_batch():
+    for vertices in sheared_hodge_polytopes():
+        p = lat.reflexive_pair(lat.lattice_polytope(vertices))
+        for top in (p.cone, p.dual):
+            for face in lat.face_lattice(top).faces:
+                assert st.face_s(face) == scan_s(face.as_cone()), face
+
+
+@pytest.mark.parametrize("name", fx.SMALL_REFLEXIVE_NAMES)
+def test_s_matches_scan_on_stellar_cells(name):
+    for cell in lat.stellar_subdivision(k_cone(name)).max_cones:
+        assert st.s_polynomial(cell) == scan_s(cell), cell
+
+
+def test_s_counts_box_groups_in_chunks():
+    # the segment (1, 0)..(1, N) has h* = 1 + (N-1) t and box group Z/N
+    n = st.BOX_GROUP_BUDGET + 5
+    assert st.s_polynomial(lat.cone_from_generators([(1, 0), (1, n)])) \
+        == U((1, n - 1))
+
+
+def test_s_over_class_budget_raises_before_allocating():
+    cone = lat.cone_from_generators([(1, 0), (1, lat._BOX_BUDGET + 1)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionBudgetExceeded):
+            st.s_polynomial(cone)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def newton_simplex(weights):
+    """Newton simplex of the degree-sum(w) hypersurface in P(w), in the
+    lattice basis e_i - w_i e_0 of {x : w.x = 0}, shifted by (1,...,1)."""
+    d = sum(weights)
+    return [tuple(d // w * (i == j) - 1 for j in range(1, len(weights)))
+            for i, w in enumerate(weights)]
+
+
+def cy3_table(h11, h21):
+    return {(0, 0): 1, (3, 3): 1, (3, 0): 1, (0, 3): 1,
+            (1, 1): h11, (2, 2): h11, (2, 1): h21, (1, 2): h21}
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+@pytest.mark.parametrize("weights, h11, h21", [
+    ((1, 1, 12, 28, 42), 11, 491),
+    ((1, 1, 1, 6, 9), 2, 272),
+    ((1, 1, 2, 8, 12), 3, 243),
+])
+def test_weight_system_goldens(weights, h11, h21, mirror):
+    # the top cones' degree slices have bounding boxes beyond the scan's
+    # budget (22,895,136 cells for P(1,1,12,28,42)); their box groups do not
+    cold_caches()
+    start = time.process_time()
+    p = lat.lattice_polytope(newton_simplex(weights))
+    if mirror:
+        p = lat.lattice_polytope([tuple(map(int, v))
+                                  for v in lat.dual_polytope(p).vertices])
+        h11, h21 = h21, h11
+    table = st.stringy_hodge_table(
+        st.e_st_hypersurface(lat.reflexive_pair(p)), 3)
+    elapsed = time.process_time() - start
+    assert table.as_dict() == cy3_table(h11, h21)
+    assert elapsed < 2.0
+
+
+def test_hodge_batch_is_fast():
+    ops = perfbench_workloads().make_batch("hodge", 3)
+    cold_caches()
+    start = time.process_time()
+    results = [op.run() for op in ops]
+    elapsed = time.process_time() - start
+    assert results == [op.expected for op in ops]
+    assert elapsed < 0.6
 
 
 # -- tilde-S ------------------------------------------------------------------------
