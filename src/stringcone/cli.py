@@ -8,9 +8,9 @@ deterministic JSON (or plain text with --format text).  Exit codes:
 from __future__ import annotations
 
 import argparse
+import json
+import pathlib
 import sys
-from dataclasses import dataclass
-from dataclasses import field as _dc_field
 
 from . import fixtures as fx
 from . import intlinalg as la
@@ -24,139 +24,119 @@ from . import verify as vf
 from .errors import ParseError, StringConeError
 
 
-@dataclass
-class JobSpec:
-    """Everything needed to reproduce one CLI invocation."""
-
-    command: str
-    inputs: tuple = ()
-    seed: int = 0
-    field: str = sg.DEFAULT_FIELD
-    fmt: str = "json"
-    options: dict = _dc_field(default_factory=dict)
-
-
 def _load_pair(path: str) -> lat.ReflexivePair:
     return lat.reflexive_pair(ser.load_polytope(path))
 
 
-def _cmd_dual(spec: JobSpec):
-    p = ser.load_polytope(spec.inputs[0])
+def _cmd_dual(args):
+    p = ser.load_polytope(args.polytope)
     dual = lat.dual_polytope(p)
-    if spec.fmt == "text":
+    if args.fmt == "text":
         return "\n".join(" ".join(str(x) for x in v) for v in dual.vertices)
     return ser.dump_rational_polytope(dual)
 
 
-def _cmd_check_reflexive(spec: JobSpec):
-    p = ser.load_polytope(spec.inputs[0])
+def _cmd_check_reflexive(args):
+    p = ser.load_polytope(args.polytope)
     verdict = lat.is_reflexive(p)
-    if spec.fmt == "text":
+    if args.fmt == "text":
         return "true" if verdict else "false"
-    import json
     return json.dumps({"reflexive": verdict})
 
 
-def _cmd_faces(spec: JobSpec):
-    cone = lat.gorenstein_cone_over(ser.load_polytope(spec.inputs[0]))
+def _cmd_faces(args):
+    cone = lat.gorenstein_cone_over(ser.load_polytope(args.polytope))
     fl = lat.face_lattice(cone)
-    import json
     faces = [{"dim": f.dim,
               "generators": [list(g) for g in f.generator_vectors()]}
              for f in fl.faces]
-    if spec.fmt == "text":
+    if args.fmt == "text":
         lines = [f"{len(fl.faces)} faces of a dim-{cone.dim} cone"]
         lines += [f"  dim {f['dim']}: {f['generators']}" for f in faces]
         return "\n".join(lines)
     return json.dumps({"cone_dim": cone.dim, "faces": faces}, sort_keys=True)
 
 
-def _cmd_s_poly(spec: JobSpec):
-    cone = lat.gorenstein_cone_over(ser.load_polytope(spec.inputs[0]))
+def _cmd_s_poly(args):
+    cone = lat.gorenstein_cone_over(ser.load_polytope(args.polytope))
     return ser.dump_univariate(st.s_polynomial(cone))
 
 
-def _cmd_tilde_s(spec: JobSpec):
-    cone = lat.gorenstein_cone_over(ser.load_polytope(spec.inputs[0]))
+def _cmd_tilde_s(args):
+    cone = lat.gorenstein_cone_over(ser.load_polytope(args.polytope))
     return ser.dump_univariate(st.tilde_s_polynomial(cone))
 
 
-def _cmd_g_poly(spec: JobSpec):
-    cone = lat.gorenstein_cone_over(ser.load_polytope(spec.inputs[0]))
-    poset = st._lattice_poset(cone)
-    return ser.dump_univariate(po.g_polynomial(poset))
+def _cmd_g_poly(args):
+    cone = lat.gorenstein_cone_over(ser.load_polytope(args.polytope))
+    return ser.dump_univariate(po.g_polynomial(lat.face_lattice(cone).poset))
 
 
-def _cmd_b_poly(spec: JobSpec):
-    cone = lat.gorenstein_cone_over(ser.load_polytope(spec.inputs[0]))
-    poset = st._lattice_poset(cone)
-    return ser.dump_bivariate(po.b_polynomial(poset))
+def _cmd_b_poly(args):
+    cone = lat.gorenstein_cone_over(ser.load_polytope(args.polytope))
+    return ser.dump_bivariate(po.b_polynomial(lat.face_lattice(cone).poset))
 
 
-def _e_st_from_spec(spec: JobSpec):
-    if spec.options.get("toric"):
-        fan = ser.load_fan(spec.inputs[0])
+def _e_st_from_args(args):
+    if args.toric:
+        fan = ser.load_fan(args.toric)
         return st.e_st_toric(fan), fan.rank
-    pair = _load_pair(spec.inputs[0])
+    pair = _load_pair(args.hypersurface)
     return st.e_st_hypersurface(pair), pair.cone.dim - 2
 
 
-def _cmd_e_st(spec: JobSpec):
-    e_poly, _ = _e_st_from_spec(spec)
+def _cmd_e_st(args):
+    e_poly, _ = _e_st_from_args(args)
     return ser.dump_bivariate(e_poly)
 
 
-def _cmd_hodge(spec: JobSpec):
-    e_poly, dim = _e_st_from_spec(spec)
+def _cmd_hodge(args):
+    e_poly, dim = _e_st_from_args(args)
     table = st.stringy_hodge_table(e_poly, dim)
     return ser.dump_hodge_table(table)
 
 
-def _cmd_box(spec: JobSpec):
-    cone = lat.gorenstein_cone_over(ser.load_polytope(spec.inputs[0]))
+def _cmd_box(args):
+    cone = lat.gorenstein_cone_over(ser.load_polytope(args.polytope))
     table = st.box_points(cone)
-    import json
     return json.dumps(
         {"shifts": {str(l): [list(p) for p in pts]
                     for l, pts in sorted(table.by_shift.items())}},
         sort_keys=True)
 
 
-def _cmd_ring_dims(spec: JobSpec):
-    cone = lat.gorenstein_cone_over(ser.load_polytope(spec.inputs[0]))
+def _cmd_ring_dims(args):
+    cone = lat.gorenstein_cone_over(ser.load_polytope(args.polytope))
     sub = None
-    if spec.options.get("heights"):
-        heights = ser.load_heights(spec.options["heights"])
-        sub = lat.regular_subdivision(cone, heights)
-    g = sg.random_degree_one(cone, spec.seed, field=spec.field)
-    report = sg.graded_quotient_dims(g, sub, seed=spec.seed)
+    if args.subdivide:
+        sub = lat.regular_subdivision(cone, ser.load_heights(args.subdivide))
+    g = sg.random_degree_one(cone, args.seed, field=args.field)
+    report = sg.graded_quotient_dims(g, sub, seed=args.seed)
     return ser.dump_quotient_report(report)
 
 
-def _cmd_koszul(spec: JobSpec):
-    pair = _load_pair(spec.inputs[0])
+def _cmd_koszul(args):
+    pair = _load_pair(args.polytope)
     sub = None
-    if spec.options.get("heights"):
-        heights = ser.load_heights(spec.options["heights"])
-        sub = lat.regular_subdivision(pair.dual, heights)
-    f = sg.random_degree_one(pair.cone, spec.seed, field=spec.field)
-    g = sg.random_degree_one(pair.dual, spec.seed + 17, field=spec.field)
-    cap = spec.options.get("cap")
-    report = kz.compare_with_decomposition(pair, f, g, cap=cap,
+    if args.subdivide:
+        sub = lat.regular_subdivision(pair.dual,
+                                      ser.load_heights(args.subdivide))
+    f = sg.random_degree_one(pair.cone, args.seed, field=args.field)
+    g = sg.random_degree_one(pair.dual, args.seed + 17, field=args.field)
+    report = kz.compare_with_decomposition(pair, f, g, cap=args.cap,
                                            dual_subdivision=sub)
     return ser.dump_koszul_report(report)
 
 
-def _cmd_subdivide(spec: JobSpec):
-    cone = lat.gorenstein_cone_over(ser.load_polytope(spec.inputs[0]))
-    heights = ser.load_heights(spec.options["heights"])
-    sub = lat.regular_subdivision(cone, heights,
-                                  force_generic=spec.options.get("generic", False))
+def _cmd_subdivide(args):
+    cone = lat.gorenstein_cone_over(ser.load_polytope(args.polytope))
+    sub = lat.regular_subdivision(cone, ser.load_heights(args.heights),
+                                  force_generic=args.generic)
     return ser.dump_subdivision(sub)
 
 
-def run(spec: JobSpec):
-    """Execute a job; returns (exit_code, output_text)."""
+def run(args):
+    """Execute a parsed command line; returns (exit_code, output_text)."""
     handlers = {
         "dual": _cmd_dual,
         "check-reflexive": _cmd_check_reflexive,
@@ -171,20 +151,18 @@ def run(spec: JobSpec):
         "ring-dims": _cmd_ring_dims,
         "koszul": _cmd_koszul,
         "subdivide": _cmd_subdivide,
+        "fixtures": _cmd_fixtures,
     }
-    la.parse_field(spec.field)  # a bad --field fails every command alike
-    if spec.command == "verify":
-        lines, ok = vf.run_criteria(spec.options.get("criteria"))
+    la.parse_field(args.field)  # a bad --field fails every command alike
+    if args.command == "verify":
+        lines, ok = vf.run_criteria(args.criteria)
         return (0 if ok else 1), "\n".join(lines)
-    if spec.command == "fixtures":
-        return 0, _cmd_fixtures(spec)
-    return 0, handlers[spec.command](spec)
+    return 0, handlers[args.command](args)
 
 
-def _cmd_fixtures(spec: JobSpec):
+def _cmd_fixtures(args):
     """Write the bundled fixture files into a directory."""
-    import pathlib
-    target = pathlib.Path(spec.options.get("dump", "fixtures"))
+    target = pathlib.Path(args.dump or "fixtures")
     target.mkdir(parents=True, exist_ok=True)
     written = []
     for name in fx.polytope_names():
@@ -258,39 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def spec_from_args(args) -> JobSpec:
-    options = {}
-    inputs = []
-    if getattr(args, "polytope", None):
-        inputs.append(args.polytope)
-    if getattr(args, "hypersurface", None):
-        inputs.append(args.hypersurface)
-    if getattr(args, "toric", None):
-        inputs.append(args.toric)
-        options["toric"] = True
-    if getattr(args, "subdivide", None):
-        options["heights"] = args.subdivide
-    if getattr(args, "heights", None):
-        options["heights"] = args.heights
-    if getattr(args, "generic", False):
-        options["generic"] = True
-    if getattr(args, "cap", None) is not None:
-        options["cap"] = args.cap
-    if getattr(args, "criteria", None):
-        options["criteria"] = args.criteria
-    if getattr(args, "dump", None):
-        options["dump"] = args.dump
-    return JobSpec(command=args.command, inputs=tuple(inputs),
-                   seed=args.seed, field=args.field, fmt=args.fmt,
-                   options=options)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    spec = spec_from_args(args)
     try:
-        code, output = run(spec)
+        code, output = run(args)
     except ParseError as exc:
         print(f"ParseError: {exc}", file=sys.stderr)
         return 2

@@ -7,14 +7,15 @@ the vertices of P and its primitive facet normals (a, c) are the facets
 a·x + c >= 0 of P, so the vertex reduction, the reflexivity test and the
 vertices of a reflexive polytope's dual are all read off the facets of
 that cone.  Facets come from the double description method in exact
-integers, and the extreme rays and lower hulls are read off the same
-incidences; cones of dimension lower than the ambient rank are handled
-through saturated span lattices.  A face's own
-facets are read off the facets of the cone it is a face of, both for its
-face cone and for the face lattice (incidence closure).  The lattice
-points of a degree slice come from one scan of its bounding box: each
-facet functional is broadcast over the per-axis coordinate ranges, so
-the scan holds a few bytes per box cell.  S-polynomials do not scan
+integers, and each cone keeps the incidences it found as bitmasks (the
+generators on which each facet vanishes); cones of dimension lower than
+the ambient rank are handled through saturated span lattices.  Extreme
+rays, lower hulls, face lattices (incidence closure), face cones, dual
+faces and subdivision checks all read those bitmasks, and each face
+lattice carries its one Eulerian poset.  The lattice points of a degree
+slice come from one scan of its bounding box: each facet functional is
+broadcast over the per-axis coordinate ranges, so the scan holds a few
+bytes per box cell.  S-polynomials do not scan
 (stringy.face_s counts box classes); the scan serves the semigroup ring,
 the Koszul complex and the tests.  Every int64 kernel first checks that
 its values cannot wrap.
@@ -26,11 +27,12 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import intlinalg as la
+from . import posets as po
 from .errors import (
     DimensionBudgetExceeded,
     InvalidSubdivision,
@@ -102,8 +104,9 @@ def lattice_polytope(vertices) -> LatticePolytope:
 def dual_polytope(p: LatticePolytope | RationalPolytope) -> RationalPolytope:
     """Polar dual {n : <m, n> >= -1 for all m in p}, exact: each facet
     a·x + c >= 0 of p gives the vertex a / c."""
-    facets = p.cone.facets if isinstance(p, LatticePolytope) else \
-        _cone_facets_fulldim(_homogenized_generators(p.vertices), p.rank + 1)
+    facets = p.cone.facets if isinstance(p, LatticePolytope) else [
+        h for h, _ in _cone_facets_fulldim(_homogenized_generators(p.vertices),
+                                           p.rank + 1)]
     if any(f[-1] <= 0 for f in facets):
         raise OriginNotInterior("origin is not in the interior")
     verts = [tuple(Fraction(a_i, f[-1]) for a_i in f[:-1]) for f in facets]
@@ -140,7 +143,9 @@ class GradedCone:
     integral grading functional equal to 1 on every generator.
 
     Identity is structural on (ambient_rank, generators, deg); the facet
-    and equation lists are canonical but derived data.
+    and equation lists are canonical but derived data, and so is the
+    incidence: incidence[j] is the bitmask of the generators on which
+    facets[j] vanishes.
     """
 
     ambient_rank: int
@@ -149,6 +154,7 @@ class GradedCone:
     facets: tuple[Vector, ...] = field(compare=False)
     equations: tuple[Vector, ...] = field(compare=False)
     dim: int = field(compare=False)
+    incidence: tuple[int, ...] = field(compare=False)
 
     def is_simplicial(self) -> bool:
         return len(self.generators) == self.dim
@@ -159,12 +165,14 @@ class GradedCone:
 
 
 def _cone_facets_fulldim(gens, rank):
-    """Sorted primitive facet normals of the full-dimensional cone over
-    gens: the extreme rays h of {h : h·g >= 0 for all g}, by the double
+    """Sorted primitive facet normals h of the full-dimensional cone over
+    gens, each paired with Z(h), the bitmask of the gens on which it
+    vanishes: the extreme rays h of {h : h·g >= 0 for all g}, by the double
     description method in exact integers (Motzkin et al. 1953; Fukuda and
-    Prodon 1996).  Each h keeps Z(h), the bitmask of processed generators
-    it vanishes on.  The rank generators independent of those before them
-    cut R^rank down to their simplicial cone, one Gauss-Jordan step each;
+    Prodon 1996).  Each h keeps Z(h) over the processed generators, exact
+    because a positive combination of two normals vanishes on a processed
+    generator iff both do.  The rank generators independent of those before
+    them cut R^rank down to their simplicial cone, one Gauss-Jordan step each;
     every other g keeps the h with h·g >= 0 and joins each adjacent pair
     h+·g > 0 > h-·g by _eliminate.  Two normals are adjacent iff they
     share at least rank-2 zeros and no third normal vanishes on all of them.
@@ -201,7 +209,7 @@ def _cone_facets_fulldim(gens, rank):
         if len(normals) > _SUBSET_BUDGET:
             raise DimensionBudgetExceeded(
                 f"more than {_SUBSET_BUDGET} facet normals")
-    return sorted(h for h, _ in normals)
+    return sorted(normals)
 
 
 def _eliminate(v, w, g):
@@ -233,16 +241,14 @@ def cone_from_generators(generators, ambient_rank: int | None = None,
         raise DimensionBudgetExceeded(
             f"ambient rank {ambient_rank} exceeds budget {AMBIENT_RANK_BUDGET}")
     if not gens:
-        zero = tuple([0] * ambient_rank)
-        eye = tuple(tuple(int(i == j) for j in range(ambient_rank))
-                    for i in range(ambient_rank))
-        return GradedCone(ambient_rank=ambient_rank, generators=(),
-                          deg=zero if deg is None else tuple(deg),
-                          facets=(), equations=eye, dim=0)
+        eye = [tuple(int(i == j) for j in range(ambient_rank))
+               for i in range(ambient_rank)]
+        return _graded_cone(ambient_rank, (), (0,) * ambient_rank
+                            if deg is None else deg, (), eye, 0)
 
     span_basis = la.saturation_basis(gens)
     dim = len(span_basis)
-    equations = tuple(sorted(la.integer_kernel([list(g) for g in gens])))
+    equations = sorted(la.integer_kernel([list(g) for g in gens]))
 
     if dim == ambient_rank:
         facets = _cone_facets_fulldim(gens, ambient_rank)
@@ -251,29 +257,47 @@ def cone_from_generators(generators, ambient_rank: int | None = None,
         coords = la.solve_integer_all(columns, gens)
         if None in coords:
             raise ArithmeticError("generator outside saturated span")
-        local = _cone_facets_fulldim(sorted(set(coords)), dim)
-        facets = sorted(_lift_functionals(span_basis, local))
+        local = _cone_facets_fulldim(coords, dim)
+        facets = list(zip(_lift_functionals(span_basis, [h for h, _ in local]),
+                          (z for _, z in local)))
 
     # tight facets per generator as bitmasks: the least face is spanned by
     # the generators in it, so the cone is pointed iff none is tight on all
     # facets, and g is extreme iff no other g' is tight wherever g is
-    tight = [sum(1 << j for j, f in enumerate(facets) if la.dot(f, g) == 0)
-             for g in gens]
+    tight = _transpose([z for _, z in facets], len(gens))
     if (1 << len(facets)) - 1 in tight:
         raise ValueError("cone is not pointed")
-    gens = [g for g, t in zip(gens, tight)
+    keep = [i for i, t in enumerate(tight)
             if sum(u & t == t for u in tight) == 1]
+    gens = [gens[i] for i in keep]
 
     if deg is None:
         deg = deg_functional(gens, ambient_rank)
-    else:
-        deg = tuple(int(x) for x in deg)
-        if any(la.dot(deg, g) != 1 for g in gens):
-            raise NotGorenstein("given grading is not 1 on all generators")
+    elif any(la.dot(deg, g) != 1 for g in gens):
+        raise NotGorenstein("given grading is not 1 on all generators")
 
+    zeros = _transpose([tight[i] for i in keep], len(facets))
+    return _graded_cone(ambient_rank, gens, deg,
+                        [(h, z) for (h, _), z in zip(facets, zeros)],
+                        equations, dim)
+
+
+def _graded_cone(ambient_rank, gens, deg, facets, equations, dim):
+    """The GradedCone with the given (facet, zero-set bitmask) pairs,
+    sorted by facet."""
+    pairs = sorted(facets)
     return GradedCone(ambient_rank=ambient_rank, generators=tuple(gens),
-                      deg=deg, facets=tuple(facets), equations=equations,
-                      dim=dim)
+                      deg=tuple(int(x) for x in deg),
+                      facets=tuple(h for h, _ in pairs),
+                      equations=tuple(equations), dim=dim,
+                      incidence=tuple(z for _, z in pairs))
+
+
+def _transpose(masks, n: int) -> list[int]:
+    """The incidence read the other way round: bit i of the j-th result
+    is bit j of masks[i], for j < n."""
+    return [sum(1 << i for i, m in enumerate(masks) if m >> j & 1)
+            for j in range(n)]
 
 
 def deg_functional(generators, ambient_rank: int | None = None) -> Vector:
@@ -331,13 +355,6 @@ def cell_masks(cells, points) -> list[int]:
                         & (vals[:, nf:] == 0).all(axis=1))
     return [int.from_bytes(row.tobytes(), "little")
             for row in np.packbits(inside, axis=1, bitorder="little")]
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 # ---------------------------------------------------------------------------
@@ -416,51 +433,69 @@ class Face:
         return _face_as_cone(self.cone, tuple(sorted(self.gen_indices)))
 
 
-def _facets_of_face(cone: GradedCone, members: frozenset) -> dict:
-    """Facets of the face F on the generator indices `members`, each mapped
-    to a facet h of the cone cutting it out: the maximal proper sets
-    F ∩ Z(h), Z(h) the generators on which h vanishes."""
-    cuts: dict[frozenset, Vector] = {}
-    for h in cone.facets:
-        cut = frozenset(i for i in members
-                        if la.dot(h, cone.generators[i]) == 0)
-        if cut != members:
-            cuts.setdefault(cut, h)
-    return {cut: h for cut, h in cuts.items()
-            if not any(cut < other for other in cuts)}
+def _facets_of_face(cone: GradedCone, members: int) -> dict[int, int]:
+    """Facets of the face F on the generator bitmask `members`, each mapped
+    to the index j of a facet of the cone cutting it out: the maximal
+    proper sets F & incidence[j]."""
+    cuts: dict[int, int] = {}
+    for j, zero in enumerate(cone.incidence):
+        if members & zero != members:
+            cuts.setdefault(members & zero, j)
+    return {cut: j for cut, j in cuts.items()
+            if not any(cut != other and cut & other == cut for other in cuts)}
 
 
 @lru_cache(maxsize=None)
 def _face_as_cone(parent: GradedCone, indices: tuple[int, ...]) -> GradedCone:
     """The face as a cone with the parent's generators and grading; each
-    facet is a parent facet, made primitive on the saturated span, lifted."""
+    facet is a parent facet, made primitive on the saturated span, lifted,
+    and vanishes on the face's generators where the parent facet does."""
     gens = [parent.generators[i] for i in indices]
     if not gens:
         return cone_from_generators((), parent.ambient_rank, deg=parent.deg)
     basis = la.saturation_basis(gens)
-    facets = sorted(_lift_functionals(basis, [
-        la.primitive_vector([la.dot(h, b) for b in basis])
-        for h in _facets_of_face(parent, frozenset(indices)).values()]))
-    return GradedCone(ambient_rank=parent.ambient_rank, generators=tuple(gens),
-                      deg=parent.deg, facets=tuple(facets),
-                      equations=tuple(sorted(la.integer_kernel(gens))),
-                      dim=len(basis))
+    cuts = _facets_of_face(parent, sum(1 << i for i in indices))
+    lifts = _lift_functionals(basis, [
+        la.primitive_vector([la.dot(parent.facets[j], b) for b in basis])
+        for j in cuts.values()])
+    zeros = [sum(1 << k for k, i in enumerate(indices) if cut >> i & 1)
+             for cut in cuts]
+    return _graded_cone(parent.ambient_rank, gens, parent.deg,
+                        zip(lifts, zeros), sorted(la.integer_kernel(gens)),
+                        len(basis))
 
 
 @dataclass(frozen=True)
 class FaceLattice:
-    """All faces of a cone with the containment order as cover relations."""
+    """All faces of a cone with the containment order as cover relations.
+    Equality is on these three fields; the index of the faces by generator
+    set and the lattice's EulerianPoset are derived on first use."""
 
     cone: GradedCone
     faces: tuple[Face, ...]            # sorted by (dim, generator indices)
     covers: tuple[tuple[int, int], ...]  # (lower index, upper index)
 
+    @cached_property
+    def _positions(self) -> dict[frozenset, int]:
+        return {f.gen_indices: i for i, f in enumerate(self.faces)}
+
+    @cached_property
+    def poset(self) -> po.EulerianPoset:
+        """The lattice as an EulerianPoset on generator-index sets, whose
+        root numbers the faces in lattice order."""
+        return po.poset_of_face_lattice(self)
+
     def face_of_gens(self, gen_indices) -> Face:
         key = frozenset(gen_indices)
-        for f in self.faces:
-            if f.gen_indices == key:
-                return f
-        raise KeyError(f"no face with generators {sorted(key)}")
+        if key not in self._positions:
+            raise KeyError(f"no face with generators {sorted(key)}")
+        return self.faces[self._positions[key]]
+
+    def down_set(self, face: Face) -> list[Face]:
+        """The faces G <= face in lattice order: the poset's interval from
+        the origin face up to face."""
+        below = self.poset.interval(self.faces[0].gen_indices, face.gen_indices)
+        return [self.faces[self._positions[g]] for g in below.elements]
 
     def maximum(self) -> Face:
         return self.faces[-1]
@@ -469,9 +504,9 @@ class FaceLattice:
 @lru_cache(maxsize=None)
 def face_lattice(cone: GradedCone) -> FaceLattice:
     """All faces by incidence closure (Kaibel and Pfetsch): from the top
-    face down, each face's facets by _facets_of_face, one cover and one
-    dimension less per step."""
-    order = [frozenset(range(len(cone.generators)))]
+    face down, each face's facets by _facets_of_face on generator bitmasks,
+    one cover and one dimension less per step."""
+    order = [(1 << len(cone.generators)) - 1]
     dims = {order[0]: cone.dim}
     pairs = []
     for up in order:  # grows while it is read: breadth first
@@ -482,12 +517,12 @@ def face_lattice(cone: GradedCone) -> FaceLattice:
                 order.append(low)
         if len(order) > _SUBSET_BUDGET:
             raise DimensionBudgetExceeded(f"more than {_SUBSET_BUDGET} faces")
-    faces = sorted((Face(cone=cone, gen_indices=m, dim=d)
-                    for m, d in dims.items()),
-                   key=lambda f: (f.dim, sorted(f.gen_indices)))
-    index = {f.gen_indices: i for i, f in enumerate(faces)}
+    masks = sorted(dims, key=lambda m: (dims[m], list(po._bits(m))))
+    index = {m: i for i, m in enumerate(masks)}
+    faces = tuple(Face(cone=cone, gen_indices=frozenset(po._bits(m)),
+                       dim=dims[m]) for m in masks)
     covers = sorted((index[low], index[up]) for low, up in pairs)
-    return FaceLattice(cone=cone, faces=tuple(faces), covers=tuple(covers))
+    return FaceLattice(cone=cone, faces=faces, covers=tuple(covers))
 
 
 # ---------------------------------------------------------------------------
@@ -496,25 +531,28 @@ def face_lattice(cone: GradedCone) -> FaceLattice:
 
 @dataclass(frozen=True)
 class ReflexivePair:
-    """Gorenstein cones over a reflexive polytope and its polar dual."""
+    """Gorenstein cones over a reflexive polytope and its polar dual, as
+    reflexive_pair builds them: each cone's generators are the other's
+    facets, in the same order."""
 
     cone: GradedCone
     dual: GradedCone
 
     def dual_face(self, face: Face) -> Face:
-        """Order-reversing bijection between the two face lattices."""
+        """Order-reversing bijection between the two face lattices.  Each
+        cone's facets are the other's generators, in the same order, so
+        the generators of the other cone orthogonal to the face are the AND
+        of the other cone's facet incidences at the face's generators."""
         if face.cone == self.cone:
-            source, target = self.cone, self.dual
+            target = self.dual
         elif face.cone == self.dual:
-            source, target = self.dual, self.cone
+            target = self.cone
         else:
             raise NotReflexivePair("face does not belong to this pair")
-        fgens = face.generator_vectors()
-        tgt_gens = target.generators
-        members = frozenset(
-            j for j, w in enumerate(tgt_gens)
-            if all(la.dot(w, g) == 0 for g in fgens))
-        result = face_lattice(target).face_of_gens(members)
+        members = (1 << len(target.generators)) - 1
+        for i in face.gen_indices:
+            members &= target.incidence[i]
+        result = face_lattice(target).face_of_gens(po._bits(members))
         if face.dim + result.dim != self.cone.dim:
             raise NotReflexivePair("dual face dimensions do not add up")
         return result
@@ -593,10 +631,8 @@ def _lower_hull_cells(cone: GradedCone, pts, heights):
     """
     lifted = [tuple(p) + (h,) for p, h in zip(pts, heights)]
     up = (0,) * cone.ambient_rank + (1,)
-    return sorted(tuple(i for i, q in enumerate(lifted) if la.dot(f, q) == 0)
-                  for f in _cone_facets_fulldim(lifted + [up],
-                                                cone.ambient_rank + 1)
-                  if f[-1] > 0)
+    return sorted(tuple(po._bits(zero)) for f, zero in _cone_facets_fulldim(
+        lifted + [up], cone.ambient_rank + 1) if f[-1] > 0)
 
 
 def stellar_subdivision(cone: GradedCone) -> FanSubdivision:
@@ -634,24 +670,20 @@ def validate_subdivision(sub: FanSubdivision) -> None:
     # pairs of cells that share them
     shared: dict[tuple[int, int], list[int]] = {}
     for idx in range(1, sum(map(len, slices[:3]))):
-        for pair in itertools.combinations(_bits(masks[idx]), 2):
+        for pair in itertools.combinations(po._bits(masks[idx]), 2):
             shared.setdefault(pair, []).append(idx)
     gen_masks = dict(zip(gens, cell_masks(cells, gens)))
-    # per cell and generator, the bitmask of the cell's facets tight on it
-    tight = [{g: sum(1 << j for j, f in enumerate(cell.facets)
-                     if la.dot(f, g) == 0) for g in cell.generators}
-             for cell in cells]
     for i, j in itertools.combinations(range(len(cells)), 2):
         in12 = [g for g in cells[i].generators if gen_masks[g] >> j & 1]
         in21 = [g for g in cells[j].generators if gen_masks[g] >> i & 1]
         if in12 != in21:
             raise InvalidSubdivision("intersection is not a common face")
-        cut = _face_cut(cells[i], tight[i], in12)
-        _face_cut(cells[j], tight[j], in12)
+        cut = _face_cut(cells[i], set(in12))
+        _face_cut(cells[j], set(in21))
         if (i, j) in shared:
             # the common face is cut out of cell i by the facets tight on it
             idx = shared[i, j]
-            rows = [cells[i].facets[b] for b in _bits(cut)]
+            rows = [cells[i].facets[b] for b in po._bits(cut)]
             vals = np.array([sample[x] for x in idx], dtype=np.int64) \
                 @ np.array(rows, dtype=np.int64).reshape(-1, parent.ambient_rank).T
             bad = np.flatnonzero(vals.any(axis=1))
@@ -660,13 +692,16 @@ def validate_subdivision(sub: FanSubdivision) -> None:
                                          f"outside the common face")
 
 
-def _face_cut(cell: GradedCone, tight: dict, subset) -> int:
-    """The facets of the cell (a bitmask) tight on every generator of
+def _face_cut(cell: GradedCone, subset: set) -> int:
+    """The facets of the cell (a bitmask) that vanish on every generator of
     subset; raises unless they cut out the face spanned by exactly subset."""
-    cut = (1 << len(cell.facets)) - 1
-    for g in subset:
-        cut &= tight[g]
-    if [g for g, t in tight.items() if t & cut == cut] != subset:
+    members = sum(1 << k for k, g in enumerate(cell.generators) if g in subset)
+    cut, face = 0, (1 << len(cell.generators)) - 1
+    for j, zero in enumerate(cell.incidence):
+        if zero & members == members:
+            cut |= 1 << j
+            face &= zero
+    if face != members:
         raise InvalidSubdivision("intersection is not a face")
     return cut
 

@@ -11,7 +11,9 @@ of the face's generators perturbed lexicographically by them in index
 order, is negative; a class with i-th coordinate 0 then counts one degree
 higher.  The tilde-S polynomial corrects the alternating face sum of
 S-polynomials by G-polynomials of the upper face intervals and records the
-graded dimensions of the interior quotient modules.
+graded dimensions of the interior quotient modules.  Every sum over the
+faces below a face walks its down-set in the poset that the parent's face
+lattice carries.
 
 Two independent routes compute the stringy E-function of the Calabi-Yau
 hypersurface attached to a reflexive pair (K, K*):
@@ -112,13 +114,14 @@ def _half_open_degrees(gens, simplex, members) -> np.ndarray:
 def _pulling_triangulation(face: lat.Face) -> tuple:
     """Simplices (sorted generator indices) triangulating the face with no
     new rays: its smallest generator index coned over the triangulations
-    of the facets, read off the parent's face lattice, that miss it."""
+    of the facets, read off the face's down-set in the parent's lattice,
+    that miss it."""
     if len(face.gen_indices) == face.dim:
         return (tuple(sorted(face.gen_indices)),)
     apex = min(face.gen_indices)
-    return tuple((apex,) + s for f in lat.face_lattice(face.cone).faces
-                 if f.dim == face.dim - 1 and f.gen_indices < face.gen_indices
-                 and apex not in f.gen_indices
+    return tuple((apex,) + s
+                 for f in lat.face_lattice(face.cone).down_set(face)
+                 if f.dim == face.dim - 1 and apex not in f.gen_indices
                  for s in _pulling_triangulation(f))
 
 
@@ -151,24 +154,18 @@ def s_polynomial_interior(cone: GradedCone) -> UnivariatePolynomial:
 
 
 @lru_cache(maxsize=None)
-def _lattice_poset(cone: GradedCone) -> po.EulerianPoset:
-    return po.poset_of_face_lattice(lat.face_lattice(cone))
-
-
-@lru_cache(maxsize=None)
 def face_tilde_s(face: lat.Face) -> UnivariatePolynomial:
-    """tilde-S of the face's cone, summed over the faces G <= F of the
+    """tilde-S of the face's cone, summed over the down-set G <= F in the
     parent's lattice (so its G-polynomials are memoised once per cone)."""
-    poset = _lattice_poset(face.cone)
+    fl = lat.face_lattice(face.cone)
     acc = [0] * (face.dim + 1)  # deg S(f) + deg G([f, face]) <= dim face
-    for f in lat.face_lattice(face.cone).faces:
-        if f.gen_indices <= face.gen_indices:
-            g = po.g_polynomial(poset.interval(f.gen_indices, face.gen_indices))
-            s = face_s(f).coeffs
-            sign = (-1) ** (face.dim - f.dim)
-            for j, gj in enumerate(g.coeffs):
-                for i, sj in enumerate(s, j):
-                    acc[i] += sign * sj * gj
+    for f in fl.down_set(face):
+        g = po.g_polynomial(fl.poset.interval(f.gen_indices, face.gen_indices))
+        s = face_s(f).coeffs
+        sign = (-1) ** (face.dim - f.dim)
+        for j, gj in enumerate(g.coeffs):
+            for i, sj in enumerate(s, j):
+                acc[i] += sign * sj * gj
     return UnivariatePolynomial(acc)
 
 
@@ -304,17 +301,14 @@ def e_st_oracle(pair: ReflexivePair) -> BivariateLaurentPolynomial:
     minimal faces containing them and sum the closed geometric-series form
     of each group against a B-polynomial of the dual interval."""
     dim_k = pair.cone.dim
-    dual_poset = _lattice_poset(pair.dual)
     dual_lattice = lat.face_lattice(pair.dual)
     numerator = BivariateLaurentPolynomial.zero()
     for face, dual in _faces_with_duals(pair):
         s1 = face_s(face).to_bivariate(-1, 1)  # S(C1, v/u)
         u_pow = _UV(face.dim, 0)
-        # faces of K* inside the dual face
-        sub_faces = [g for g in dual_lattice.faces
-                     if g.gen_indices <= dual.gen_indices]
-        for c2 in sub_faces:
-            interval = dual_poset.interval(c2.gen_indices, dual.gen_indices)
+        for c2 in dual_lattice.down_set(dual):  # faces of K* in the dual face
+            interval = dual_lattice.poset.interval(c2.gen_indices,
+                                                   dual.gen_indices)
             b = po.b_polynomial(interval)
             s2 = face_s(c2).to_bivariate(1, 1)  # S(C2, uv)
             sign = (-1) ** (dim_k - c2.dim)
@@ -361,7 +355,7 @@ def e_int_orbit_closure(fan: Fan, cone: GradedCone) -> BivariateLaurentPolynomia
         if not set(canon.generators) <= set(upper.generators):
             continue
         low = frozenset(map(upper.generators.index, canon.generators))
-        interval = _lattice_poset(upper).interval(
+        interval = lat.face_lattice(upper).poset.interval(
             low, frozenset(range(len(upper.generators))))
         g = po.g_polynomial(interval.dual()).to_bivariate(1, 1)
         total = total + uv_minus_1 ** (d - upper.dim) * g

@@ -114,7 +114,7 @@ def criterion_poset_identities(names=fx.REFLEXIVE_NAMES) -> list[CheckResult]:
     total = 0
     failures = 0
     for cone in _unique_fixture_cones(names):
-        poset = st._lattice_poset(cone)
+        poset = lat.face_lattice(cone).poset
         for x in poset.elements:
             for y in poset.elements:
                 if not poset.le(x, y):
@@ -138,7 +138,6 @@ def criterion_tilde_s(names=fx.REFLEXIVE_NAMES) -> list[CheckResult]:
     faces_checked = 0
     for cone in _unique_fixture_cones(names):
         fl = lat.face_lattice(cone)
-        poset = st._lattice_poset(cone)
         for face in fl.faces:
             c = face.as_cone()
             faces_checked += 1
@@ -149,11 +148,10 @@ def criterion_tilde_s(names=fx.REFLEXIVE_NAMES) -> list[CheckResult]:
                 simp_ok = False
             # inversion identity: S(C) = sum tildeS(C1) G([C1,C]*, t)
             s = UnivariatePolynomial.zero()
-            for sub in fl.faces:
-                if sub.gen_indices <= face.gen_indices:
-                    iv = poset.interval(sub.gen_indices, face.gen_indices)
-                    s = s + st.tilde_s_polynomial(sub.as_cone()) \
-                        * po.g_polynomial(iv.dual())
+            for sub in fl.down_set(face):
+                iv = fl.poset.interval(sub.gen_indices, face.gen_indices)
+                s = s + st.tilde_s_polynomial(sub.as_cone()) \
+                    * po.g_polynomial(iv.dual())
             if s != st.s_polynomial(c):
                 inv_ok = False
     return [

@@ -301,7 +301,10 @@ SWEEP = json.loads((pathlib.Path(__file__).parent / "cli_sweep.json").read_text(
 def test_output_matches_recorded_sweep(record, fixture_dir, capsys):
     # stdout of s-poly, tilde-s, g-poly, b-poly, e-st and hodge on every
     # reflexive fixture and e-st --toric on the fans, byte for byte as
-    # recorded before the dense univariate polynomials
+    # recorded before the dense univariate polynomials; then faces, dual
+    # and check-reflexive on every reflexive fixture and box on every
+    # fixture with a simplicial cone, as recorded before facet incidences
+    # were stored on the cone
     *flags, name = record["args"]
     code = cli.main(flags + [str(fixture_dir / name)])
     captured = capsys.readouterr()

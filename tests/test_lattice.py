@@ -235,9 +235,15 @@ def dd_cases():
     return cases + random_point_sets(11, 300)
 
 
+def dd_normals(gens, rank):
+    """The facet normals of the double description, without their zero sets
+    (test_incidence_of_every_double_description_case checks those)."""
+    return [h for h, _ in lat._cone_facets_fulldim(gens, rank)]
+
+
 def test_double_description_matches_subset_scan_oracle():
     for gens, rank, _ in dd_cases():
-        assert span_facets(gens, rank, lat._cone_facets_fulldim) == \
+        assert span_facets(gens, rank, dd_normals) == \
             span_facets(gens, rank, facets_oracle), (gens, rank)
 
 
@@ -438,6 +444,45 @@ def test_dual_face_is_order_reversing_bijection(name):
             if f1.gen_indices < f2.gen_indices:
                 d1, d2 = pair.dual_face(f1), pair.dual_face(f2)
                 assert d2.gen_indices < d1.gen_indices
+
+
+# the standard reflexive 4-simplex under a unimodular shear
+SHEARED_SIMPLEX = [(1, 0, 0, 0), (2, 1, 0, 0), (0, 3, 1, 0), (-1, 0, 1, 1),
+                   (-2, -4, -2, -1)]
+
+
+def incidence_oracle(cone):
+    """Bit i of entry j iff facet j vanishes on generator i, by dot products."""
+    return tuple(sum(1 << i for i, g in enumerate(cone.generators)
+                     if la.dot(h, g) == 0) for h in cone.facets)
+
+
+INCIDENCE_PAIRS = [fx.reflexive_pair(name) for name in fx.REFLEXIVE_NAMES] \
+    + [lat.reflexive_pair(lat.lattice_polytope(SHEARED_SIMPLEX))]
+
+
+@pytest.mark.parametrize("pair", INCIDENCE_PAIRS,
+                         ids=list(fx.REFLEXIVE_NAMES) + ["sheared_simplex"])
+def test_incidence_and_dual_faces_match_dot_products(pair):
+    assert pair.dual.generators == pair.cone.facets
+    assert pair.cone.generators == pair.dual.facets
+    for source, target in ((pair.cone, pair.dual), (pair.dual, pair.cone)):
+        assert source.incidence == incidence_oracle(source)
+        for face in lat.face_lattice(source).faces:
+            cone = face.as_cone()
+            assert cone.incidence == incidence_oracle(cone)
+            expect = frozenset(
+                j for j, w in enumerate(target.generators)
+                if all(la.dot(w, g) == 0 for g in face.generator_vectors()))
+            assert pair.dual_face(face).gen_indices == expect
+
+
+def test_incidence_of_every_double_description_case():
+    # full-dimensional and lower-dimensional cones, with points that are not
+    # extreme, so the stored incidence is re-indexed to the kept generators
+    for gens, rank, deg in dd_cases():
+        cone = lat.cone_from_generators(gens, rank, deg=deg)
+        assert cone.incidence == incidence_oracle(cone), (gens, rank)
 
 
 def test_dual_face_rejects_foreign_cone():
