@@ -11,7 +11,8 @@ All geometry in this package reduces to small exact-arithmetic kernels:
   of the active rows x columns plus HANDOFF_FLOOR, the remaining core goes
   to the dense kernel (`echelon_mod_p`: blocked float64 multiply, exact
   because every intermediate value stays below 2**53, leftmost pivots).
-  RREF over GF(p) is dense,
+  RREF over GF(p) (`rref_mod_p`) is that kernel's echelon followed by a
+  blocked back-substitution over the pivot rows,
 * certified rational rank for the large multiplication matrices: one
   mod-p echelon proposes the rank (and the prefix rank, for
   `ranks_with_prefix`) and names a square subsystem, Dixon p-adic lifting
@@ -29,6 +30,7 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 
 import numpy as np
@@ -61,11 +63,13 @@ HANDOFF_SHARE = 512
 HANDOFF_FLOOR = 512
 
 
+@lru_cache(maxsize=None)
 def parse_field(field: str):
     """Split a field descriptor into ("rational", None) or ("prime", p).
 
     Raises InvalidField for anything else, for a composite modulus, and
-    for a prime outside MIN_FIELD_CHAR <= p < MAX_FIELD_CHAR."""
+    for a prime outside MIN_FIELD_CHAR <= p < MAX_FIELD_CHAR.  Valid
+    descriptors are memoised, so the primality test runs once each."""
     if field == "rational":
         return ("rational", None)
     kind, _, value = field.partition(":")
@@ -364,6 +368,19 @@ def echelon_mod_p(rows, p: int):
     Returns (rank, pivot_columns, order): order[i] is the input row that
     ends at echelon position i, so rows order[:rank] are independent mod p
     and, restricted to the pivot columns, form an invertible matrix.
+    """
+    _check_float64_prime(p)
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    if m == 0 or n == 0:
+        return 0, [], list(range(m))
+    return _echelon_inplace(_to_mod_array(rows, p), p)
+
+
+def _echelon_inplace(a: np.ndarray, p: int):
+    """The forward elimination of echelon_mod_p on a nonempty float64
+    residue matrix, in place: leaves a[:rank] in row echelon form with
+    leading ones and entries in [0, p), and the rows below it zero.
 
     Every value stays an exact integer below 2**53: 64-term dot products
     of residues need 64 * (p-1)**2 < 2**53, and p < 2**22 leaves room to
@@ -371,13 +388,8 @@ def echelon_mod_p(rows, p: int):
     64-column panel; the trailing block is updated by forward substitution
     on the pivot rows plus one GEMM.
     """
-    _check_float64_prime(p)
-    m = len(rows)
-    n = len(rows[0]) if m else 0
+    m, n = a.shape
     order = list(range(m))
-    if m == 0 or n == 0:
-        return 0, [], order
-    a = _to_mod_array(rows, p)
     inv_p = 1.0 / p
     p2 = float(p - 1) ** 2
     panel_growth = _BLOCK * p2
@@ -391,8 +403,8 @@ def echelon_mod_p(rows, p: int):
     col = 0
     while col < n and r < m:
         hi = min(col + _BLOCK, n)
-        recorded = []  # (pivot_row, inverse, multipliers for rows below)
         r0 = r
+        invs = []
         for c in range(col, hi):
             colv = a[r:, c]
             _fast_mod_inplace(colv, p, inv_p)
@@ -400,47 +412,38 @@ def echelon_mod_p(rows, p: int):
             if nz.size == 0:
                 continue
             i = r + int(nz[0])
-            if i != r:
+            if i != r:  # the multipliers of earlier pivots move with the rows
                 a[[r, i], col:] = a[[i, r], col:]
                 order[r], order[i] = order[i], order[r]
-                # keep recorded multiplier columns aligned with row contents
-                for rk, _, fk in recorded:
-                    fk[r - rk - 1], fk[i - rk - 1] = fk[i - rk - 1], fk[r - rk - 1]
-            row = a[r, col:hi]
+            row = a[r, c:hi]
             _fast_mod_inplace(row, p, inv_p)
-            inv = pow(int(a[r, c]), -1, p)
-            row *= inv
+            invs.append(pow(int(row[0]), -1, p))
+            row *= invs[-1]
             _fast_mod_inplace(row, p, inv_p)
-            f = a[r + 1:, c].copy()
-            if f.size:
-                block = a[r + 1:, col:hi]
-                block -= np.outer(f, row)
-            recorded.append((r, inv, f))
+            # column c keeps the multipliers below the pivot, as in LU
+            a[r + 1:, c + 1:hi] -= np.outer(a[r + 1:, c], row[1:])
             pivots.append(c)
             r += 1
+        panel = pivots[len(pivots) - len(invs):]
         # panel columns accumulate at most one p^2 per pivot
-        if hi < n and recorded:
+        if hi < n and invs:
             trail = a[:, hi:]
             # finalize pivot rows by forward substitution
-            for idx, (rk, inv, fk) in enumerate(recorded):
-                row = trail[rk]
-                if idx:
-                    mult = np.array([recorded[k][2][rk - recorded[k][0] - 1]
-                                     for k in range(idx)])
-                    row -= mult @ trail[r0:rk]
+            for k, inv in enumerate(invs):
+                row = trail[r0 + k]
+                row -= a[r0 + k, panel[:k]] @ trail[r0:r0 + k]
                 _fast_mod_inplace(row, p, inv_p)
                 row *= inv
                 _fast_mod_inplace(row, p, inv_p)
             # one GEMM handles every row below the panel
             if m > r:
-                below = np.empty((m - r, len(recorded)))
-                for k, (rk, _, fk) in enumerate(recorded):
-                    below[:, k] = fk[r - rk - 1:]
-                trail[r:] -= below @ trail[r0:r]
+                trail[r:] -= a[r:, panel] @ trail[r0:r]
                 bound += panel_growth
                 if bound + panel_growth > cap:
                     _fast_mod_inplace(trail[r:], p, inv_p)
                     bound = float(p - 1)
+        for k, c in enumerate(panel):
+            a[r0 + k + 1:, c] = 0
         col = hi
     return r, pivots, order
 
@@ -541,7 +544,16 @@ def ranks_with_prefix_mod_p(rows, split: int, p: int) -> tuple[int, int]:
 
 
 def rref_mod_p(rows, p: int):
-    """Full RREF over GF(p) in float64 with deferred reductions.
+    """Full RREF over GF(p): the echelon of echelon_mod_p, then
+    back-substitution over the pivot rows.
+
+    A lower pivot row is zero in every earlier pivot column, so clearing
+    above the pivots never changes the entries the rows above hold in a
+    pivot column: they stay the echelon's residues and are the
+    multipliers.  Pivot rows are finished in 64-row blocks from the
+    bottom, one row at a time within a block, and the rows above a block
+    take one GEMM; every row is reduced after its update, so no value
+    exceeds p + 64 * (p-1)**2 < 2**53.
 
     Returns (rank, pivots, int64 matrix); exact for p < 2**22."""
     _check_float64_prime(p)
@@ -550,38 +562,17 @@ def rref_mod_p(rows, p: int):
     if m == 0 or n == 0:
         return 0, [], np.zeros((m, n), dtype=np.int64)
     a = _to_mod_array(rows, p)
+    r, pivots, _ = _echelon_inplace(a, p)
     inv_p = 1.0 / p
-    p2 = float(p - 1) ** 2
-    cap = float(1 << 51)
-    bound = float(p - 1)
-    r = 0
-    pivots = []
-    for c in range(n):
-        if r == m:
-            break
-        colv = a[:, c]
-        _fast_mod_inplace(colv, p, inv_p)
-        nz = np.nonzero(colv[r:])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        row = a[r]
-        _fast_mod_inplace(row, p, inv_p)
-        row *= pow(int(row[c]), -1, p)
-        _fast_mod_inplace(row, p, inv_p)
-        others = np.nonzero(colv)[0]
-        others = others[others != r]
-        if others.size:
-            a[others] -= np.outer(a[others, c], row)
-            bound += p2
-            if bound + p2 > cap:
-                _fast_mod_inplace(a, p, inv_p)
-                bound = float(p - 1)
-        pivots.append(c)
-        r += 1
-    _fast_mod_inplace(a, p, inv_p)
+    for lo in range((r - 1) // _BLOCK * _BLOCK, -1, -_BLOCK):
+        hi = min(lo + _BLOCK, r)
+        c = pivots[lo]
+        for j in range(hi - 2, lo - 1, -1):
+            a[j, c:] -= a[j, pivots[j + 1:hi]] @ a[j + 1:hi, c:]
+            _fast_mod_inplace(a[j, c:], p, inv_p)
+        if lo:
+            a[:lo, c:] -= a[:lo, pivots[lo:hi]] @ a[lo:hi, c:]
+            _fast_mod_inplace(a[:lo, c:], p, inv_p)
     return r, pivots, a.astype(np.int64)
 
 

@@ -17,7 +17,8 @@ enumerated; cohomology is reported per (s, t) piece.
 
 For regular f, g the cohomology matches, piece by piece, the sum over
 faces C of tilde-S coefficient products placed at exterior degree
-dim(C*): contributions of (a, b) sit at (s, t) = (dim C* + a - b, a + b).
+dim(C*): contributions of (a, b) sit at (s, t) = (dim C* + a - b, a + b),
+which is the string cohomology table's (p, q) at (dim K - 1 - p, q + 1).
 Replacing the K*-side ring by a deformed one (a regular subdivision of
 the dual cone) leaves all reported dimensions unchanged.
 """
@@ -36,7 +37,7 @@ from . import lattice as lat
 from .errors import CapTooSmall, DimensionBudgetExceeded, NotRegular
 from .lattice import FanSubdivision, ReflexivePair
 from .semigroup import MATRIX_CELL_BUDGET, DegreeOneElement, is_sigma_regular
-from .stringy import face_tilde_s
+from .stringy import tilde_s_products
 
 
 @dataclass(frozen=True)
@@ -115,13 +116,12 @@ def _as_array(points, rank: int) -> np.ndarray:
 def build_complex(pair: ReflexivePair, f: DegreeOneElement,
                   g: DegreeOneElement, cap: int | None = None,
                   dual_subdivision: FanSubdivision | None = None,
-                  check_regular: bool = True) -> KoszulComplex:
+                  ) -> KoszulComplex:
     """Assemble the differential of every piece (s, t) whose basis has
     bidegrees within cap, over the scalar field of f and g.
 
     f lives on the cone, g on the dual cone, both over the same field;
-    both are checked for regularity unless check_regular is disabled
-    (degenerate inputs still give a complex: D^2 = 0 is unconditional).
+    both are checked for regularity.
     """
     k_cone, k_dual = pair.cone, pair.dual
     if f.cone != k_cone or g.cone != k_dual:
@@ -153,11 +153,10 @@ def build_complex(pair: ReflexivePair, f: DegreeOneElement,
         raise DimensionBudgetExceeded(
             f"Koszul differential of {cells} dense cells exceeds budget "
             f"{MATRIX_CELL_BUDGET}")
-    if check_regular:
-        for elem, sub in ((f, None), (g, dual_subdivision)):
-            verdict = is_sigma_regular(elem, sub)
-            if not verdict.regular:
-                raise NotRegular(verdict.detail)
+    for elem, sub in ((f, None), (g, dual_subdivision)):
+        verdict = is_sigma_regular(elem, sub)
+        if not verdict.regular:
+            raise NotRegular(verdict.detail)
 
     exterior = [idx for e in range(rank + 1)
                 for idx in combinations(range(rank), e)]
@@ -246,22 +245,15 @@ class DecompositionReport:
 
 
 def expected_cohomology(pair: ReflexivePair) -> tuple[dict, tuple]:
-    """Face-sum prediction: tilde-S(C)[a] * tilde-S(C*)[b] classes at
-    exterior degree dim C*, i.e. at (s, t) = (dim C* + a - b, a + b)."""
+    """Face-sum prediction: each tilde-S product c = tildeS(C)[a] *
+    tildeS(C*)[b] at Hodge bidegree (p, q) gives c classes at
+    (s, t) = (dim K - 1 - p, q + 1) = (dim C* + a - b, a + b)."""
     expected: dict = {}
     face_terms = []
-    fl = lat.face_lattice(pair.cone)
-    for face in fl.faces:
-        dual = pair.dual_face(face)
-        ts = face_tilde_s(face)
-        ts_dual = face_tilde_s(dual)
-        for a, ca in enumerate(ts.coeffs):
-            for b, cb in enumerate(ts_dual.coeffs):
-                if not (ca and cb):
-                    continue
-                st = (dual.dim + a - b, a + b)
-                expected[st] = expected.get(st, 0) + ca * cb
-                face_terms.append(((face.dim, dual.dim), a, b, ca * cb))
+    for (p, q), c, face, dual, a, b in tilde_s_products(pair):
+        st = (pair.cone.dim - 1 - p, q + 1)
+        expected[st] = expected.get(st, 0) + c
+        face_terms.append(((face.dim, dual.dim), a, b, c))
     return expected, tuple(face_terms)
 
 

@@ -10,8 +10,8 @@ that cone.  Facets come from the double description method in exact
 integers, and each cone keeps the incidences it found as bitmasks (the
 generators on which each facet vanishes); cones of dimension lower than
 the ambient rank are handled through saturated span lattices.  Extreme
-rays, lower hulls, face lattices (incidence closure), face cones, dual
-faces and subdivision checks all read those bitmasks, and each face
+rays, lower hulls, face lattices (incidence closure), dual faces and
+subdivision checks all read those bitmasks, and each face
 lattice carries its one Eulerian poset.  The lattice points of a degree
 slice come from one scan of its bounding box: each facet functional is
 broadcast over the per-axis coordinate ranges, so the scan holds a few
@@ -361,17 +361,14 @@ def cell_masks(cells, points) -> list[int]:
 # Lattice point enumeration
 # ---------------------------------------------------------------------------
 
-def _slice_scan(cone: GradedCone, k: int, interior: bool, count_only: bool):
+def _slice_scan(cone: GradedCone, k: int, interior: bool):
     if k < 0:
         raise ValueError("degree must be nonnegative")
+    origin = (tuple([0] * cone.ambient_rank),)
     if not cone.generators:
-        pts = [tuple([0] * cone.ambient_rank)] if k == 0 else []
-        return len(pts) if count_only else tuple(pts)
+        return origin if k == 0 else ()
     if k == 0:
-        origin = tuple([0] * cone.ambient_rank)
-        ok = not interior or not cone.facets
-        pts = [origin] if ok else []
-        return len(pts) if count_only else tuple(pts)
+        return origin if not interior or not cone.facets else ()
     lo = [k * min(column) for column in zip(*cone.generators)]
     hi = [k * max(column) for column in zip(*cone.generators)]
     shape = [h - l + 1 for l, h in zip(lo, hi)]
@@ -395,8 +392,6 @@ def _slice_scan(cone: GradedCone, k: int, interior: bool, count_only: bool):
         mask &= values(e) == 0
     for f in cone.facets:
         mask &= (values(f) > 0) if interior else (values(f) >= 0)
-    if count_only:
-        return int(np.count_nonzero(mask))
     return tuple(map(tuple, (np.argwhere(mask) + lo).tolist()))
 
 
@@ -405,13 +400,13 @@ def lattice_points_at_degree(cone: GradedCone, k: int,
                              interior_only: bool = False) -> tuple[Vector, ...]:
     """All lattice points of the cone (or its relative interior) at the
     given degree, in lexicographic order."""
-    return _slice_scan(cone, k, interior_only, count_only=False)
+    return _slice_scan(cone, k, interior_only)
 
 
 @lru_cache(maxsize=None)
 def count_lattice_points_at_degree(cone: GradedCone, k: int,
                                    interior_only: bool = False) -> int:
-    return _slice_scan(cone, k, interior_only, count_only=True)
+    return len(lattice_points_at_degree(cone, k, interior_only))
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +425,8 @@ class Face:
         return tuple(self.cone.generators[i] for i in sorted(self.gen_indices))
 
     def as_cone(self) -> GradedCone:
-        return _face_as_cone(self.cone, tuple(sorted(self.gen_indices)))
+        return cone_from_generators(self.generator_vectors(),
+                                    self.cone.ambient_rank, deg=self.cone.deg)
 
 
 def _facets_of_face(cone: GradedCone, members: int) -> dict[int, int]:
@@ -443,26 +439,6 @@ def _facets_of_face(cone: GradedCone, members: int) -> dict[int, int]:
             cuts.setdefault(members & zero, j)
     return {cut: j for cut, j in cuts.items()
             if not any(cut != other and cut & other == cut for other in cuts)}
-
-
-@lru_cache(maxsize=None)
-def _face_as_cone(parent: GradedCone, indices: tuple[int, ...]) -> GradedCone:
-    """The face as a cone with the parent's generators and grading; each
-    facet is a parent facet, made primitive on the saturated span, lifted,
-    and vanishes on the face's generators where the parent facet does."""
-    gens = [parent.generators[i] for i in indices]
-    if not gens:
-        return cone_from_generators((), parent.ambient_rank, deg=parent.deg)
-    basis = la.saturation_basis(gens)
-    cuts = _facets_of_face(parent, sum(1 << i for i in indices))
-    lifts = _lift_functionals(basis, [
-        la.primitive_vector([la.dot(parent.facets[j], b) for b in basis])
-        for j in cuts.values()])
-    zeros = [sum(1 << k for k, i in enumerate(indices) if cut >> i & 1)
-             for cut in cuts]
-    return _graded_cone(parent.ambient_rank, gens, parent.deg,
-                        zip(lifts, zeros), sorted(la.integer_kernel(gens)),
-                        len(basis))
 
 
 @dataclass(frozen=True)

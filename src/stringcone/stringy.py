@@ -24,8 +24,12 @@ hypersurface attached to a reflexive pair (K, K*):
   face intervals, grouping the lattice points of K x K* that pair to zero
   by the minimal faces containing them.
 
-Both assemble an integer Laurent numerator and perform one exact division
-by uv at the end; non-exactness raises instead of rounding.
+Neither drops a term: a negative exponent left in the result raises.
+The first route expands into one sum of products
+[t^i] tildeS(C) * [t^j] tildeS(C*), each at a Hodge bidegree
+(`tilde_s_products`): the E-function is its signed sum, the string
+cohomology table its unsigned sum, and `koszul.expected_cohomology`
+re-indexes it to the pieces of the Koszul complex.
 """
 
 from __future__ import annotations
@@ -285,15 +289,27 @@ def _faces_with_duals(pair: ReflexivePair):
     return [(f, pair.dual_face(f)) for f in fl.faces]
 
 
-def e_st_hypersurface(pair: ReflexivePair) -> BivariateLaurentPolynomial:
-    """Mirror-symmetric tilde-S formula, assembled over the face lattice."""
-    numerator = BivariateLaurentPolynomial.zero()
+def tilde_s_products(pair: ReflexivePair):
+    """Every nonzero product c = [t^i] tildeS(C) * [t^j] tildeS(C*) over
+    the faces C of K, as ((p, q), c, C, C*, i, j) with the Hodge bidegree
+    (p, q) = (dim C + j - i - 1, i + j - 1)."""
     for face, dual in _faces_with_duals(pair):
-        ts = face_tilde_s(face).to_bivariate(-1, 1)  # t -> v/u
-        ts_dual = face_tilde_s(dual).to_bivariate(1, 1)
-        sign_u = _UV(face.dim, 0, (-1) ** face.dim)
-        numerator = numerator + sign_u * ts * ts_dual
-    return numerator.divide_by_monomial(1, 1).require_polynomial()
+        ts, ts_dual = face_tilde_s(face).coeffs, face_tilde_s(dual).coeffs
+        for i, ci in enumerate(ts):
+            for j, cj in enumerate(ts_dual):
+                if ci and cj:
+                    yield ((face.dim + j - i - 1, i + j - 1), ci * cj,
+                           face, dual, i, j)
+
+
+def e_st_hypersurface(pair: ReflexivePair) -> BivariateLaurentPolynomial:
+    """Mirror-symmetric tilde-S formula, (uv)^-1 times the sum over the
+    faces C of (-u)^dim(C) * tildeS(C, v/u) * tildeS(C*, uv): the signed
+    sum of the tilde-S products, (-1)^(p+q) c at u^p v^q."""
+    terms: dict = {}
+    for (p, q), c, *_ in tilde_s_products(pair):
+        terms[p, q] = terms.get((p, q), 0) + (-1) ** (p + q) * c
+    return BivariateLaurentPolynomial(terms).require_polynomial()
 
 
 def e_st_oracle(pair: ReflexivePair) -> BivariateLaurentPolynomial:
@@ -367,23 +383,13 @@ def e_int_orbit_closure(fan: Fan, cone: GradedCone) -> BivariateLaurentPolynomia
 # ---------------------------------------------------------------------------
 
 def string_cohomology_table(pair: ReflexivePair) -> HodgeTable:
-    """Hodge table assembled from tilde-S coefficient vectors over dual face
-    pairs.  The signed sum of the table reproduces the stringy E-function."""
+    """Hodge table of the string cohomology space: the unsigned sum of the
+    tilde-S products at their bidegrees, whose signed sum is
+    e_st_hypersurface."""
     d = pair.cone.dim - 1  # rank of the polytope lattice
     entries: dict = {}
-    for face, dual in _faces_with_duals(pair):
-        ts = face_tilde_s(face)
-        ts_dual = face_tilde_s(dual)
-        for a, ca in enumerate(ts_dual.coeffs):
-            for b, cb in enumerate(ts.coeffs):
-                if not (ca and cb):
-                    continue
-                p = a - b + face.dim - 1
-                q = a + b - 1
-                if not (0 <= p <= d - 1 and 0 <= q <= d - 1):
-                    raise ValueError(f"bidegree ({p},{q}) out of range")
-                entries[(p, q)] = entries.get((p, q), 0) + ca * cb
-    table = _table_from_entries(entries, d - 1)
-    if table.to_e_polynomial() != e_st_hypersurface(pair):
-        raise ValueError("table does not reproduce the stringy E-function")
-    return table
+    for (p, q), c, *_ in tilde_s_products(pair):
+        if not (0 <= p <= d - 1 and 0 <= q <= d - 1):
+            raise ValueError(f"bidegree ({p},{q}) out of range")
+        entries[p, q] = entries.get((p, q), 0) + c
+    return _table_from_entries(entries, d - 1)

@@ -107,6 +107,23 @@ def test_rref_mod_p_matches_fraction_rref():
                 assert int(mat[i][j]) == expect
 
 
+@pytest.mark.parametrize("n, density", [(150, 0.01), (200, 0.006)])
+def test_rref_mod_p_matches_fraction_rref_across_blocks(n, density):
+    # [S | I] of rank n > 64 with S sparse, so that Fraction elimination
+    # stays fast: back-substitution clears entries above the pivots of
+    # one 64-row block with pivot rows from the blocks below it
+    p = la.DEFAULT_PRIME
+    rng = np.random.default_rng(1)
+    s = np.eye(n, dtype=np.int64) + rng.integers(-3, 4, (n, n)) * (
+        rng.random((n, n)) < density)
+    rows = np.hstack([s[rng.permutation(n)], np.eye(n, dtype=np.int64)])
+    r, piv, mat = la.rref_mod_p(rows, p)
+    rref, pivf = la.rref_fraction(rows.tolist())
+    assert r == n and piv == pivf
+    assert mat.tolist() == [[v.numerator * pow(v.denominator, -1, p) % p
+                             for v in row] for row in rref]
+
+
 def test_integer_kernel_and_saturation():
     ker = la.integer_kernel([[1, 2, 3], [4, 5, 6]])
     assert len(ker) == 1

@@ -362,29 +362,6 @@ def test_face_cones_match_cone_from_generators(name):
                     sub.generator_vectors(), top.ambient_rank, deg=top.deg))
 
 
-def test_face_cone_lifts_all_its_facets_through_one_diagonalization(
-        monkeypatch):
-    calls = []
-    diagonalize = la._diagonalize
-
-    def counted(mat):
-        calls.append(mat)
-        return diagonalize(mat)
-
-    monkeypatch.setattr(la, "_diagonalize", counted)
-    cone = lat.gorenstein_cone_over(poly("cube"))
-    per_facet_count = {}
-    for face in lat.face_lattice(cone).faces:
-        if 2 <= face.dim < cone.dim:  # edges and squares of the cube
-            calls.clear()
-            facets = lat._face_as_cone.__wrapped__(
-                cone, tuple(sorted(face.gen_indices))).facets
-            per_facet_count.setdefault(len(facets), set()).add(len(calls))
-    assert sorted(per_facet_count) == [2, 4]
-    # the same number of diagonalizations whatever the facet count
-    assert len(set().union(*per_facet_count.values())) == 1
-
-
 def test_face_lattice_of_a_32_gon_cone():
     # 16 primitive directions and their negatives, sorted by angle: the
     # cumulative sums are the vertices of a convex lattice 32-gon

@@ -24,6 +24,16 @@ def test_traced_function_resolves(spec):
     assert callable(getattr(owner, attr))
 
 
+@pytest.mark.parametrize("spec", [
+    s for specs in tracing.LAYERS.values() for s in specs
+    if tracing._BEFORE.get(tracing._resolve(s)[1]) is tracing._misses])
+def test_cache_read_by_the_tracer_exists(spec):
+    # the tracer reads cache_info() of these before every call; a dropped
+    # lru_cache would break `perfbench/run.py --trace 1`
+    owner, attr = tracing._resolve(spec)
+    assert callable(getattr(owner, attr).cache_info)
+
+
 def test_build_complex_trace_reads_the_complex():
     # the tracer records the size of every built complex; a renamed
     # attribute would break `perfbench/run.py --trace 1` on koszul

@@ -52,8 +52,20 @@ def test_field_descriptor_validation():
     assert la.parse_field("prime:2097169") == ("prime", 2097169)
     for bad in ("prime:65537", "float", "prime:", "prime:2000001",
                 "prime:4194319"):
-        with pytest.raises(InvalidField):
-            la.parse_field(bad)
+        for _ in range(2):  # a failed parse is not memoised
+            with pytest.raises(InvalidField):
+                la.parse_field(bad)
+
+
+def test_field_descriptor_primality_runs_once(monkeypatch):
+    calls = []
+    prime_test = la._is_probable_prime
+    monkeypatch.setattr(la, "_is_probable_prime",
+                        lambda n: calls.append(n) or prime_test(n))
+    la.parse_field.cache_clear()
+    for _ in range(3):
+        assert la.parse_field("prime:2097169") == ("prime", 2097169)
+    assert calls == [2097169]
 
 
 def test_degree_one_element_validation():
