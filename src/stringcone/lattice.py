@@ -12,13 +12,16 @@ generators on which each facet vanishes); cones of dimension lower than
 the ambient rank are handled through saturated span lattices.  Extreme
 rays, lower hulls, face lattices (incidence closure), dual faces and
 subdivision checks all read those bitmasks, and each face
-lattice carries its one Eulerian poset.  The lattice points of a degree
-slice come from one scan of its bounding box: each facet functional is
-broadcast over the per-axis coordinate ranges, so the scan holds a few
-bytes per box cell.  S-polynomials do not scan
-(stringy.face_s counts box classes); the scan serves the semigroup ring,
-the Koszul complex and the tests.  Every int64 kernel first checks that
-its values cannot wrap.
+lattice carries its one Eulerian poset.
+
+Lattice points come from box groups (Stanley 1980).  A face is cut into
+the simplices of a pulling triangulation, made half-open so that they
+partition it (Koeppe and Verdoolaege 2008, Thm 3), and every degree-k
+point is exactly one lifted box class, of some degree d, of one simplex
+plus a sum of k - d of that simplex's generators (_half_open_classes).
+stringy.face_s counts the classes by degree; lattice_points_at_degree
+adds the sums, so neither cost depends on the basis.  Every int64 kernel
+first checks that its values cannot wrap.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .errors import (
 AMBIENT_RANK_BUDGET = 8
 _SUBSET_BUDGET = 200_000
 _BOX_BUDGET = 20_000_000
+BOX_GROUP_BUDGET = 1_000_000  # box points take ~330 B each: ~0.3 GB
 
 Vector = tuple[int, ...]
 
@@ -319,14 +323,6 @@ def gorenstein_cone_over(p: LatticePolytope) -> GradedCone:
     return p.cone
 
 
-def point_in_cone(cone: GradedCone, x, strict: bool = False) -> bool:
-    if any(la.dot(e, x) != 0 for e in cone.equations):
-        return False
-    if strict:
-        return all(la.dot(f, x) > 0 for f in cone.facets)
-    return all(la.dot(f, x) >= 0 for f in cone.facets)
-
-
 def _check_int64(functionals, points, rank: int) -> None:
     """Raise DimensionBudgetExceeded unless max|coefficient| * max|coordinate|
     * rank < 2^62, so that no functional's value on a point wraps in int64."""
@@ -355,58 +351,6 @@ def cell_masks(cells, points) -> list[int]:
                         & (vals[:, nf:] == 0).all(axis=1))
     return [int.from_bytes(row.tobytes(), "little")
             for row in np.packbits(inside, axis=1, bitorder="little")]
-
-
-# ---------------------------------------------------------------------------
-# Lattice point enumeration
-# ---------------------------------------------------------------------------
-
-def _slice_scan(cone: GradedCone, k: int, interior: bool):
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
-    origin = (tuple([0] * cone.ambient_rank),)
-    if not cone.generators:
-        return origin if k == 0 else ()
-    if k == 0:
-        return origin if not interior or not cone.facets else ()
-    lo = [k * min(column) for column in zip(*cone.generators)]
-    hi = [k * max(column) for column in zip(*cone.generators)]
-    shape = [h - l + 1 for l, h in zip(lo, hi)]
-    size = math.prod(shape)
-    if size > _BOX_BUDGET:
-        raise DimensionBudgetExceeded(f"bounding box of size {size}")
-    _check_int64((cone.deg,) + cone.equations + cone.facets, (lo, hi),
-                 cone.ambient_rank)
-    axes = np.ix_(*(np.arange(l, h + 1, dtype=np.int64)
-                    for l, h in zip(lo, hi)))
-
-    def values(f):
-        total = np.zeros(shape, dtype=np.int64)  # the one full-box array
-        for c, x in zip(f, axes):
-            if c:
-                total += c * x
-        return total
-
-    mask = values(cone.deg) == k
-    for e in cone.equations:
-        mask &= values(e) == 0
-    for f in cone.facets:
-        mask &= (values(f) > 0) if interior else (values(f) >= 0)
-    return tuple(map(tuple, (np.argwhere(mask) + lo).tolist()))
-
-
-@lru_cache(maxsize=None)
-def lattice_points_at_degree(cone: GradedCone, k: int,
-                             interior_only: bool = False) -> tuple[Vector, ...]:
-    """All lattice points of the cone (or its relative interior) at the
-    given degree, in lexicographic order."""
-    return _slice_scan(cone, k, interior_only)
-
-
-@lru_cache(maxsize=None)
-def count_lattice_points_at_degree(cone: GradedCone, k: int,
-                                   interior_only: bool = False) -> int:
-    return len(lattice_points_at_degree(cone, k, interior_only))
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +443,131 @@ def face_lattice(cone: GradedCone) -> FaceLattice:
                        dim=dims[m]) for m in masks)
     covers = sorted((index[low], index[up]) for low, up in pairs)
     return FaceLattice(cone=cone, faces=faces, covers=tuple(covers))
+
+
+# ---------------------------------------------------------------------------
+# Lattice point enumeration
+# ---------------------------------------------------------------------------
+
+def _box_classes(u, orders):
+    """(L, chunks): the classes a (0 <= a_i < orders[i]) of the box group
+    of D = U M V, as their generator coordinates frac(a D^-1 U) in int64
+    numerators over L = lcm(orders), in chunks of at most BOX_GROUP_BUDGET
+    rows (each entry below n * order * L before the reduction mod L)."""
+    size = math.prod(orders)
+    if size > _BOX_BUDGET:
+        raise DimensionBudgetExceeded(f"box group of order {size}")
+    big_l = math.lcm(*orders)
+    steps = np.array([[big_l // o * (x % o) for x in row]
+                      for o, row in zip(orders, u)], dtype=np.int64)
+
+    def chunk(start):
+        rest = np.arange(start, min(size, start + BOX_GROUP_BUDGET),
+                         dtype=np.int64)
+        nums = np.zeros((len(rest), len(orders)), dtype=np.int64)
+        for o, step in zip(orders, steps):
+            nums += (rest % o)[:, None] * step
+            rest //= o
+        return nums % big_l
+
+    return big_l, map(chunk, range(0, size, BOX_GROUP_BUDGET))
+
+
+@lru_cache(maxsize=None)
+def _pulling_triangulation(face: Face) -> tuple:
+    """Simplices (sorted generator indices) triangulating the face with no
+    new rays: its smallest generator index coned over the triangulations
+    of the facets, read off the face's down-set in the parent's lattice,
+    that miss it."""
+    if len(face.gen_indices) == face.dim:
+        return (tuple(sorted(face.gen_indices)),)
+    apex = min(face.gen_indices)
+    return tuple((apex,) + s
+                 for f in face_lattice(face.cone).down_set(face)
+                 if f.dim == face.dim - 1 and apex not in f.gen_indices
+                 for s in _pulling_triangulation(f))
+
+
+def _half_open_classes(face: Face):
+    """Yield (simplex, L, lifted classes) per chunk of the box classes of
+    each simplex of the face's pulling triangulation: int64 generator
+    coordinates over L.  Facet i of a simplex is open when the i-th
+    coordinate of the reference point, the sum of the face's generators
+    perturbed lexicographically by them in index order, is negative, and a
+    class with coordinate 0 there is lifted by the i-th generator (to L).
+    A class's degree is its coordinate sum over L."""
+    gens, members = face.cone.generators, sorted(face.gen_indices)
+    for simplex in _pulling_triangulation(face):
+        n = len(simplex)
+        u, d, v = la._diagonalize([gens[i] for i in simplex])
+        diag = [d[i][i] for i in range(n)]
+        big_l, chunks = _box_classes(u, [abs(x) for x in diag])
+        cols, scale = list(zip(*v))[:n], [big_l // x for x in diag]
+
+        def lam(x):  # L * (generator coordinates of x) = ((x V)_i L / d_i) U
+            y = [la.dot(x, c) * s for c, s in zip(cols, scale)]
+            return [la.dot(y, c) for c in zip(*u)]
+
+        sign = lam([sum(c) for c in zip(*(gens[k] for k in members))])
+        for k in members:  # the tie-break, only where a coordinate is still 0
+            if all(sign):
+                break
+            sign = [s or x for s, x in zip(sign, lam(gens[k]))]
+        is_open = np.array([s < 0 for s in sign], dtype=bool)
+        for nums in chunks:
+            nums[:, is_open] += big_l * (nums[:, is_open] == 0)
+            yield simplex, big_l, nums
+
+
+@lru_cache(maxsize=4)
+def _class_points(cone: GradedCone) -> tuple:
+    """(generators G, points num G / L, degrees) of each chunk of the
+    cone's _half_open_classes, as int64 arrays kept across degrees."""
+    out = []
+    for simplex, big_l, nums in _half_open_classes(face_lattice(cone).maximum()):
+        gens = [cone.generators[i] for i in simplex]
+        _check_int64(gens, [(big_l,)], len(gens))
+        g = np.array(gens, dtype=np.int64)
+        out.append((g, nums @ g // big_l, nums.sum(axis=1) // big_l))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def lattice_points_at_degree(cone: GradedCone, k: int,
+                             interior_only: bool = False) -> tuple[Vector, ...]:
+    """The lattice points of the cone (or its relative interior, where
+    every facet is positive) at degree k, in lexicographic order: each
+    lifted class of degree d <= k plus the C(k - d + n - 1, n - 1) sums of
+    k - d of its simplex's n generators, counted before allocation."""
+    if k < 0:
+        raise ValueError("degree must be nonnegative")
+    if k == 0:
+        return () if interior_only and cone.generators else (
+            (0,) * cone.ambient_rank,)
+    if not cone.generators:
+        return ()
+    _check_int64(cone.generators, [(k,)], 1)
+    n, rank = cone.dim, cone.ambient_rank
+    parts = [(g, base[degs == d], k - d) for g, base, degs in _class_points(cone)
+             for d in range(min(k, n) + 1)]
+    size = sum(len(b) * math.comb(m + n - 1, m) for _, b, m in parts)
+    if size > _BOX_BUDGET:
+        raise DimensionBudgetExceeded(f"{size} points at degree {k}")
+    sums = {m: np.array(list(itertools.combinations_with_replacement(
+        range(n), m)), dtype=np.intp).reshape(math.comb(m + n - 1, m), m)
+        for _, b, m in parts if len(b)}
+    pts = np.concatenate([(b[:, None] + g[sums[m]].sum(axis=1)).reshape(-1, rank)
+                          for g, b, m in parts if len(b)])
+    if interior_only:
+        _check_int64(cone.facets, [(int(np.abs(pts).max()),)], rank)
+        pts = pts[(pts @ np.array(cone.facets, dtype=np.int64).T > 0).all(axis=1)]
+    return tuple(map(tuple, pts[np.lexsort(pts.T[::-1])].tolist()))
+
+
+@lru_cache(maxsize=None)
+def count_lattice_points_at_degree(cone: GradedCone, k: int,
+                                   interior_only: bool = False) -> int:
+    return len(lattice_points_at_degree(cone, k, interior_only))
 
 
 # ---------------------------------------------------------------------------

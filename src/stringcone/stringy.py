@@ -2,14 +2,11 @@
 
 The S-polynomial of a graded cone is (1-t)^dim times the generating series
 of its lattice points graded by degree (the h*-polynomial of the degree-1
-slice).  It is counted with no lattice-point scan (Stanley 1980): over
-the simplices of a pulling triangulation of the face, by the degrees of
-the classes of each simplex's box group.  The simplices are half-open, so
-they partition the face (Koeppe and Verdoolaege 2008, Thm 3).  Facet i is
-open when the i-th generator coordinate of the reference point, the sum
-of the face's generators perturbed lexicographically by them in index
-order, is negative; a class with i-th coordinate 0 then counts one degree
-higher.  The tilde-S polynomial corrects the alternating face sum of
+slice).  It is counted with no lattice-point enumeration (Stanley 1980):
+face_s counts by degree the lifted box classes of the half-open simplices
+of a pulling triangulation of the face (lattice._half_open_classes, the
+same classes that lattice_points_at_degree enumerates points from).
+The tilde-S polynomial corrects the alternating face sum of
 S-polynomials by G-polynomials of the upper face intervals and records the
 graded dimensions of the interior quotient modules.  Every sum over the
 faces below a face walks its down-set in the poset that the parent's face
@@ -45,12 +42,10 @@ from . import lattice as lat
 from . import posets as po
 from .errors import (ConeNotInFan, DimensionBudgetExceeded,
                      NegativeHodgeNumber, NotSimplicial)
-from .lattice import Fan, GradedCone, ReflexivePair
+from .lattice import BOX_GROUP_BUDGET, Fan, GradedCone, ReflexivePair
 from .polynomials import BivariateLaurentPolynomial, UnivariatePolynomial
 
 _UV = BivariateLaurentPolynomial.monomial
-
-BOX_GROUP_BUDGET = 1_000_000  # box points take ~330 B each: ~0.3 GB
 
 
 # ---------------------------------------------------------------------------
@@ -65,79 +60,14 @@ def _times_one_minus_t_pow(counts, d: int) -> UnivariatePolynomial:
         for j in range(d + 1))
 
 
-def _box_classes(u, orders):
-    """(L, chunks): the classes a (0 <= a_i < orders[i]) of the box group
-    of D = U M V, as their generator coordinates frac(a D^-1 U) in int64
-    numerators over L = lcm(orders), in chunks of at most BOX_GROUP_BUDGET
-    rows (each entry below n * order * L before the reduction mod L)."""
-    size = math.prod(orders)
-    if size > lat._BOX_BUDGET:
-        raise DimensionBudgetExceeded(f"box group of order {size}")
-    big_l = math.lcm(*orders)
-    steps = np.array([[big_l // o * (x % o) for x in row]
-                      for o, row in zip(orders, u)], dtype=np.int64)
-
-    def chunk(start):
-        rest = np.arange(start, min(size, start + BOX_GROUP_BUDGET),
-                         dtype=np.int64)
-        nums = np.zeros((len(rest), len(orders)), dtype=np.int64)
-        for o, step in zip(orders, steps):
-            nums += (rest % o)[:, None] * step
-            rest //= o
-        return nums % big_l
-
-    return big_l, map(chunk, range(0, size, BOX_GROUP_BUDGET))
-
-
-def _half_open_degrees(gens, simplex, members) -> np.ndarray:
-    """Box classes of the simplex by degree, made half-open against the
-    reference point of the face on the generator indices `members` (see
-    the module docstring)."""
-    n = len(simplex)
-    u, d, v = la._diagonalize([gens[i] for i in simplex])
-    diag = [d[i][i] for i in range(n)]
-    big_l, chunks = _box_classes(u, [abs(x) for x in diag])
-    cols, scale = list(zip(*v))[:n], [big_l // x for x in diag]
-
-    def lam(x):  # L * (generator coordinates of x) = ((x V)_i L / d_i) U
-        y = [la.dot(x, c) * s for c, s in zip(cols, scale)]
-        return [la.dot(y, c) for c in zip(*u)]
-
-    sign = lam([sum(c) for c in zip(*(gens[k] for k in members))])
-    for k in members:  # the tie-break, only where a coordinate is still 0
-        if all(sign):
-            break
-        sign = [s or x for s, x in zip(sign, lam(gens[k]))]
-    is_open = np.array([s < 0 for s in sign], dtype=bool)
-    return sum(np.bincount(nums.sum(axis=1) // big_l
-                           + (nums[:, is_open] == 0).sum(axis=1),
-                           minlength=n + 1) for nums in chunks)
-
-
-@lru_cache(maxsize=None)
-def _pulling_triangulation(face: lat.Face) -> tuple:
-    """Simplices (sorted generator indices) triangulating the face with no
-    new rays: its smallest generator index coned over the triangulations
-    of the facets, read off the face's down-set in the parent's lattice,
-    that miss it."""
-    if len(face.gen_indices) == face.dim:
-        return (tuple(sorted(face.gen_indices)),)
-    apex = min(face.gen_indices)
-    return tuple((apex,) + s
-                 for f in lat.face_lattice(face.cone).down_set(face)
-                 if f.dim == face.dim - 1 and apex not in f.gen_indices
-                 for s in _pulling_triangulation(f))
-
-
 @lru_cache(maxsize=None)
 def face_s(face: lat.Face) -> UnivariatePolynomial:
     """S of a face from its generator indices in the parent cone: the box
     classes of the half-open simplices of its pulling triangulation, each
     over (1-t)^dim, counted by degree."""
-    members = sorted(face.gen_indices)
     return UnivariatePolynomial(sum(
-        _half_open_degrees(face.cone.generators, simplex, members)
-        for simplex in _pulling_triangulation(face)).tolist())
+        np.bincount(nums.sum(axis=1) // big_l, minlength=face.dim + 1)
+        for _, big_l, nums in lat._half_open_classes(face)).tolist())
 
 
 def s_polynomial(cone: GradedCone) -> UnivariatePolynomial:
@@ -210,7 +140,7 @@ class BoxPointTable:
 def box_points(cone: GradedCone) -> BoxPointTable:
     """Enumerate sum(a_i g_i), all a_i in (0,1), by shift (the t^l count of
     tilde-S), each shift's points in lexicographic order: the box classes
-    (see _box_classes) with no zero coordinate, num G / L exactly."""
+    (see lattice._box_classes) with no zero coordinate, num G / L exactly."""
     if not cone.is_simplicial():
         raise NotSimplicial("box points need a simplicial cone")
     gens = cone.generators
@@ -221,7 +151,7 @@ def box_points(cone: GradedCone) -> BoxPointTable:
     if math.prod(orders) > BOX_GROUP_BUDGET:
         raise DimensionBudgetExceeded(
             f"box group of order {math.prod(orders)} exceeds budget")
-    big_l, (nums,) = _box_classes(u, orders)  # one chunk within the budget
+    big_l, (nums,) = lat._box_classes(u, orders)  # one chunk within the budget
     nums = nums[(nums != 0).all(axis=1)]  # the open box
     # exact points num G / L, in Python ints so that no coordinate wraps
     points = (nums.astype(object) @ np.array(gens, dtype=object)) // big_l

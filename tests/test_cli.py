@@ -2,6 +2,8 @@
 
 import json
 import pathlib
+import random
+import re
 import time
 
 import pytest
@@ -208,6 +210,59 @@ def test_hodge_of_p233814_in_both_bases(vertices, tmp_path, capsys):
                      (1, 1): 21, (2, 2): 21, (2, 1): 57, (1, 2): 57}
     pair = lat.reflexive_pair(ser.load_polytope(str(path)))
     assert st.e_st_oracle(pair) == st.e_st_hypersurface(pair)
+
+
+# the quintic_mirror fixture in a basis whose degree-6 bounding box has
+# about 2*10^7 cells
+QUINTIC_MIRROR_SHEARED = [(-15, -11, -1, 5), (-6, -5, 0, 1), (2, 0, 1, -3),
+                          (18, 16, 0, -3), (1, 0, 0, 0)]
+
+
+def test_ring_dims_of_sheared_quintic_mirror(fixture_dir, tmp_path, capsys):
+    path = tmp_path / "sheared.json"
+    path.write_text(json.dumps({"rank": 4, "vertices": QUINTIC_MIRROR_SHEARED}))
+    raw = run_cli(["ring-dims", str(fixture_dir / "quintic_mirror.json")], capsys)
+    assert run_cli(["ring-dims", str(path)], capsys) == raw
+    assert raw[0] == 0
+
+
+def unimodular_matrix(rng: random.Random, n: int, bound: int = 50):
+    """A seeded element of GL_n(Z): elementary row operations from the
+    identity until some entry reaches bound / 2, no entry above bound."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    if n == 1:
+        return [[-1]]
+    while max(abs(x) for row in m for x in row) < bound // 2:
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        row = [a + c * b for a, b in zip(m[i], m[j])]
+        if max(map(abs, row)) <= bound:
+            m[i] = row
+    return m
+
+
+@pytest.mark.parametrize("name", fx.REFLEXIVE_NAMES)
+def test_invariants_do_not_depend_on_the_basis(name, fixture_dir, tmp_path,
+                                               capsys):
+    # every invariant subcommand gives the raw file's output on a sheared
+    # copy, or exits 2 with a named error; an uncaught exception fails here
+    vertices = fx.POLYTOPE_VERTICES[name]
+    m = unimodular_matrix(random.Random(f"gl:{name}"), len(vertices[0]))
+    sheared = tmp_path / "sheared.json"
+    sheared.write_text(json.dumps({"rank": len(m), "vertices": [
+        [sum(a * b for a, b in zip(v, col)) for col in zip(*m)]
+        for v in vertices]}))
+    commands = [["hodge", "--hypersurface"], ["s-poly"], ["tilde-s"]]
+    if len(m) in (2, 3):
+        commands.append(["ring-dims"])
+    for command in commands:
+        expect = run_cli(command + [str(fixture_dir / f"{name}.json")], capsys)
+        code = cli.main(command + [str(sheared)])
+        captured = capsys.readouterr()
+        if code == 2:
+            assert re.fullmatch(r"[A-Z]\w+: .+\n", captured.err), command
+        else:
+            assert (code, captured.out) == expect, command
 
 
 def test_byte_identical_reruns(fixture_dir, capsys):

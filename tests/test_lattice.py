@@ -4,10 +4,12 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import point_in_cone, slice_scan
 
 from stringcone import fixtures as fx
 from stringcone import intlinalg as la
@@ -515,7 +517,7 @@ def brute_force_points(cone, k):
     ranges = [range(k * min(column), k * max(column) + 1)
               for column in zip(*gens)]
     return tuple(x for x in itertools.product(*ranges)
-                 if la.dot(cone.deg, x) == k and lat.point_in_cone(cone, x))
+                 if la.dot(cone.deg, x) == k and point_in_cone(cone, x))
 
 
 @pytest.mark.parametrize("name", fx.polytope_names()
@@ -531,11 +533,43 @@ def test_slice_scan_matches_brute_force_on_every_face(name):
             for k in range(4):
                 closed = brute_force_points(cone, k)
                 interior = tuple(x for x in closed
-                                 if lat.point_in_cone(cone, x, strict=True))
+                                 if point_in_cone(cone, x, strict=True))
                 for flag, expect in ((False, closed), (True, interior)):
                     assert lat.lattice_points_at_degree(cone, k, flag) == expect
                     assert lat.count_lattice_points_at_degree(
                         cone, k, flag) == len(expect)
+
+
+def test_points_match_the_bounding_box_scan():
+    # every fixture cone, every face cone and every stellar cell, at every
+    # degree up to dim + 1, closed and interior
+    cones = [face.as_cone() for name in ORACLE_NAMES
+             for top in oracle_cones(name)
+             for face in lat.face_lattice(top).faces]
+    cones += [cell for name in fx.REFLEXIVE_NAMES
+              for cell in lat.stellar_subdivision(
+                  lat.gorenstein_cone_over(poly(name))).max_cones]
+    for cone in dict.fromkeys(cones):
+        for k in range(cone.dim + 2):
+            for flag in (False, True):
+                assert lat.lattice_points_at_degree(cone, k, flag) == \
+                    slice_scan(cone, k, flag), (cone, k, flag)
+
+
+def test_points_over_budget_raise_before_allocating():
+    # the cone over the standard 5-simplex has C(105, 5) ~ 9.6*10^7
+    # points at degree 100, and one box class
+    simplex = [tuple(int(i == j) for j in range(5)) for i in range(5)]
+    cone = lat.gorenstein_cone_over(lat.lattice_polytope(
+        simplex + [(0,) * 5]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionBudgetExceeded):
+            lat.lattice_points_at_degree(cone, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_ehrhart_counts():
@@ -585,7 +619,7 @@ def test_random_heights_always_give_valid_subdivision(heights):
     sub = lat.regular_subdivision(cone, heights)
     # validate_subdivision already ran; degree-2 points all covered
     for p in lat.lattice_points_at_degree(cone, 2):
-        assert any(lat.point_in_cone(c, p) for c in sub.max_cones)
+        assert any(point_in_cone(c, p) for c in sub.max_cones)
 
 
 def test_invalid_subdivision_detected():
@@ -623,7 +657,7 @@ def _assert_masks_match_point_in_cone(sub, degrees):
     assert len(masks) == len(pts)
     for p, mask in zip(pts, masks):
         assert mask == sum(1 << i for i, cell in enumerate(sub.max_cones)
-                           if lat.point_in_cone(cell, p))
+                           if point_in_cone(cell, p))
 
 
 @pytest.mark.parametrize("cone", FIXTURE_CONES)
@@ -652,7 +686,7 @@ def test_cell_masks_on_lower_dimensional_cones():
     pts = [p for k in range(3) for p in lat.lattice_points_at_degree(cone, k)]
     for p, mask in zip(pts, lat.cell_masks(faces, pts)):
         assert mask == sum(1 << i for i, face in enumerate(faces)
-                           if lat.point_in_cone(face, p))
+                           if point_in_cone(face, p))
     assert lat.cell_masks(faces, []) == []
 
 
@@ -696,8 +730,11 @@ def test_int64_kernels_refuse_values_that_could_wrap():
     cone = max(cones, key=lambda c: max(map(abs, itertools.chain(*c.facets)),
                                         default=0))
     assert cone.dim == 3 and max(map(abs, itertools.chain(*cone.facets))) > 10**52
+    # the closed slice reads no facet (the scan oracle does, so the exact
+    # brute force checks it); the interior slice and cell_masks do
+    assert lat.lattice_points_at_degree(cone, 1) == brute_force_points(cone, 1)
     with pytest.raises(DimensionBudgetExceeded):
-        lat.count_lattice_points_at_degree(cone, 1)
+        lat.lattice_points_at_degree(cone, 1, interior_only=True)
     with pytest.raises(DimensionBudgetExceeded):
         lat.cell_masks((cone,), cone.generators)
 

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from oracles import point_in_cone
 
 from stringcone import fixtures as fx
 from stringcone import intlinalg as la
@@ -119,9 +120,9 @@ def test_deformed_product_trivial_and_split():
     sub = lat.regular_subdivision(SQUARE_CONE, [0, 0, 0, 1])
     t1, t2 = sub.max_cones
     inner1 = next(p for p in lat.lattice_points_at_degree(SQUARE_CONE, 2)
-                  if lat.point_in_cone(t1, p) and not lat.point_in_cone(t2, p))
+                  if point_in_cone(t1, p) and not point_in_cone(t2, p))
     inner2 = next(p for p in lat.lattice_points_at_degree(SQUARE_CONE, 2)
-                  if lat.point_in_cone(t2, p) and not lat.point_in_cone(t1, p))
+                  if point_in_cone(t2, p) and not point_in_cone(t1, p))
     assert sg.deformed_product(sub, inner1, inner2) is None
     assert sg.deformed_product(sub, (0, 0, 0), inner2) == inner2
     with pytest.raises(PointOutsideCone):
@@ -245,7 +246,7 @@ def test_restrict_subdivision_to_face():
     induced = restrict_to_face(sub, face)
     assert all(c.dim == face.dim for c in induced.max_cones)
     for cell in induced.max_cones:
-        assert all(lat.point_in_cone(face, g) for g in cell.generators)
+        assert all(point_in_cone(face, g) for g in cell.generators)
 
 
 # -- pairing ---------------------------------------------------------------------------
