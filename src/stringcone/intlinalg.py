@@ -15,11 +15,12 @@ All geometry in this package reduces to small exact-arithmetic kernels:
   blocked back-substitution over the pivot rows,
 * certified rational rank for the large multiplication matrices: one
   mod-p echelon proposes the rank (and the prefix rank, for
-  `ranks_with_prefix`) and names a square subsystem, Dixon p-adic lifting
-  produces candidate kernel vectors, and an exact bigint verification
-  promotes the answer from "probable" to proven.  Fraction Gaussian
-  elimination, which is always correct, is only the fallback after every
-  prime attempt failed.
+  `ranks_with_prefix`) and names a square subsystem S.  One Dixon p-adic
+  lift of S (one inverse mod p, one product per digit and one
+  shared-denominator reconstruction over every dependent row) and one
+  exact bigint check promote the answer from "probable" to proven.
+  Fraction elimination, which is always correct, is only the fallback
+  after every prime attempt failed.
 
 `rank`, `ranks_with_prefix` and `rref` dispatch on a field descriptor, so
 callers hold one code path for both scalar fields.
@@ -595,81 +596,58 @@ def rational_reconstruct(residue: int, modulus: int):
 
 
 def vector_rational_reconstruct(residues, modulus: int):
-    """Reconstruct a rational vector, exploiting a shared denominator.
-
-    After each expensive single-entry reconstruction the running
-    denominator is applied to the remaining residues, which then usually
-    pass a cheap integerness test.  Returns None when any entry fails."""
+    """(numerators, shared denominator) of the rational vector with these
+    residues, or None when an entry fails.  After each expensive
+    single-entry reconstruction the running denominator is applied to the
+    remaining residues, which then usually pass a cheap integerness test."""
     bound = math.isqrt(modulus // 2)
-    den = 1
-    out = []
+    den, nums = 1, []
     for r in residues:
-        r = int(r) % modulus
-        y = r * den % modulus
-        if y <= bound:
-            out.append(Fraction(y, den))
-            continue
-        if modulus - y <= bound:
-            out.append(Fraction(-(modulus - y), den))
-            continue
-        f = rational_reconstruct(y, modulus)
-        if f is None:
-            return None
-        out.append(Fraction(f.numerator, f.denominator * den))
-        den *= f.denominator
-    return out
+        y = int(r) * den % modulus
+        if y > bound and modulus - y > bound:
+            f = rational_reconstruct(y, modulus)
+            if f is None:
+                return None
+            nums = [x * f.denominator for x in nums]
+            den *= f.denominator
+            y = f.numerator
+        nums.append(y if y <= bound else y - modulus)
+    return nums, den
 
 
-class _DixonSolver:
-    """Solves square integer systems S x = b exactly via p-adic lifting."""
+def _dixon_lift(square: np.ndarray, rhs: np.ndarray, p: int):
+    """square @ X = rhs solved exactly for every column of rhs at once, by
+    p-adic lifting: (integer numerators of X, their shared denominator),
+    or None when square is singular mod p, square @ z could wrap int64, or
+    the digits of a Hadamard-type bound do not reconstruct.
 
-    def __init__(self, s_rows, p: int):
-        self.p = p
-        self.n = len(s_rows)
-        self.s_int = np.array(s_rows, dtype=np.int64)
-        if self.n and int(np.abs(self.s_int).max()) * self.n * p >= 1 << 62:
-            raise ArithmeticError("entries too large for int64 lifting")
-        # dense inverse mod p via RREF of [S | I]
-        aug = np.concatenate(
-            [self.s_int % p, np.eye(self.n, dtype=np.int64)], axis=1)
-        _, piv, mat = rref_mod_p(aug, p)
-        if piv[: self.n] != list(range(self.n)):
-            raise ZeroDivisionError("matrix singular mod p")
-        self.inv_mod_p = mat[:, self.n:]
-
-    def solve(self, b, max_digits: int):
-        """Return exact Fraction solution vector, or None if lifting fails."""
-        p = self.p
-        r = np.array(b, dtype=np.int64)
-        modulus = 1
-        accum = np.zeros(self.n, dtype=object)
-        check_at = 24
-        for step in range(max_digits):
-            z = self.inv_mod_p @ (r % p) % p
-            accum = accum + z.astype(object) * modulus
-            modulus *= p
-            r = (r - self.s_int @ z) // p
-            if step + 1 >= check_at or step + 1 == max_digits:
-                check_at = check_at * 2
-                sol = vector_rational_reconstruct(accum, modulus)
-                if sol is not None:
-                    return sol
+    One rref_mod_p of [square | I] inverts square mod p; every digit is
+    one product of that inverse with the residues of all right-hand sides,
+    and one vector_rational_reconstruct over all entries ends the lift."""
+    n, max_entry = len(square), int(np.abs(square).max())
+    if max_entry * n * p >= 1 << 62:
         return None
-
-
-def _verify_left_kernel(mat: np.ndarray, nz_rows, nz_cols, nz_vals,
-                        vec_fracs) -> bool:
-    """Exact bigint check that vec @ mat == 0, using the sparse structure."""
-    den = 1
-    for f in vec_fracs:
-        den = den * f.denominator // math.gcd(den, f.denominator)
-    w = [int(f * den) for f in vec_fracs]
-    totals = [0] * mat.shape[1]
-    for i, j, v in zip(nz_rows, nz_cols, nz_vals):
-        wi = w[i]
-        if wi:
-            totals[j] += wi * v
-    return all(t == 0 for t in totals)
+    bits = n * (math.log2(max_entry + 1) + 0.5 * math.log2(max(n, 2)) + 1) + 64
+    max_digits = int(bits / math.log2(p) * 2) + 32
+    _, piv, mat = rref_mod_p(np.concatenate(
+        [square % p, np.eye(n, dtype=np.int64)], axis=1), p)
+    if piv[:n] != list(range(n)):
+        return None
+    inv = mat[:, n:]
+    residue = rhs
+    accum = np.zeros(rhs.shape, dtype=object)
+    modulus, check_at = 1, 24
+    for step in range(1, max_digits + 1):
+        z = inv @ (residue % p) % p
+        accum += z.astype(object) * modulus
+        modulus *= p
+        residue = (residue - square @ z) // p
+        if step >= check_at or step == max_digits:
+            check_at *= 2
+            sol = vector_rational_reconstruct(accum.ravel(), modulus)
+            if sol is not None:
+                return np.array(sol[0], dtype=object).reshape(rhs.shape), sol[1]
+    return None
 
 
 def rank_rational_certified(rows) -> int:
@@ -679,10 +657,10 @@ def rank_rational_certified(rows) -> int:
     r x r minor mod p is nonzero over Q), which pins the rank when it
     equals the row or column count.  Otherwise the same pass names r
     independent rows and r pivot columns; their square submatrix is
-    invertible mod p, so Dixon lifting yields one exact left-kernel vector
-    per remaining row, and bigint verification of those vectors proves
-    rank <= r.  After CERTIFY_PRIMES failed attempts, Fraction
-    elimination, which is always correct, decides.
+    invertible mod p, so one Dixon lift writes every remaining row as an
+    exact rational combination of the r named rows, and one bigint check
+    of those combinations proves rank <= r.  After CERTIFY_PRIMES failed
+    attempts, Fraction elimination, which is always correct, decides.
     """
     mat = np.asarray(rows, dtype=np.int64)
     if mat.size == 0:
@@ -716,32 +694,22 @@ def _certify_left_kernel(mat: np.ndarray, prime: int, r: int, piv, order):
         return r  # full rank mod p pins the rank over Q
     if r == 0:
         return 0 if not mat.any() else None
-    independent = order[:r]
-    piv = piv[:r]
-    # the left-kernel vector with a 1 at a dependent row f solves
-    # y @ mat[independent] = -mat[f]; on the pivot columns that is the
-    # square system square @ y = -mat[f, piv]
-    square = mat[np.ix_(independent, piv)].T
-    try:
-        solver = _DixonSolver(square, prime)
-    except (ZeroDivisionError, ArithmeticError):
+    independent, dependent, piv = order[:r], order[r:], piv[:r]
+    # a dependent row f is y @ mat[independent] for the y that solves
+    # y @ mat[independent, piv] = mat[f, piv]: one column per row f
+    if (lifted := _dixon_lift(mat[np.ix_(independent, piv)].T,
+                              mat[np.ix_(dependent, piv)].T, prime)) is None:
         return None
-    max_entry = int(np.abs(square).max())
-    bits = r * (math.log2(max_entry + 1) + 0.5 * math.log2(max(r, 2)) + 1) + 64
-    max_digits = int(bits / math.log2(prime) * 2) + 32
-    nz_rows, nz_cols = np.nonzero(mat)
-    nz_vals = [int(v) for v in mat[nz_rows, nz_cols]]
-    nz_rows = nz_rows.tolist()
-    nz_cols = nz_cols.tolist()
-    for f in order[r:]:
-        sol = solver.solve(-mat[f, piv], max_digits)
-        if sol is None:
-            return None
-        vec = [Fraction(0)] * nrows
-        vec[f] = Fraction(1)
-        for val, j in zip(sol, independent):
-            vec[j] = val
-        if not _verify_left_kernel(mat, nz_rows, nz_cols, nz_vals, vec):
+    y, den = lifted
+    # exact check of Y^T mat[independent] = den mat[dependent] on the
+    # nonzeros of mat[independent], grouped by column, one row f at a time
+    cols, rows = np.nonzero(mat[independent].T)
+    vals = mat[np.take(independent, rows), cols].astype(object)
+    starts = np.flatnonzero(np.diff(cols, prepend=-1))
+    for j, f in enumerate(dependent):
+        total = -den * mat[f].astype(object)
+        total[cols[starts]] += np.add.reduceat(y[rows, j] * vals, starts)
+        if np.count_nonzero(total):
             return None
     return r
 

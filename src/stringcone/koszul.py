@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from . import lattice as lat
 from .errors import CapTooSmall, DimensionBudgetExceeded, NotRegular
 from .lattice import FanSubdivision, ReflexivePair
 from .semigroup import MATRIX_CELL_BUDGET, DegreeOneElement, is_sigma_regular
-from .stringy import tilde_s_products
+from .stringy import face_s, tilde_s_products
 
 
 @dataclass(frozen=True)
@@ -113,6 +113,28 @@ def _as_array(points, rank: int) -> np.ndarray:
     return np.array(list(points), dtype=np.int64).reshape(-1, rank)
 
 
+def _orthogonal_pairs(pair: ReflexivePair, cap: int) -> Counter:
+    """The pairs [m, n] with m.n = 0 by bidegree (a, b), a, b <= cap,
+    counted before any point is built: m.n = 0 exactly when n lies on the
+    dual face C* of the face C whose relative interior holds m.  A face
+    has S(t)/(1-t)^dim points by degree, S reversed on its relative
+    interior (Ehrhart reciprocity)."""
+    def counts(face, interior: bool) -> list:
+        s = face_s(face).coeffs
+        c = list((s + (0,) * (face.dim + 1 - len(s)))[::-1 if interior else 1])
+        c += [0] * (cap - face.dim)
+        for _ in range(face.dim):
+            c = list(accumulate(c))
+        return c
+
+    pairs = Counter()
+    for face in lat.face_lattice(pair.cone).faces:
+        inner, outer = counts(face, True), counts(pair.dual_face(face), False)
+        pairs.update({(a, b): x * y for a, x in enumerate(inner) if x
+                      for b, y in enumerate(outer) if y})
+    return pairs
+
+
 def build_complex(pair: ReflexivePair, f: DegreeOneElement,
                   g: DegreeOneElement, cap: int | None = None,
                   dual_subdivision: FanSubdivision | None = None,
@@ -133,19 +155,10 @@ def build_complex(pair: ReflexivePair, f: DegreeOneElement,
     if cap < k_cone.dim:
         raise CapTooSmall(f"cap {cap} below cone dimension {k_cone.dim}")
     rank = k_cone.ambient_rank
-
-    deg_k, deg_d = ({p: d for d in range(cap + 1)
-                     for p in lat.lattice_points_at_degree(cone, d)}
-                    for cone in (k_cone, k_dual))
-    points_d = list(deg_d)
-    arr_d = _as_array(points_d, rank)
-    orthogonal = {m: np.flatnonzero(arr_d @ m == 0) for m in deg_k}
     # the pairs of bidegree (a, b) give C(rank, e) elements to the piece
     # (e + a - b, a + b) for each e; D maps (s, t) into (s, t+1)
-    pairs = Counter((a, deg_d[points_d[y]])
-                    for m, a in deg_k.items() for y in orthogonal[m])
     dims = Counter()
-    for (a, b), c in pairs.items():
+    for (a, b), c in _orthogonal_pairs(pair, cap).items():
         for e in range(rank + 1):
             dims[e + a - b, a + b] += c * math.comb(rank, e)
     cells = sum(size * dims[s, t + 1] for (s, t), size in dims.items())
@@ -158,6 +171,12 @@ def build_complex(pair: ReflexivePair, f: DegreeOneElement,
         if not verdict.regular:
             raise NotRegular(verdict.detail)
 
+    deg_k, deg_d = ({p: d for d in range(cap + 1)
+                     for p in lat.lattice_points_at_degree(cone, d)}
+                    for cone in (k_cone, k_dual))
+    points_d = list(deg_d)
+    arr_d = _as_array(points_d, rank)
+    orthogonal = {m: np.flatnonzero(arr_d @ m == 0) for m in deg_k}
     exterior = [idx for e in range(rank + 1)
                 for idx in combinations(range(rank), e)]
     pieces: dict = {}

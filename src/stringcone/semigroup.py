@@ -161,25 +161,25 @@ class _QuotientWorkspace:
         rows_pts = self.interior[k] if interior_source else self.points[k]
         cols_pts = self.interior[k - 1] if interior_source else self.points[k - 1]
         index = {p: i for i, p in enumerate(rows_pts)}
-        mat = np.zeros((len(rows_pts), len(self.derivs) * len(cols_pts)),
-                       dtype=np.int64)
-        col = 0
-        for deriv in self.derivs:
-            for m in cols_pts:
-                mmask = self.masks[m]
-                for mp, c in deriv.items():
-                    if self.masks[mp] & mmask:
-                        target = tuple(a + b for a, b in zip(mp, m))
-                        mat[index[target], col] += c
-                col += 1
+        n = len(cols_pts)
+        mat = np.zeros((len(rows_pts), len(self.derivs) * n), dtype=np.int64)
+        # column d * n + i is derivative d times point i, so a product
+        # mp + m adds its weights under every derivative at once
+        support = {mp: np.array([d.get(mp, 0) for d in self.derivs])
+                   for mp in set().union(*self.derivs)}
+        for i, m in enumerate(cols_pts):
+            for mp, w in support.items():
+                if self.masks[mp] & self.masks[m]:
+                    mat[index[tuple(a + b for a, b in zip(mp, m))], i::n] += w
         return mat
 
     def augmented_with_interior(self, mat, k: int):
         if not self.interior[k]:
             return mat
         index = {p: i for i, p in enumerate(self.points[k])}
-        units = np.eye(len(index), dtype=np.int64)[
-            :, [index[p] for p in self.interior[k]]]
+        units = np.zeros((len(index), len(self.interior[k])), dtype=np.int64)
+        units[[index[p] for p in self.interior[k]],
+              np.arange(len(self.interior[k]))] = 1
         return np.concatenate([mat, units], axis=1)
 
     def dims(self) -> tuple[list, list]:

@@ -128,6 +128,16 @@ def test_koszul_subcommand(fixture_dir, capsys):
     assert json.loads(out)["matches"] is True
 
 
+def test_koszul_large_cap_is_refused_before_enumeration(fixture_dir, capsys):
+    start = time.process_time()
+    code = cli.main(["koszul", str(fixture_dir / "diamond.json"),
+                     "--cap", "100"])
+    elapsed = time.process_time() - start
+    assert code == 2
+    assert capsys.readouterr().err.startswith("DimensionBudgetExceeded: ")
+    assert elapsed < 5
+
+
 def test_subdivide_subcommand(fixture_dir, tmp_path, capsys):
     cone = lat.gorenstein_cone_over(fx.polytope("square"))
     pts = lat.lattice_points_at_degree(cone, 1)

@@ -151,8 +151,8 @@ def test_rational_reconstruction_roundtrip(num, den):
     modulus = next(la.primes_below(2 * 10**12 + 10**7))
     residue = frac.numerator * pow(frac.denominator, -1, modulus) % modulus
     assert la.rational_reconstruct(residue, modulus) == frac
-    vec = la.vector_rational_reconstruct([residue, residue], modulus)
-    assert vec == [frac, frac]
+    nums, den = la.vector_rational_reconstruct([residue, residue], modulus)
+    assert [Fraction(x, den) for x in nums] == [frac, frac]
 
 
 def test_certified_rank_with_planted_kernel():
@@ -215,16 +215,68 @@ def test_certified_rank_retries_with_next_prime(monkeypatch):
         ("echelon_mod_p", next(primes)), ("echelon_mod_p", next(primes))]
 
 
-def test_dixon_solver_exact_solution():
+def test_dixon_lift_solves_every_right_hand_side_at_once():
     rng = np.random.default_rng(5)
     n = 40
-    mat = rng.integers(-10**6, 10**6, (n, n)).tolist()
-    solver = la._DixonSolver(mat, la.DEFAULT_PRIME)
-    b = rng.integers(-10**6, 10**6, n).tolist()
-    sol = solver.solve(b, 600)
-    assert sol is not None
-    for row, rhs in zip(mat, b):
-        assert sum(Fraction(x) * s for x, s in zip(row, sol)) == rhs
+    mat = rng.integers(-10**6, 10**6, (n, n))
+    rhs = rng.integers(-10**6, 10**6, (n, 3))
+    lifted = la._dixon_lift(mat, rhs, la.DEFAULT_PRIME)
+    assert lifted is not None
+    nums, den = lifted
+    assert nums.shape == (n, 3)
+    assert (mat.astype(object) @ nums == den * rhs.astype(object)).all()
+
+
+def test_certified_rank_lifts_forty_dependent_rows_once(monkeypatch):
+    rng = np.random.default_rng(31)
+    mat = dependent_rows_first(rng, 100, 80, 60, lead=4)
+    calls = []
+    _record_calls(monkeypatch, calls, "echelon_mod_p", "rref_mod_p")
+    assert la.rank_rational_certified(mat) == la.rank_fraction(mat.tolist())
+    assert [name for name, _ in calls] == ["echelon_mod_p", "rref_mod_p"]
+
+
+def test_certified_rank_with_different_denominators(monkeypatch):
+    rng = np.random.default_rng(41)
+    units = rng.integers(-9, 10, (4, 12))
+    scaled = units * np.array([[2], [3], [5], [7]])
+    # each dependent row is a combination of the scaled rows whose
+    # coefficients have their own denominators
+    dependent = np.array([units[0] + units[1], units[2] - units[3],
+                          units[0] + 4 * units[2], units[1] + units[3]])
+    mat = np.vstack([dependent, scaled])
+    lifts = []
+    lift = la._dixon_lift
+    monkeypatch.setattr(la, "_dixon_lift",
+                        lambda *a: lifts.append(lift(*a)) or lifts[-1])
+    assert la.rank_rational_certified(mat) == 4 == la.rank_fraction(
+        mat.tolist())
+    (nums, den), = lifts
+    col_dens = {max(Fraction(int(x), den).denominator for x in col)
+                for col in nums.T}
+    assert len(col_dens) > 1
+
+
+@pytest.mark.parametrize("bad_calls, primes", [(1, 2), (None, 3)])
+def test_perturbed_lift_is_rejected(monkeypatch, bad_calls, primes):
+    rng = np.random.default_rng(43)
+    mat = dependent_rows_first(rng, 30, 40, 20, lead=3)
+    lift, seen = la._dixon_lift, []
+
+    def perturbed(*args):
+        nums, den = lift(*args)
+        seen.append(den)
+        if bad_calls is None or len(seen) <= bad_calls:
+            nums[0, -1] += 1
+        return nums, den
+
+    monkeypatch.setattr(la, "_dixon_lift", perturbed)
+    calls = []
+    _record_calls(monkeypatch, calls, "echelon_mod_p", "rref_fraction")
+    assert la.rank_rational_certified(mat) == 20
+    names = [name for name, _ in calls]
+    assert names.count("echelon_mod_p") == primes
+    assert ("rref_fraction" in names) == (bad_calls is None)
 
 
 def test_primes_below_yields_primes():

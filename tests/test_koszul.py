@@ -84,6 +84,19 @@ def test_budget_counts_built_differentials(name, monkeypatch):
     kz.build_complex(pair, f, g)
 
 
+@pytest.mark.parametrize("name, cap", [("segment", 9), ("diamond", 6),
+                                       ("p2_dual", 5), ("cube", 4),
+                                       ("quartic", 4)])
+def test_orthogonal_pairs_counted_from_faces_match_the_scan(name, cap):
+    pair = make_pair(name)
+    deg_k, deg_d = ({p: d for d in range(cap + 1)
+                     for p in lat.lattice_points_at_degree(cone, d)}
+                    for cone in (pair.cone, pair.dual))
+    scan = Counter((a, b) for m, a in deg_k.items()
+                   for n, b in deg_d.items() if np.dot(m, n) == 0)
+    assert kz._orthogonal_pairs(pair, cap) == scan
+
+
 def test_differentials_map_st_to_st_plus_one():
     pair = make_pair("diamond")
     f, g = elements(pair, 0)
