@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands operate on the JSON file formats from `serialize` and print
-deterministic JSON (or plain text with --format text).  Exit codes:
+deterministic JSON (or plain text with --format text, where offered;
+each option is offered only where it is read).  Exit codes:
 0 success, 1 failed verification, 2 input or domain error.
 """
 
@@ -153,7 +154,6 @@ def run(args):
         "subdivide": _cmd_subdivide,
         "fixtures": _cmd_fixtures,
     }
-    la.parse_field(args.field)  # a bad --field fails every command alike
     if args.command == "verify":
         lines, ok = vf.run_criteria(args.criteria)
         return (0 if ok else 1), "\n".join(lines)
@@ -190,48 +190,47 @@ def _criteria(text: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--field", default=sg.DEFAULT_FIELD,
+    # ring-dims and koszul: a polytope, its heights, a random element
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("polytope")
+    seeded.add_argument("--subdivide", metavar="HEIGHTS", default=None)
+    seeded.add_argument("--seed", type=int, default=0)
+    seeded.add_argument("--field", default=sg.DEFAULT_FIELD,
                         help='"rational" or "prime:<p>" with '
                              f'{la.MIN_FIELD_CHAR} <= p < 2**22 prime')
-    common.add_argument("--format", dest="fmt", choices=("json", "text"),
-                        default="json")
+    formatted = argparse.ArgumentParser(add_help=False)
+    formatted.add_argument("--format", dest="fmt", choices=("json", "text"),
+                           default="json")
     parser = argparse.ArgumentParser(
         prog="stringcone",
         description="Exact stringy invariants of reflexive polytopes")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("dual", "check-reflexive", "faces", "s-poly", "tilde-s",
-                 "g-poly", "b-poly", "box"):
-        p = sub.add_parser(name, parents=[common])
-        p.add_argument("polytope")
+    for name in ("dual", "check-reflexive", "faces"):
+        sub.add_parser(name, parents=[formatted]).add_argument("polytope")
+    for name in ("s-poly", "tilde-s", "g-poly", "b-poly", "box"):
+        sub.add_parser(name).add_argument("polytope")
 
     for name in ("e-st", "hodge"):
-        p = sub.add_parser(name, parents=[common])
+        p = sub.add_parser(name)
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--hypersurface", metavar="POLYTOPE")
         group.add_argument("--toric", metavar="FAN")
 
-    p = sub.add_parser("ring-dims", parents=[common])
-    p.add_argument("polytope")
-    p.add_argument("--subdivide", metavar="HEIGHTS", default=None)
+    sub.add_parser("ring-dims", parents=[seeded])
+    sub.add_parser("koszul", parents=[seeded]).add_argument(
+        "--cap", type=int, default=None)
 
-    p = sub.add_parser("koszul", parents=[common])
-    p.add_argument("polytope")
-    p.add_argument("--subdivide", metavar="HEIGHTS", default=None)
-    p.add_argument("--cap", type=int, default=None)
-
-    p = sub.add_parser("subdivide", parents=[common])
+    p = sub.add_parser("subdivide")
     p.add_argument("polytope")
     p.add_argument("--heights", required=True)
     p.add_argument("--generic", action="store_true")
 
-    p = sub.add_parser("verify", parents=[common])
+    p = sub.add_parser("verify")
     p.add_argument("--criteria", type=_criteria, default=None,
                    help='"all" (default) or comma-separated criterion keys')
 
-    p = sub.add_parser("fixtures", parents=[common])
+    p = sub.add_parser("fixtures")
     p.add_argument("--dump", default="fixtures", metavar="DIR")
     return parser
 

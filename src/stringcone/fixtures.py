@@ -47,7 +47,7 @@ REFLEXIVE_NAMES = ("segment", "diamond", "square", "p2", "p2_dual",
 MIRROR_PAIRS = (("diamond", "square"), ("cube", "cross"),
                 ("quartic", "quartic_dual"), ("quintic", "quintic_mirror"))
 
-# the six small reflexive fixtures whose cones have dimension <= 4
+# the eight small reflexive fixtures, whose cones have dimension <= 4
 SMALL_REFLEXIVE_NAMES = ("diamond", "square", "p2", "p2_dual",
                          "cube", "cross", "quartic", "quartic_dual")
 

@@ -8,6 +8,8 @@ any product that leaves the orthogonality locus:
 
     D = sum_m f(m) (contract by m) (x) [m]  +  sum_n g(n) (n ^ .) (x) [n].
 
+A basis wedge is the bitmask q of its factors: contraction by e_i clears
+bit i, left wedge by e_i sets it, both with sign (-1)^(factors of q below i).
 D^2 = 0 holds unconditionally because pairings of cone points are
 nonnegative, so the projected multiplications commute.  The differential
 preserves s = (exterior degree) + deg(m) - deg(n) and raises
@@ -25,10 +27,10 @@ the dual cone) leaves all reported dimensions unchanged.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -86,27 +88,12 @@ class KoszulComplex:
         return True
 
 
-def _exterior_contract(index: tuple, vector) -> list:
-    """Contraction of a basis wedge by a lattice vector (on the dual side)."""
-    out = []
-    for j, i in enumerate(index):
-        coeff = vector[i]
-        if coeff:
-            rest = index[:j] + index[j + 1:]
-            out.append((rest, (-1) ** j * coeff))
-    return out
-
-
-def _exterior_wedge(index: tuple, vector) -> list:
-    """Left wedge by a lattice vector against a basis wedge."""
-    out = []
-    for i, coeff in enumerate(vector):
-        if not coeff or i in index:
-            continue
-        pos = sum(1 for k in index if k < i)
-        new = tuple(sorted(index + (i,)))
-        out.append((new, (-1) ** pos * coeff))
-    return out
+@lru_cache(maxsize=None)
+def _exterior_flips(rank: int) -> tuple:
+    """The flips (i, q ^ 1 << i, sign) of each basis wedge q < 2**rank."""
+    return tuple(tuple((i, q ^ 1 << i, (-1) ** (q & (1 << i) - 1).bit_count())
+                       for i in range(rank))
+                 for q in range(1 << rank))
 
 
 def _as_array(points, rank: int) -> np.ndarray:
@@ -155,12 +142,14 @@ def build_complex(pair: ReflexivePair, f: DegreeOneElement,
     if cap < k_cone.dim:
         raise CapTooSmall(f"cap {cap} below cone dimension {k_cone.dim}")
     rank = k_cone.ambient_rank
-    # the pairs of bidegree (a, b) give C(rank, e) elements to the piece
-    # (e + a - b, a + b) for each e; D maps (s, t) into (s, t+1)
+    wedges = [tuple(i for i in range(rank) if q >> i & 1)
+              for q in range(1 << rank)]
+    # a pair of bidegree (a, b) gives one element per wedge to the piece
+    # (deg wedge + a - b, a + b); D maps (s, t) into (s, t+1)
     dims = Counter()
     for (a, b), c in _orthogonal_pairs(pair, cap).items():
-        for e in range(rank + 1):
-            dims[e + a - b, a + b] += c * math.comb(rank, e)
+        for idx in wedges:
+            dims[len(idx) + a - b, a + b] += c
     cells = sum(size * dims[s, t + 1] for (s, t), size in dims.items())
     if cells > MATRIX_CELL_BUDGET:
         raise DimensionBudgetExceeded(
@@ -177,28 +166,24 @@ def build_complex(pair: ReflexivePair, f: DegreeOneElement,
     points_d = list(deg_d)
     arr_d = _as_array(points_d, rank)
     orthogonal = {m: np.flatnonzero(arr_d @ m == 0) for m in deg_k}
-    exterior = [idx for e in range(rank + 1)
-                for idx in combinations(range(rank), e)]
     pieces: dict = {}
-    index_of: dict = {}  # (m, n) -> number of (exterior[q], m, n), per q
+    index_of: dict = {}  # (m, n) -> number of (wedges[q], m, n), per q
     for m, a in deg_k.items():
         for n in (points_d[y] for y in orthogonal[m]):
             b = deg_d[n]
             ids = index_of[m, n] = []
-            for idx in exterior:
+            for idx in wedges:
                 basis = pieces.setdefault((len(idx) + a - b, a + b), [])
                 ids.append(len(basis))
                 basis.append((idx, m, n))
     space = PairedMonomialSpace(pair=pair, cap=cap, pieces=pieces)
 
-    # contraction by each point of f and wedge by each point of g, once per
-    # exterior index: q -> [(position of the result, signed coefficient)]
-    position = {idx: q for q, idx in enumerate(exterior)}
-    tables = {(move, vec): [[(position[new], c) for new, c in move(idx, vec)]
-                            for idx in exterior]
-              for move, elem in ((_exterior_contract, f),
-                                 (_exterior_wedge, g))
-              for vec, _ in elem.coefficients}
+    # q -> [(q ^ 1 << i, sign * v_i)]: contraction by v lowers q, wedge raises
+    contract, wedge = ({vec: [[(q2, sign * vec[i]) for i, q2, sign in row
+                               if vec[i] and (q2 < q) == lower]
+                              for q, row in enumerate(_exterior_flips(rank))]
+                        for vec, _ in elem.coefficients}
+                       for lower, elem in ((True, f), (False, g)))
     # the projection keeps f(m') [m'] on [m, n] when m'.n = 0, and g(n') [n']
     # when m.n' = 0 and, on a deformed dual side, n and n' share a cell
     f_zero = arr_d @ _as_array((p for p, _ in f.coefficients), rank).T == 0
@@ -213,16 +198,16 @@ def build_complex(pair: ReflexivePair, f: DegreeOneElement,
             b = deg_d[n]
             moves = []  # (move table, coefficient, numbers of the target)
             if a < cap:
-                moves += [(tables[_exterior_contract, mp], c,
+                moves += [(contract[mp], c,
                            index_of[tuple(u + v for u, v in zip(m, mp)), n])
                           for (mp, c), z in zip(f.coefficients, f_zero[y])
                           if z]
             if b < cap:
-                moves += [(tables[_exterior_wedge, np_], c,
+                moves += [(wedge[np_], c,
                            index_of[m, tuple(u + v for u, v in zip(n, np_))])
                           for (np_, c), z in zip(g.coefficients, g_row)
                           if z and (masks is None or masks[n] & masks[np_])]
-            for q, (idx, src) in enumerate(zip(exterior, index_of[m, n])):
+            for q, (idx, src) in enumerate(zip(wedges, index_of[m, n])):
                 rows, cols, vals = coo[len(idx) + a - b, a + b]
                 for table, c, target in moves:
                     for q2, w in table[q]:

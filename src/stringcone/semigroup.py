@@ -158,29 +158,27 @@ class _QuotientWorkspace:
     def multiplication_matrix(self, k: int, interior_source: bool = False):
         """Rows indexed by degree-k points (interior points when
         interior_source), columns by (derivative, degree-(k-1) point)."""
-        rows_pts = self.interior[k] if interior_source else self.points[k]
-        cols_pts = self.interior[k - 1] if interior_source else self.points[k - 1]
-        index = {p: i for i, p in enumerate(rows_pts)}
-        n = len(cols_pts)
-        mat = np.zeros((len(rows_pts), len(self.derivs) * n), dtype=np.int64)
+        return self._products(self.interior if interior_source
+                              else self.points, k)
+
+    def _products(self, src: dict, k: int, units=()):
+        """The multiplication matrix from the degree-(k-1) to the degree-k
+        points of src, then one unit column per point of units."""
+        index = {p: i for i, p in enumerate(src[k])}
+        n = len(src[k - 1])
+        split = len(self.derivs) * n
+        mat = np.zeros((len(index), split + len(units)), dtype=np.int64)
+        mat[[index[p] for p in units], split + np.arange(len(units))] = 1
         # column d * n + i is derivative d times point i, so a product
         # mp + m adds its weights under every derivative at once
         support = {mp: np.array([d.get(mp, 0) for d in self.derivs])
                    for mp in set().union(*self.derivs)}
-        for i, m in enumerate(cols_pts):
+        for i, m in enumerate(src[k - 1]):
             for mp, w in support.items():
                 if self.masks[mp] & self.masks[m]:
-                    mat[index[tuple(a + b for a, b in zip(mp, m))], i::n] += w
+                    mat[index[tuple(a + b for a, b in zip(mp, m))],
+                        i:split:n] += w
         return mat
-
-    def augmented_with_interior(self, mat, k: int):
-        if not self.interior[k]:
-            return mat
-        index = {p: i for i, p in enumerate(self.points[k])}
-        units = np.zeros((len(index), len(self.interior[k])), dtype=np.int64)
-        units[[index[p] for p in self.interior[k]],
-              np.arange(len(self.interior[k]))] = 1
-        return np.concatenate([mat, units], axis=1)
 
     def dims(self) -> tuple[list, list]:
         """Dimensions of the quotient and of its interior image at degrees
@@ -189,9 +187,10 @@ class _QuotientWorkspace:
         r1 = [1 if self.interior[0] else 0]
         field = self.g.field
         for k in range(1, self.cone.dim + 2):
-            mat = self.multiplication_matrix(k)
-            aug = self.augmented_with_interior(mat, k)
-            rank_m, rank_aug = la.ranks_with_prefix(aug, mat.shape[1], field)
+            # the unit columns share the array, so no matrix is copied
+            aug = self._products(self.points, k, self.interior[k])
+            split = aug.shape[1] - len(self.interior[k])
+            rank_m, rank_aug = la.ranks_with_prefix(aug, split, field)
             r0.append(len(self.points[k]) - rank_m)
             r1.append(rank_aug - rank_m)
         return r0, r1

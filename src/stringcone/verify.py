@@ -59,9 +59,9 @@ def criterion_two_formula(names=fx.REFLEXIVE_NAMES) -> list[CheckResult]:
 
 # -- criterion 2: mirror duality ---------------------------------------------
 
-def criterion_mirror_duality(pairs=fx.MIRROR_PAIRS) -> list[CheckResult]:
+def criterion_mirror_duality() -> list[CheckResult]:
     out = []
-    for a, b in pairs:
+    for a, b in fx.MIRROR_PAIRS:
         pa = fx.reflexive_pair(a)
         pb = fx.reflexive_pair(b)
         cy_dim = pa.cone.dim - 2  # hypersurface dimension d-1
@@ -109,11 +109,11 @@ def criterion_golden_hodge() -> list[CheckResult]:
 
 # -- criterion 4: poset identities -------------------------------------------
 
-def criterion_poset_identities(names=fx.REFLEXIVE_NAMES) -> list[CheckResult]:
+def criterion_poset_identities() -> list[CheckResult]:
     out = []
     total = 0
     failures = 0
-    for cone in _unique_fixture_cones(names):
+    for cone in _unique_fixture_cones(fx.REFLEXIVE_NAMES):
         poset = lat.face_lattice(cone).poset
         for x in poset.elements:
             for y in poset.elements:
@@ -133,10 +133,10 @@ def criterion_poset_identities(names=fx.REFLEXIVE_NAMES) -> list[CheckResult]:
 
 # -- criterion 5: tilde-S suite ----------------------------------------------
 
-def criterion_tilde_s(names=fx.REFLEXIVE_NAMES) -> list[CheckResult]:
+def criterion_tilde_s() -> list[CheckResult]:
     palin_ok = simp_ok = inv_ok = True
     faces_checked = 0
-    for cone in _unique_fixture_cones(names):
+    for cone in _unique_fixture_cones(fx.REFLEXIVE_NAMES):
         fl = lat.face_lattice(cone)
         for face in fl.faces:
             c = face.as_cone()
@@ -196,12 +196,9 @@ def _prime_backend_agrees(cone, subdivision, rational_report) -> bool:
     return False
 
 
-def criterion_graded_dimensions(seeds=(0, 1, 2),
-                                names=fx.SMALL_REFLEXIVE_NAMES,
-                                max_dim=4) -> list[CheckResult]:
+def criterion_graded_dimensions(seeds=(0, 1, 2)) -> list[CheckResult]:
     out = []
-    cones = [c for c in _unique_fixture_cones(names) if c.dim <= max_dim]
-    for cone in cones:
+    for cone in _unique_fixture_cones(fx.SMALL_REFLEXIVE_NAMES):
         subdivisions = [lat.trivial_subdivision(cone),
                         lat.stellar_subdivision(cone)]
         ok = True
@@ -228,10 +225,10 @@ def criterion_graded_dimensions(seeds=(0, 1, 2),
 
 # -- criterion 7: box points --------------------------------------------------
 
-def criterion_box_points(names=fx.REFLEXIVE_NAMES) -> list[CheckResult]:
+def criterion_box_points() -> list[CheckResult]:
     checked = 0
     failures = 0
-    cones = _unique_fixture_cones(names)
+    cones = _unique_fixture_cones(fx.REFLEXIVE_NAMES)
     for fan_name in fx.fan_names():
         cones.extend(c for c in fx.fan(fan_name).cones if c.dim > 0)
     for cone in cones:

@@ -302,6 +302,27 @@ def test_verify_unknown_criterion_exits_2(capsys):
     assert "no-such-criterion" in err and "1-two-formula" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["hodge", "--hypersurface", "diamond.json", "--format", "text"],
+    ["verify", "--seed", "1"],
+    ["box", "diamond.json", "--field", "rational"],
+])
+def test_options_a_command_does_not_read_exit_2(args, fixture_dir, capsys):
+    # hodge prints JSON whatever --format says, so it must not accept one
+    args = [str(fixture_dir / a) if a.endswith(".json") else a for a in args]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_faces_format_text(fixture_dir, capsys):
+    code, out = run_cli(["faces", str(fixture_dir / "diamond.json"),
+                         "--format", "text"], capsys)
+    assert code == 0
+    assert out.startswith("10 faces of a dim-3 cone\n")
+
+
 @pytest.mark.parametrize("field", [
     "float",            # not a descriptor
     "prime:2000001",    # composite modulus

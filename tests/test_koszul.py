@@ -204,6 +204,29 @@ def test_rational_field_variant():
     assert report.matches
 
 
+def exterior_contract(index: tuple, vector) -> list:
+    """Contraction of a basis wedge by a lattice vector (on the dual side)."""
+    out = []
+    for j, i in enumerate(index):
+        coeff = vector[i]
+        if coeff:
+            rest = index[:j] + index[j + 1:]
+            out.append((rest, (-1) ** j * coeff))
+    return out
+
+
+def exterior_wedge(index: tuple, vector) -> list:
+    """Left wedge by a lattice vector against a basis wedge."""
+    out = []
+    for i, coeff in enumerate(vector):
+        if not coeff or i in index:
+            continue
+        pos = sum(1 for k in index if k < i)
+        new = tuple(sorted(index + (i,)))
+        out.append((new, (-1) ** pos * coeff))
+    return out
+
+
 def term_by_term_triplets(complex_, f, g, sub):
     """(row, column, value) of every piece's differential, one exterior
     contraction or wedge per (basis element, coefficient point)."""
@@ -222,13 +245,13 @@ def term_by_term_triplets(complex_, f, g, sub):
                 if a < space.cap and np.dot(mp, n) == 0:
                     m2 = tuple(u + v for u, v in zip(m, mp))
                     triplets += [(index_of[new, m2, n], src, w * c) for new, w
-                                 in kz._exterior_contract(idx, mp)]
+                                 in exterior_contract(idx, mp)]
             for np_, c in g.coefficients:
                 if (t - a < space.cap and np.dot(m, np_) == 0
                         and (masks is None or masks[n] & masks[np_])):
                     n2 = tuple(u + v for u, v in zip(n, np_))
                     triplets += [(index_of[new, m, n2], src, w * c) for new, w
-                                 in kz._exterior_wedge(idx, np_)]
+                                 in exterior_wedge(idx, np_)]
     return out
 
 
@@ -244,3 +267,32 @@ def test_tabulated_moves_match_term_by_term_assembly(name, stellar):
     for st_, d in complex_.blocks.items():
         got = zip(d.rows.tolist(), d.cols.tolist(), d.vals.tolist())
         assert sorted(got) == sorted(expected[st_])
+
+
+def flip_matrices(rank, v, w):
+    """Contraction by v and left wedge by w on all 2**rank basis wedges,
+    read off the flip table: a contraction lowers the bitmask q, a wedge
+    raises it."""
+    contract = np.zeros((1 << rank, 1 << rank), dtype=np.int64)
+    wedge = np.zeros_like(contract)
+    for q, row in enumerate(kz._exterior_flips(rank)):
+        for i, q2, sign in row:
+            if q2 < q:
+                contract[q2, q] += sign * v[i]
+            else:
+                wedge[q2, q] += sign * w[i]
+    return contract, wedge
+
+
+@pytest.mark.parametrize("rank", range(1, lat.AMBIENT_RANK_BUDGET + 1))
+def test_flip_table_satisfies_the_clifford_relation(rank):
+    # no complex under the budgets reaches rank 4, so this is the only
+    # check of the sign rule there
+    rng = np.random.default_rng(rank)
+    for _ in range(3):
+        v, w = rng.integers(-9, 10, (2, rank))
+        contract, wedge = flip_matrices(rank, v, w)
+        assert np.array_equal(contract @ wedge + wedge @ contract,
+                              np.dot(v, w) * np.eye(1 << rank, dtype=np.int64))
+        assert not np.any(contract @ contract)
+        assert not np.any(wedge @ wedge)

@@ -144,13 +144,25 @@ def test_front_end_builds_no_dense_copy():
 
 @pytest.mark.parametrize("name,stellar,k", [("cube", False, 5),
                                             ("quartic_dual", True, 4)])
-def test_multiplication_matrices_match_dense_ranks(name, stellar, k):
+def test_multiplication_matrices_match_dense_ranks(name, stellar, k,
+                                                   monkeypatch):
     cone = lat.gorenstein_cone_over(fx.polytope(name))
     sub = (lat.stellar_subdivision(cone) if stellar
            else lat.trivial_subdivision(cone))
     work = sg._QuotientWorkspace(sg.random_degree_one(cone, 5), sub)
+    built = []  # the matrix dims() ranks at each degree 1 .. dim+1
+    monkeypatch.setattr(la, "ranks_with_prefix",
+                        lambda aug, split, field: built.append(aug) or (0, 0))
+    work.dims()
+    aug = built[k - 1]
     mat = work.multiplication_matrix(k)
-    aug = work.augmented_with_interior(mat, k)
+    # the multiplication fills the leading columns, then one unit column
+    # per interior point, in order
+    assert np.array_equal(aug[:, :mat.shape[1]], mat)
+    rows, cols = np.nonzero(aug[:, mat.shape[1]:])
+    assert tuple(work.points[k][i] for i in rows) == work.interior[k]
+    assert cols.tolist() == list(range(len(work.interior[k])))
+    assert aug[rows, mat.shape[1] + cols].tolist() == [1] * len(rows)
     r, pivots, order = la.sparse_echelon_mod_p(aug, P, mat.shape[1])
     assert r == la.echelon_mod_p(aug, P)[0]
     prefix = sum(1 for c in pivots if c < mat.shape[1])
