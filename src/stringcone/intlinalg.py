@@ -13,17 +13,18 @@ All geometry in this package reduces to small exact-arithmetic kernels:
   because every intermediate value stays below 2**53, leftmost pivots).
   RREF over GF(p) (`rref_mod_p`) is that kernel's echelon followed by a
   blocked back-substitution over the pivot rows,
-* certified rational rank for the large multiplication matrices: one
-  mod-p echelon proposes the rank (and the prefix rank, for
-  `ranks_with_prefix`) and names a square subsystem S.  One Dixon p-adic
-  lift of S (one inverse mod p, one product per digit and one
-  shared-denominator reconstruction over every dependent row) and one
-  exact bigint check promote the answer from "probable" to proven.
-  Fraction elimination, which is always correct, is only the fallback
-  after every prime attempt failed.
+* certified rational rank (`rank_rational_certified`, the one entry over
+  Q): one prefix-first mod-p echelon proposes the rank of the first
+  `split` columns and of the whole matrix and names a square subsystem
+  S.  One Dixon p-adic lift of S (one inverse mod p, one product per
+  digit and one shared-denominator reconstruction over every dependent
+  row) and one exact bigint check promote each answer from "probable" to
+  proven.  Fraction elimination, which is always correct, is only the
+  fallback after every prime attempt failed.
 
-`rank`, `ranks_with_prefix` and `rref` dispatch on a field descriptor, so
-callers hold one code path for both scalar fields.
+`ranks_with_prefix` (the one rank call; a plain rank is its second entry
+with `split` the column count) and `rref` dispatch on a field descriptor,
+so callers hold one code path for both scalar fields.
 """
 
 from __future__ import annotations
@@ -650,27 +651,20 @@ def _dixon_lift(square: np.ndarray, rhs: np.ndarray, p: int):
     return None
 
 
-def rank_rational_certified(rows) -> int:
-    """Rank over Q, certified, with one mod-p elimination per prime attempt.
+def rank_rational_certified(rows, split: int) -> tuple[int, int]:
+    """(rank of the first `split` columns, rank) over Q, both certified,
+    with one prefix-first mod-p elimination per prime attempt.
 
-    The echelon of the matrix mod p gives a lower bound r (a nonzero
-    r x r minor mod p is nonzero over Q), which pins the rank when it
-    equals the row or column count.  Otherwise the same pass names r
-    independent rows and r pivot columns; their square submatrix is
-    invertible mod p, so one Dixon lift writes every remaining row as an
-    exact rational combination of the r named rows, and one bigint check
-    of those combinations proves rank <= r.  After CERTIFY_PRIMES failed
-    attempts, Fraction elimination, which is always correct, decides.
+    The echelon of the matrix mod p gives lower bounds r (a nonzero
+    r x r minor mod p is nonzero over Q), which pin a rank when they equal
+    the row or column count.  Otherwise the same pass names r independent
+    rows and r pivot columns; their square submatrix is invertible mod p,
+    so one Dixon lift writes every remaining row as an exact rational
+    combination of the r named rows, and one bigint check of those
+    combinations proves rank <= r.  After CERTIFY_PRIMES failed attempts,
+    Fraction elimination, which is always correct, decides.
     """
     mat = np.asarray(rows, dtype=np.int64)
-    if mat.size == 0:
-        return 0
-    return _certified_ranks(mat, mat.shape[1])[1]
-
-
-def _certified_ranks(mat: np.ndarray, split: int) -> tuple[int, int]:
-    """(rank of mat[:, :split], rank of mat) over Q, both certified from
-    one prefix-first elimination per prime attempt."""
     ncols = mat.shape[1]
     for p in islice(primes_below(DEFAULT_PRIME + 1), CERTIFY_PRIMES):
         r, piv, order = sparse_echelon_mod_p(mat, p, split)
@@ -718,23 +712,16 @@ def _certify_left_kernel(mat: np.ndarray, prime: int, r: int, piv, order):
 # Field dispatch
 # ---------------------------------------------------------------------------
 
-def rank(mat: np.ndarray, field: str) -> int:
-    """Exact rank of an integer matrix over the field a descriptor names."""
-    if mat.size == 0:
-        return 0
-    _, p = parse_field(field)
-    return rank_mod_p(mat, p) if p else rank_rational_certified(mat)
-
-
 def ranks_with_prefix(mat: np.ndarray, split: int,
                       field: str) -> tuple[int, int]:
-    """(rank of the first `split` columns, rank of the whole matrix)."""
+    """(rank of the first `split` columns, rank of the whole matrix) over
+    the field a descriptor names: the package's one rank call."""
     if mat.size == 0:
         return 0, 0
     _, p = parse_field(field)
     if p:
         return ranks_with_prefix_mod_p(mat, split, p)
-    return _certified_ranks(np.asarray(mat, dtype=np.int64), split)
+    return rank_rational_certified(mat, split)
 
 
 def rref(rows, field: str):

@@ -638,9 +638,9 @@ def regular_subdivision(cone: GradedCone, heights,
 
     Any integer height vector with one entry per degree-1 point yields a
     valid subdivision (constant heights give the trivial one); a vector of
-    another length raises InvalidSubdivision.  With force_generic the heights are perturbed
-    lexicographically (h -> h*B + index) so every cell is simplicial; the
-    perturbation is recorded in the provenance.
+    another length raises InvalidSubdivision.  With force_generic every
+    cell is replaced by its pulling triangulation, so every cell is
+    simplicial; the step is recorded in the provenance.
     """
     pts = lattice_points_at_degree(cone, 1)
     heights = [int(h) for h in heights]
@@ -649,16 +649,20 @@ def regular_subdivision(cone: GradedCone, heights,
             f"got {len(heights)} heights for {len(pts)} degree-1 points")
     if cone.dim != cone.ambient_rank:
         raise ValueError("subdivisions are built for full-dimensional cones")
+    cells = [[pts[i] for i in cell]
+             for cell in _lower_hull_cells(cone, pts, heights)]
     provenance = ("heights", tuple(heights))
     if force_generic:
-        big = 1 << 20
-        heights = [h * big + i for i, h in enumerate(heights)]
-        provenance = ("heights+lex-perturbation", tuple(heights))
-    cells = _lower_hull_cells(cone, pts, heights)
+        # cells list their generators in lex order, so all are pulled in
+        # one global order and the cells sharing a face split it alike
+        cones = (cone_from_generators(cell, cone.ambient_rank, deg=cone.deg)
+                 for cell in cells)
+        cells = [[c.generators[i] for i in s] for c in cones
+                 for s in _pulling_triangulation(face_lattice(c).maximum())]
+        provenance = ("heights+pulling-triangulation", tuple(heights))
     max_cones = tuple(sorted(
-        (cone_from_generators([pts[i] for i in cell], cone.ambient_rank,
-                              deg=cone.deg) for cell in cells),
-        key=lambda c: c.generators))
+        (cone_from_generators(cell, cone.ambient_rank, deg=cone.deg)
+         for cell in cells), key=lambda c: c.generators))
     sub = FanSubdivision(parent=cone, max_cones=max_cones,
                          provenance=provenance)
     validate_subdivision(sub)

@@ -22,12 +22,23 @@ def _load_json(path: str):
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
 
 
-def _require(data, field, types, path):
+def _require(data, field, kind, path):
+    """data[field], of exactly the JSON kind int or list: true, 1.0 and
+    "1" are not ints here."""
     if field not in data:
         raise ParseError(f"{path}: missing field {field!r}")
-    if not isinstance(data[field], types):
+    if type(data[field]) is not kind:
         raise ParseError(f"{path}: field {field!r} has the wrong type")
     return data[field]
+
+
+def _integers(values, field, path) -> tuple:
+    """A list of JSON integers as a tuple; a bool, float or string in it
+    is a ParseError, never truncated."""
+    if type(values) is not list or any(type(x) is not int for x in values):
+        raise ParseError(f"{path}: field {field!r} holds {values!r}, "
+                         f"not a list of integers")
+    return tuple(values)
 
 
 def load_polytope(path: str) -> LatticePolytope:
@@ -36,11 +47,8 @@ def load_polytope(path: str) -> LatticePolytope:
     if not isinstance(data, dict):
         raise ParseError(f"{path}: expected an object")
     rank = _require(data, "rank", int, path)
-    vertices = _require(data, "vertices", list, path)
-    try:
-        verts = [tuple(int(x) for x in v) for v in vertices]
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: vertices must be integer vectors") from exc
+    verts = [_integers(v, "vertices", path)
+             for v in _require(data, "vertices", list, path)]
     if any(len(v) != rank for v in verts):
         raise ParseError(f"{path}: vertex length does not match rank {rank}")
     try:
@@ -67,13 +75,10 @@ def load_fan(path: str) -> Fan:
     if not isinstance(data, dict):
         raise ParseError(f"{path}: expected an object")
     rank = _require(data, "rank", int, path)
-    rays = _require(data, "rays", list, path)
-    cones = _require(data, "cones", list, path)
-    try:
-        ray_vecs = [tuple(int(x) for x in r) for r in rays]
-        cone_idx = [[int(i) for i in c] for c in cones]
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: rays/cones malformed") from exc
+    ray_vecs = [_integers(r, "rays", path)
+                for r in _require(data, "rays", list, path)]
+    cone_idx = [_integers(c, "cones", path)
+                for c in _require(data, "cones", list, path)]
     if any(len(r) != rank for r in ray_vecs):
         raise ParseError(f"{path}: ray length does not match rank {rank}")
     if any(i < 0 or i >= len(ray_vecs) for c in cone_idx for i in c):
@@ -89,15 +94,11 @@ def dump_fan(fan: Fan) -> str:
                        "cones": cones}, sort_keys=True)
 
 
-def load_heights(path: str) -> list[int]:
+def load_heights(path: str) -> tuple[int, ...]:
     data = _load_json(path)
     if not isinstance(data, dict):
         raise ParseError(f"{path}: expected an object")
-    heights = _require(data, "heights", list, path)
-    try:
-        return [int(h) for h in heights]
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: heights must be integers") from exc
+    return _integers(_require(data, "heights", list, path), "heights", path)
 
 
 def dump_subdivision(sub: FanSubdivision) -> str:

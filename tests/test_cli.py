@@ -197,6 +197,47 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "ParseError" in err
 
 
+DIAMOND = {"rank": 2, "vertices": [[1, 0], [0, 1], [-1, 0], [0, -1]]}
+FAN_P2 = {"rank": 2, "rays": [[-1, -1], [0, 1], [1, 0]],
+          "cones": [[0, 1], [0, 2], [1, 2]]}
+
+
+@pytest.mark.parametrize("command, data, field", [
+    ("hodge --hypersurface", {**DIAMOND, "vertices": [[1.7, 0], [0, 1],
+                                                      [-1, 0], [0, -1]]},
+     "vertices"),
+    ("dual", {**DIAMOND, "vertices": [["1", 0], [0, 1], [-1, 0], [0, -1]]},
+     "vertices"),
+    ("dual", {**DIAMOND, "vertices": [[True, 0], [0, 1], [-1, 0], [0, -1]]},
+     "vertices"),
+    ("dual", {**DIAMOND, "rank": True}, "rank"),
+    ("hodge --toric", {**FAN_P2, "rays": [[-1, -1], [0, 1.0], [1, 0]]},
+     "rays"),
+    ("hodge --toric", {**FAN_P2, "cones": [[0, 1], [0, 2.0], [1, 2]]},
+     "cones"),
+    ("subdivide --heights", {"heights": [0, 0.9, 0, 0, -1.5]}, "heights"),
+    ("ring-dims --subdivide", {"heights": [0, 0.9, 0, 0, -1.5]}, "heights"),
+], ids=["float-vertex", "string-vertex", "bool-vertex", "bool-rank",
+        "float-ray", "float-cone-index", "float-height",
+        "ring-dims-float-height"])
+def test_non_integer_input_is_a_parse_error(command, data, field, fixture_dir,
+                                            tmp_path, capsys):
+    # a number is read only if it is a JSON integer; 1.7, "1" and true are
+    # refused, not truncated to 1
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    if "heights" in data:
+        name, flag = command.split()
+        args = [name, str(fixture_dir / "diamond.json"), flag, str(path)]
+    else:
+        args = [*command.split(), str(path)]
+    code = cli.main(args)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("ParseError: ")
+    assert str(path) in err and repr(field) in err
+
+
 # the Newton polytope of P(2,3,3,8,14)[30] in the kernel basis of its
 # weights, and in an LLL-reduced basis
 P233814_KERNEL = [(-2, -1, 1, 0), (-2, 1, 2, -1), (-2, 9, -1, -1),

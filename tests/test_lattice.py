@@ -605,6 +605,20 @@ def test_generic_heights_give_simplicial_cells():
     assert str(sub.provenance[0]).startswith("heights")
 
 
+@pytest.mark.parametrize("name, cells", [("square", 2), ("diamond", 2),
+                                         ("cross", 4), ("cube", 6)])
+def test_generic_zero_heights_give_simplicial_cells(name, cells):
+    # zero heights give the whole cone as one cell, which force_generic
+    # replaces by its pulling triangulation
+    cone = lat.gorenstein_cone_over(poly(name))
+    heights = [0] * len(lat.lattice_points_at_degree(cone, 1))
+    assert lat.regular_subdivision(cone, heights).max_cones == (cone,)
+    sub = lat.regular_subdivision(cone, heights, force_generic=True)
+    assert len(sub.max_cones) == cells
+    assert all(c.is_simplicial() for c in sub.max_cones)
+    assert sub.provenance == ("heights+pulling-triangulation", tuple(heights))
+
+
 def test_stellar_subdivision():
     k = lat.gorenstein_cone_over(poly("cube"))
     sub = lat.stellar_subdivision(k)
@@ -670,13 +684,15 @@ def test_cell_masks_match_point_in_cone_on_generic_subdivision():
     pts = lat.lattice_points_at_degree(cone, 1)
     sub = lat.regular_subdivision(cone, [sum(x * x for x in p) for p in pts],
                                   force_generic=True)
-    assert len(sub.max_cones) > 30
+    assert len(sub.max_cones) == 58
+    assert all(c.is_simplicial() for c in sub.max_cones)
     _assert_masks_match_point_in_cone(sub, range(4))
 
 
 def test_cell_masks_beyond_64_cells():
     sub = _generic_quintic_subdivision()
-    assert len(sub.max_cones) == 102
+    assert len(sub.max_cones) == 104
+    assert all(c.is_simplicial() for c in sub.max_cones)
     _assert_masks_match_point_in_cone(sub, [1])
 
 
@@ -712,11 +728,11 @@ def test_stellar_needs_a_full_dimensional_cone():
         lat.stellar_subdivision(facet)
 
 
-def test_validating_102_generic_quintic_cells_is_fast():
+def test_validating_104_generic_quintic_cells_is_fast():
     start = time.process_time()
     sub = _generic_quintic_subdivision()
     elapsed = time.process_time() - start
-    assert len(sub.max_cones) == 102
+    assert len(sub.max_cones) == 104
     assert elapsed < 5.0
 
 

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from stringcone import fixtures as fx
 from stringcone import intlinalg as la
+from stringcone import koszul as kz
 from stringcone import lattice as lat
 from stringcone import semigroup as sg
 
@@ -193,3 +194,47 @@ def test_rational_prefix_ranks_below_full_row_rank(monkeypatch):
     assert ranks == (la.rank_fraction(mat.tolist()),
                      la.rank_fraction(aug.tolist())) == (9, 14)
     assert [p for _, p in calls] == [P]
+
+
+def spy_certified_calls(monkeypatch):
+    """Count rank_rational_certified calls, and every sparse_echelon_mod_p
+    call made outside one."""
+    counts = {"certified": 0, "outside": 0, "depth": 0}
+    certified, sparse = la.rank_rational_certified, la.sparse_echelon_mod_p
+
+    def certified_spy(*args):
+        counts["certified"] += 1
+        counts["depth"] += 1
+        try:
+            return certified(*args)
+        finally:
+            counts["depth"] -= 1
+
+    def sparse_spy(*args):
+        counts["outside"] += not counts["depth"]
+        return sparse(*args)
+
+    monkeypatch.setattr(la, "rank_rational_certified", certified_spy)
+    monkeypatch.setattr(la, "sparse_echelon_mod_p", sparse_spy)
+    return counts
+
+
+def test_graded_ring_makes_one_certified_call_per_degree(monkeypatch):
+    cone = lat.gorenstein_cone_over(fx.polytope("diamond"))
+    g = sg.random_degree_one(cone, 0, "rational")
+    counts = spy_certified_calls(monkeypatch)
+    sg.graded_quotient_dims(g)
+    assert counts["certified"] == cone.dim + 1  # degrees 1 .. dim+1
+    assert counts["outside"] == 0
+
+
+def test_koszul_makes_one_certified_call_per_block(monkeypatch):
+    pair = fx.reflexive_pair("diamond")
+    complex_ = kz.build_complex(
+        pair, sg.random_degree_one(pair.cone, 0, "rational"),
+        sg.random_degree_one(pair.dual, 17, "rational"))
+    counts = spy_certified_calls(monkeypatch)
+    kz.cohomology_dims(complex_)
+    assert counts["certified"] == sum(
+        1 for d in complex_.blocks.values() if 0 not in d.shape) > 0
+    assert counts["outside"] == 0
