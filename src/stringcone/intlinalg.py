@@ -7,24 +7,27 @@ All geometry in this package reduces to small exact-arithmetic kernels:
 * row echelon over a prime field p < 2**22 in two stages.  The sparse front
   end (`sparse_echelon_mod_p`) reduces only the nonzero entries and
   eliminates on them with Markowitz pivoting, column with the fewest
-  entries first.  Once the cheapest pivot costs more than 1/HANDOFF_SHARE
-  of the active rows x columns plus HANDOFF_FLOOR, the remaining core goes
-  to the dense kernel (`echelon_mod_p`: blocked float64 multiply, exact
-  because every intermediate value stays below 2**53, leftmost pivots).
-  RREF over GF(p) (`rref_mod_p`) is that kernel's echelon followed by a
-  blocked back-substitution over the pivot rows,
+  entries first, in tiers: the columns below each of a list of bounds
+  are exhausted before the next.  Once the cheapest pivot costs more than
+  1/HANDOFF_SHARE of the active rows x columns plus HANDOFF_FLOOR, the
+  remaining core goes to the dense kernel (`echelon_mod_p`: blocked
+  float64 multiply, exact because every intermediate value stays below
+  2**53, leftmost pivots, so the tiers stay in order).  RREF over GF(p)
+  (`rref_mod_p`) is that kernel's echelon followed by a blocked
+  back-substitution over the pivot rows,
 * certified rational rank (`rank_rational_certified`, the one entry over
-  Q): one prefix-first mod-p echelon proposes the rank of the first
-  `split` columns and of the whole matrix and names a square subsystem
-  S.  One Dixon p-adic lift of S (one inverse mod p, one product per
-  digit and one shared-denominator reconstruction over every dependent
-  row) and one exact bigint check promote each answer from "probable" to
-  proven.  Fraction elimination, which is always correct, is only the
-  fallback after every prime attempt failed.
+  Q): one tiered mod-p echelon proposes the rank of the columns below the
+  last bound and of the whole matrix and names a square subsystem S.
+  Full row or column rank mod p pins a rank; otherwise one Dixon p-adic
+  lift of S (one inverse mod p, one product per digit and one
+  shared-denominator reconstruction over every dependent row) and one
+  exact bigint check promote it from "probable" to proven.  Fraction
+  elimination, which is always correct, is only the fallback after every
+  prime attempt failed.
 
 `ranks_with_prefix` (the one rank call; a plain rank is its second entry
-with `split` the column count) and `rref` dispatch on a field descriptor,
-so callers hold one code path for both scalar fields.
+with the column count as the one bound) and `rref` dispatch on a field
+descriptor, so callers hold one code path for both scalar fields.
 """
 
 from __future__ import annotations
@@ -339,17 +342,6 @@ def primes_below(start: int):
         n -= 1
 
 
-def _fast_mod_inplace(x: np.ndarray, p: int, inv_p: float) -> None:
-    """x mod p in place for integer-valued float64 data with |x| < 2**53.
-
-    floor(x/p) computed via multiplication is off by at most one, so a
-    single fix-up pass restores the exact residue."""
-    q = np.floor(x * inv_p)
-    x -= q * p
-    x[x < 0] += p
-    x[x >= p] -= p
-
-
 def _to_mod_array(rows, p: int) -> np.ndarray:
     """Residues mod p of an integer matrix, as float64."""
     if isinstance(rows, np.ndarray) and rows.dtype != object:
@@ -392,7 +384,6 @@ def _echelon_inplace(a: np.ndarray, p: int):
     """
     m, n = a.shape
     order = list(range(m))
-    inv_p = 1.0 / p
     p2 = float(p - 1) ** 2
     panel_growth = _BLOCK * p2
     cap = float(1 << 51)  # keep |values| comfortably under 2**53
@@ -409,7 +400,7 @@ def _echelon_inplace(a: np.ndarray, p: int):
         invs = []
         for c in range(col, hi):
             colv = a[r:, c]
-            _fast_mod_inplace(colv, p, inv_p)
+            np.mod(colv, p, out=colv)
             nz = np.nonzero(colv)[0]
             if nz.size == 0:
                 continue
@@ -418,10 +409,10 @@ def _echelon_inplace(a: np.ndarray, p: int):
                 a[[r, i], col:] = a[[i, r], col:]
                 order[r], order[i] = order[i], order[r]
             row = a[r, c:hi]
-            _fast_mod_inplace(row, p, inv_p)
+            np.mod(row, p, out=row)
             invs.append(pow(int(row[0]), -1, p))
             row *= invs[-1]
-            _fast_mod_inplace(row, p, inv_p)
+            np.mod(row, p, out=row)
             # column c keeps the multipliers below the pivot, as in LU
             a[r + 1:, c + 1:hi] -= np.outer(a[r + 1:, c], row[1:])
             pivots.append(c)
@@ -434,15 +425,15 @@ def _echelon_inplace(a: np.ndarray, p: int):
             for k, inv in enumerate(invs):
                 row = trail[r0 + k]
                 row -= a[r0 + k, panel[:k]] @ trail[r0:r0 + k]
-                _fast_mod_inplace(row, p, inv_p)
+                np.mod(row, p, out=row)
                 row *= inv
-                _fast_mod_inplace(row, p, inv_p)
+                np.mod(row, p, out=row)
             # one GEMM handles every row below the panel
             if m > r:
                 trail[r:] -= a[r:, panel] @ trail[r0:r]
                 bound += panel_growth
                 if bound + panel_growth > cap:
-                    _fast_mod_inplace(trail[r:], p, inv_p)
+                    np.mod(trail[r:], p, out=trail[r:])
                     bound = float(p - 1)
         for k, c in enumerate(panel):
             a[r0 + k + 1:, c] = 0
@@ -450,25 +441,27 @@ def _echelon_inplace(a: np.ndarray, p: int):
     return r, pivots, order
 
 
-def sparse_echelon_mod_p(rows, p: int, split: int | None = None):
+def sparse_echelon_mod_p(rows, p: int, bounds=None):
     """Row echelon over GF(p) that eliminates on the nonzeros first.
 
     Markowitz pivoting on rows held as {column: residue} dicts: the active
-    column with the fewest entries (columns below `split` until they are
-    exhausted), and in it the row with the fewest entries.  Once that
-    pivot's cost passes the HANDOFF rule, the remaining core goes to
-    echelon_mod_p in one call, made even for an empty core.
+    column with the fewest entries in the lowest tier (below bounds[0],
+    then below bounds[1], ...; an int is one bound), and in it the row with
+    the fewest entries.  Once that pivot's cost passes the HANDOFF rule,
+    the rest goes to echelon_mod_p in one call, even for an empty core;
+    its leftmost pivots keep the tiers in order.
 
     Returns (rank, pivots, order) like echelon_mod_p, in elimination order:
     rows order[:rank] and columns pivots form a square matrix invertible
-    mod p, and the pivots below `split` come first and count the rank of
-    the first `split` columns.
+    mod p, and for each bound the pivots below it come first and count
+    the rank of the columns below it.
     """
     mat = np.asarray(rows)
     if mat.size == 0:
         return echelon_mod_p(rows, p)
     m, n = mat.shape
-    split = n if split is None else split
+    tier = np.searchsorted(np.atleast_1d(n if bounds is None else bounds),
+                           np.arange(n), side="right").tolist()
     ri, ci = np.nonzero(mat)
     vals = mat[ri, ci] % p
     rows_ = [{} for _ in range(m)]
@@ -476,7 +469,7 @@ def sparse_echelon_mod_p(rows, p: int, split: int | None = None):
     for i, c, v in zip(*(a[vals != 0].tolist() for a in (ri, ci, vals))):
         rows_[i][c] = v
         cols[c].add(i)
-    heap = [(c >= split, len(col), c) for c, col in enumerate(cols) if col]
+    heap = [(tier[c], len(col), c) for c, col in enumerate(cols) if col]
     heapq.heapify(heap)
     nrows, ncols = sum(1 for row in rows_ if row), len(heap)
     pivots, order = [], []
@@ -514,7 +507,7 @@ def sparse_echelon_mod_p(rows, p: int, split: int | None = None):
         for k, _ in others:
             cols[k].discard(i)
             if cols[k]:
-                heapq.heappush(heap, (k >= split, len(cols[k]), k))
+                heapq.heappush(heap, (tier[k], len(cols[k]), k))
             ncols -= not cols[k]
         rows_[i] = {}
         nrows -= 1
@@ -538,11 +531,19 @@ def rank_mod_p(rows, p: int) -> int:
     return sparse_echelon_mod_p(rows, p)[0]
 
 
-def ranks_with_prefix_mod_p(rows, split: int, p: int) -> tuple[int, int]:
-    """(rank of the first `split` columns, rank of the whole matrix) from a
-    single elimination that exhausts the first `split` columns first."""
-    rank_, pivots, _ = sparse_echelon_mod_p(rows, p, split)
-    return sum(1 for c in pivots if c < split), rank_
+def _tiers(pivots, order, bounds):
+    """Pivot counts below each bound, and pivot rows below all but the last."""
+    counts = [sum(1 for c in pivots if c < b) for b in np.atleast_1d(bounds)]
+    return counts, tuple(order[:r] for r in counts[:-1])
+
+
+def ranks_with_prefix_mod_p(rows, bounds, p: int):
+    """(rank of the columns below the last bound, rank, tiers) from a
+    single tiered elimination: tiers holds, for each earlier bound, the
+    rows on which the columns below it have a minor invertible mod p."""
+    rank_, pivots, order = sparse_echelon_mod_p(rows, p, bounds)
+    counts, tiers = _tiers(pivots, order, bounds)
+    return counts[-1], rank_, tiers
 
 
 def rref_mod_p(rows, p: int):
@@ -565,16 +566,15 @@ def rref_mod_p(rows, p: int):
         return 0, [], np.zeros((m, n), dtype=np.int64)
     a = _to_mod_array(rows, p)
     r, pivots, _ = _echelon_inplace(a, p)
-    inv_p = 1.0 / p
     for lo in range((r - 1) // _BLOCK * _BLOCK, -1, -_BLOCK):
         hi = min(lo + _BLOCK, r)
         c = pivots[lo]
         for j in range(hi - 2, lo - 1, -1):
             a[j, c:] -= a[j, pivots[j + 1:hi]] @ a[j + 1:hi, c:]
-            _fast_mod_inplace(a[j, c:], p, inv_p)
+            np.mod(a[j, c:], p, out=a[j, c:])
         if lo:
             a[:lo, c:] -= a[:lo, pivots[lo:hi]] @ a[lo:hi, c:]
-            _fast_mod_inplace(a[:lo, c:], p, inv_p)
+            np.mod(a[:lo, c:], p, out=a[:lo, c:])
     return r, pivots, a.astype(np.int64)
 
 
@@ -651,9 +651,9 @@ def _dixon_lift(square: np.ndarray, rhs: np.ndarray, p: int):
     return None
 
 
-def rank_rational_certified(rows, split: int) -> tuple[int, int]:
-    """(rank of the first `split` columns, rank) over Q, both certified,
-    with one prefix-first mod-p elimination per prime attempt.
+def rank_rational_certified(rows, bounds):
+    """(rank of the columns below the last bound, rank, tiers) over Q, both
+    ranks certified, with one tiered mod-p elimination per prime attempt.
 
     The echelon of the matrix mod p gives lower bounds r (a nonzero
     r x r minor mod p is nonzero over Q), which pin a rank when they equal
@@ -662,22 +662,24 @@ def rank_rational_certified(rows, split: int) -> tuple[int, int]:
     so one Dixon lift writes every remaining row as an exact rational
     combination of the r named rows, and one bigint check of those
     combinations proves rank <= r.  After CERTIFY_PRIMES failed attempts,
-    Fraction elimination, which is always correct, decides.
+    Fraction elimination, which is always correct, decides.  The tiers
+    come from the last prime: a minor invertible mod p is so over Q.
     """
     mat = np.asarray(rows, dtype=np.int64)
-    ncols = mat.shape[1]
+    split = int(np.atleast_1d(bounds)[-1])
     for p in islice(primes_below(DEFAULT_PRIME + 1), CERTIFY_PRIMES):
-        r, piv, order = sparse_echelon_mod_p(mat, p, split)
-        prefix = _certify_left_kernel(mat[:, :split], p, sum(
-            1 for c in piv if c < split), piv, order)
+        r, piv, order = sparse_echelon_mod_p(mat, p, bounds)
+        counts, tiers = _tiers(piv, order, bounds)
+        prefix = _certify_left_kernel(mat[:, :split], p, counts[-1], piv,
+                                      order)
         if prefix is None:
             continue
-        full = (prefix if split == ncols
+        full = (prefix if split == mat.shape[1]
                 else _certify_left_kernel(mat, p, r, piv, order))
         if full is not None:
-            return prefix, full
+            return prefix, full, tiers
     _, piv = rref_fraction(mat.tolist())
-    return sum(1 for c in piv if c < split), len(piv)
+    return sum(1 for c in piv if c < split), len(piv), tiers
 
 
 def _certify_left_kernel(mat: np.ndarray, prime: int, r: int, piv, order):
@@ -712,16 +714,18 @@ def _certify_left_kernel(mat: np.ndarray, prime: int, r: int, piv, order):
 # Field dispatch
 # ---------------------------------------------------------------------------
 
-def ranks_with_prefix(mat: np.ndarray, split: int,
-                      field: str) -> tuple[int, int]:
-    """(rank of the first `split` columns, rank of the whole matrix) over
-    the field a descriptor names: the package's one rank call."""
+def ranks_with_prefix(mat: np.ndarray, bounds, field: str):
+    """(rank of the columns below the last bound, rank of the whole matrix,
+    tiers) over the field a descriptor names: the package's one rank call.
+
+    `bounds` is an increasing tuple of column bounds, or one int; tiers
+    holds, for each bound but the last, the pivot rows below it."""
     if mat.size == 0:
-        return 0, 0
+        return 0, 0, ([],) * (np.size(bounds) - 1)
     _, p = parse_field(field)
     if p:
-        return ranks_with_prefix_mod_p(mat, split, p)
-    return rank_rational_certified(mat, split)
+        return ranks_with_prefix_mod_p(mat, bounds, p)
+    return rank_rational_certified(mat, bounds)
 
 
 def rref(rows, field: str):

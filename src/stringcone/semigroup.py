@@ -6,7 +6,10 @@ sum when they lie in a common cell and to zero otherwise.  Dividing by the
 span of the logarithmic derivatives of a degree-one element and measuring
 graded dimensions by exact rank computations recovers the S-polynomial
 coefficients; the image of the interior-supported subspace recovers the
-tilde-S coefficients for regular subdivisions.
+tilde-S coefficients for regular subdivisions.  The product is commutative
+and associative, so derivative d times the degree-(k-1) monomials on which
+derivatives < d pivoted lies in the span of derivatives < d at degree k:
+those columns are left out, and each rank call's tiers name them.
 
 Two scalar backends are available: residues modulo a prime (fast, default)
 and certified rational arithmetic.  Coefficients are drawn as integers so
@@ -15,6 +18,7 @@ the same element makes sense over both backends.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -135,7 +139,6 @@ class _QuotientWorkspace:
         if subdivision.parent != g.cone:
             raise ValueError("element and subdivision live on different cones")
         self.g = g
-        self.sub = subdivision
         self.cone = g.cone
         self.derivs = logarithmic_derivatives(g)
         dim = self.cone.dim
@@ -159,38 +162,56 @@ class _QuotientWorkspace:
         """Rows indexed by degree-k points (interior points when
         interior_source), columns by (derivative, degree-(k-1) point)."""
         return self._products(self.interior if interior_source
-                              else self.points, k)
+                              else self.points, k)[0]
 
-    def _products(self, src: dict, k: int, units=()):
-        """The multiplication matrix from the degree-(k-1) to the degree-k
-        points of src, then one unit column per point of units."""
-        index = {p: i for i, p in enumerate(src[k])}
-        n = len(src[k - 1])
-        split = len(self.derivs) * n
-        mat = np.zeros((len(index), split + len(units)), dtype=np.int64)
-        mat[[index[p] for p in units], split + np.arange(len(units))] = 1
-        # column d * n + i is derivative d times point i, so a product
-        # mp + m adds its weights under every derivative at once
-        support = {mp: np.array([d.get(mp, 0) for d in self.derivs])
-                   for mp in set().union(*self.derivs)}
-        for i, m in enumerate(src[k - 1]):
-            for mp, w in support.items():
-                if self.masks[mp] & self.masks[m]:
-                    mat[index[tuple(a + b for a, b in zip(mp, m))],
-                        i:split:n] += w
-        return mat
+    def _products(self, src: dict, k: int, units=(), skip=()):
+        """(matrix, block bounds): the multiplication matrix from the
+        degree-(k-1) to the degree-k points of src, then one unit column
+        per point of units.  Block d holds derivative d times each
+        degree-(k-1) point whose index is not in skip[d], in order."""
+        rank = self.cone.ambient_rank
+        prev, pts, supp, unit = (
+            np.array(x, dtype=np.int64).reshape(-1, rank) for x in
+            (src[k - 1], src[k], sorted(set().union(*self.derivs)), units))
+        # one integer code per point, injective on the degree-k points and
+        # linear, so that the code of a product is the sum of the codes
+        span = pts.max(axis=0, initial=0) - pts.min(axis=0, initial=0) + 1
+        stride = [math.prod(span[:j].tolist()) for j in range(rank)]
+        lat._check_int64([stride], src[k - 1] + src[k] + self.points[1], rank)
+        sorter = np.argsort(codes := pts @ stride)
+        codes = codes[sorter]
+        keep = np.ones((len(self.derivs), len(prev)), dtype=bool)
+        for d, rows in enumerate(skip):
+            keep[d, rows] = False
+        bounds = np.cumsum(keep.sum(axis=1)).tolist() or [0]
+        column = np.cumsum(keep).reshape(keep.shape) - 1  # where kept
+        mat = np.zeros((len(pts), bounds[-1] + len(unit)), dtype=np.int64)
+        mat[sorter[np.searchsorted(codes, unit @ stride)],
+            bounds[-1] + np.arange(len(unit))] = 1
+        masks = [self.masks[m] for m in src[k - 1]]
+        for mp, code in zip(map(tuple, supp.tolist()), supp @ stride):
+            # the degree-(k-1) points that share a cell with mp
+            i = np.flatnonzero([self.masks[mp] & m != 0 for m in masks])
+            rows = sorter[np.searchsorted(codes, prev[i] @ stride + code)]
+            for d, deriv in enumerate(self.derivs):
+                if w := deriv.get(mp):
+                    kept = keep[d, i]
+                    mat[rows[kept], column[d, i[kept]]] += w
+        return mat, tuple(bounds)
 
     def dims(self) -> tuple[list, list]:
         """Dimensions of the quotient and of its interior image at degrees
         0 .. dim+1."""
-        r0 = [1]
-        r1 = [1 if self.interior[0] else 0]
-        field = self.g.field
-        for k in range(1, self.cone.dim + 2):
+        r0, r1 = [1], [1 if self.interior[0] else 0]
+        top, skip = self.cone.dim + 1, ()
+        for k in range(1, top + 1):
             # the unit columns share the array, so no matrix is copied
-            aug = self._products(self.points, k, self.interior[k])
-            split = aug.shape[1] - len(self.interior[k])
-            rank_m, rank_aug = la.ranks_with_prefix(aug, split, field)
+            aug, bounds = self._products(self.points, k, self.interior[k],
+                                         skip)
+            # the top degree's rows are not read, so it needs no tiers
+            rank_m, rank_aug, tiers = la.ranks_with_prefix(
+                aug, bounds if k < top else bounds[-1], self.g.field)
+            skip = ((), *tiers)
             r0.append(len(self.points[k]) - rank_m)
             r1.append(rank_aug - rank_m)
         return r0, r1

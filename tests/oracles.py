@@ -5,6 +5,9 @@ Python integers.  `slice_scan` is the bounding-box scan that lattice_points_at_d
 before it enumerated half-open box classes: each facet functional is
 broadcast over the per-axis coordinate ranges of the degree-k box of the
 generators.  Its cost depends on the basis; its answer does not.
+`full_matrix_dims` is the graded ring's quotient dimensions from the full
+multiplication matrix of every derivative and every lower-degree point,
+assembled by one Python loop over the points.
 """
 
 import math
@@ -12,6 +15,7 @@ import math
 import numpy as np
 
 from stringcone import intlinalg as la
+from stringcone import semigroup as sg
 from stringcone.errors import DimensionBudgetExceeded
 from stringcone.lattice import _BOX_BUDGET, _check_int64
 
@@ -56,3 +60,29 @@ def slice_scan(cone, k: int, interior: bool):
     for f in cone.facets:
         mask &= (values(f) > 0) if interior else (values(f) >= 0)
     return tuple(map(tuple, (np.argwhere(mask) + lo).tolist()))
+
+
+def full_matrix_dims(g, sub):
+    """(dims_R0, dims_R1, top_degree_dims) from one rank per degree of the
+    full multiplication matrix with one unit column per interior point."""
+    ws = sg._QuotientWorkspace(g, sub)
+    r0, r1 = [1], [1 if ws.interior[0] else 0]
+    for k in range(1, g.cone.dim + 2):
+        index = {p: i for i, p in enumerate(ws.points[k])}
+        prev = ws.points[k - 1]
+        mat = np.zeros((len(index), len(ws.derivs) * len(prev)
+                        + len(ws.interior[k])), dtype=np.int64)
+        for d, deriv in enumerate(ws.derivs):
+            for i, m in enumerate(prev):
+                for mp, w in deriv.items():
+                    if ws.masks[mp] & ws.masks[m]:
+                        mat[index[tuple(a + b for a, b in zip(mp, m))],
+                            d * len(prev) + i] += w
+        split = len(ws.derivs) * len(prev)
+        for j, p in enumerate(ws.interior[k]):
+            mat[index[p], split + j] = 1
+        rank_m, rank_aug, _ = la.ranks_with_prefix(mat, split, g.field)
+        r0.append(len(index) - rank_m)
+        r1.append(rank_aug - rank_m)
+    dim = g.cone.dim
+    return tuple(r0[:dim + 1]), tuple(r1[:dim + 1]), (r0[-1], r1[-1])

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from oracles import point_in_cone
+from oracles import full_matrix_dims, point_in_cone
 
 from stringcone import fixtures as fx
 from stringcone import intlinalg as la
@@ -408,3 +408,36 @@ def test_grading_functionals_match_greedy_ranks(name):
 def test_grading_functionals_match_greedy_ranks_on_fans(name):
     for cone in fx.fan(name).cones:
         assert sg.grading_functionals(cone) == functionals_oracle(cone)
+
+
+# -- derivative d skips the monomials that derivatives < d reach -----------------
+
+def subdivision(cone, stellar):
+    return (lat.stellar_subdivision(cone) if stellar
+            else lat.trivial_subdivision(cone))
+
+
+@pytest.mark.parametrize("field", [sg.DEFAULT_FIELD, "rational"])
+@pytest.mark.parametrize("stellar", [False, True])
+@pytest.mark.parametrize("name", fx.SMALL_REFLEXIVE_NAMES)
+def test_reduced_matrices_match_full_matrix_dims(name, stellar, field):
+    cone = k_cone(name)
+    sub = subdivision(cone, stellar)
+    for seed in range(3):
+        g = sg.random_degree_one(cone, seed, field)
+        report = sg.graded_quotient_dims(g, sub)
+        assert (report.dims_R0, report.dims_R1,
+                report.top_degree_dims) == full_matrix_dims(g, sub)
+
+
+@pytest.mark.parametrize("field", [sg.DEFAULT_FIELD, "rational"])
+@pytest.mark.parametrize("name,stellar", [("diamond", True), ("p2_dual", False),
+                                          ("cross", True), ("quartic", False)])
+def test_non_regular_element_matches_full_matrix_dims(name, stellar, field):
+    cone = k_cone(name)
+    sub = subdivision(cone, stellar)
+    g = sg.degree_one_element(cone, {cone.generators[0]: 7}, field)
+    report = sg.graded_quotient_dims(g, sub)
+    assert not report.regular_profile
+    assert (report.dims_R0, report.dims_R1,
+            report.top_degree_dims) == full_matrix_dims(g, sub)

@@ -15,21 +15,25 @@ from stringcone import semigroup as sg
 P = la.DEFAULT_PRIME
 
 
-def check_echelon(mat, split=None):
+def check_echelon(mat, bounds=None):
     """Run the front end and check its contract against rank_fraction and
     echelon_mod_p; return (rank, pivots, order)."""
     mat = np.asarray(mat, dtype=np.int64).reshape(len(mat), -1)
-    r, pivots, order = la.sparse_echelon_mod_p(mat, P, split)
+    r, pivots, order = la.sparse_echelon_mod_p(mat, P, bounds)
     assert r == len(pivots) == la.echelon_mod_p(mat, P)[0]
     assert sorted(order) == list(range(mat.shape[0]))
     assert len(set(pivots)) == r
     square = mat[order[:r]][:, pivots]
     assert la.echelon_mod_p(square, P)[0] == r  # invertible mod p
     assert la.rank_fraction(square.tolist()) == r
-    if split is not None:
-        below = [c for c in pivots if c < split]
-        assert pivots[:len(below)] == below  # prefix pivots come first
-        assert len(below) == la.echelon_mod_p(mat[:, :split], P)[0]
+    if bounds is not None:
+        tiers = np.searchsorted(np.atleast_1d(bounds), pivots, side="right")
+        assert (np.diff(tiers) >= 0).all()  # pivots come tier by tier
+        for bound in np.atleast_1d(bounds):
+            below = sum(1 for c in pivots if c < bound)
+            assert below == la.echelon_mod_p(mat[:, :bound], P)[0]
+            # the pivot rows so far have full rank on the columns below
+            assert la.echelon_mod_p(mat[order[:below], :bound], P)[0] == below
     return r, pivots, order
 
 
@@ -75,13 +79,13 @@ def test_empty_matrices_make_one_dense_call(shape, monkeypatch):
 def test_zero_single_row_and_single_column():
     assert la.sparse_echelon_mod_p(np.zeros((4, 5), np.int64), P) == (
         0, [], [0, 1, 2, 3])
-    assert check_echelon([[0, 3, 0, P, -2]], split=2)[:2] == (1, [1])
+    assert check_echelon([[0, 3, 0, P, -2]], 2)[:2] == (1, [1])
     assert check_echelon([[0], [2 * P], [5], [7]])[:2] == (1, [0])
 
 
 def test_entries_that_vanish_mod_p():
     mat = [[P, 2 * P, 1], [3 * P, 5, 0], [P, 0, 0]]
-    r, pivots, order = check_echelon(mat, split=1)
+    r, pivots, order = check_echelon(mat, 1)
     assert r == 2 and sorted(pivots) == [1, 2] and order[2] == 2
     # vanishing residues are rejected, big ones reduced first
     big = [[10**30, 1], [10**30 + P, 1]]
@@ -91,7 +95,7 @@ def test_entries_that_vanish_mod_p():
 def test_dense_random_matrix_is_handed_off_at_once(monkeypatch):
     calls = record_dense_calls(monkeypatch)
     mat = np.random.default_rng(1).integers(-9, 10, (40, 60))
-    check_echelon(mat, split=25)
+    check_echelon(mat, 25)
     assert calls[0] == ((40, 60), P)
 
 
@@ -111,7 +115,7 @@ def test_sparse_structured_matrix_stays_sparse(monkeypatch):
     r, _, _ = la.sparse_echelon_mod_p(mat, P)
     assert calls == [((0, 0), P)] and r == side * side
     assert la.rank_fraction(mat.tolist()) == r
-    check_echelon(mat, split=20)
+    check_echelon(mat, 20)
 
 
 def test_sparse_block_beside_dense_block_is_handed_off_mid_run(monkeypatch):
@@ -123,7 +127,7 @@ def test_sparse_block_beside_dense_block_is_handed_off_mid_run(monkeypatch):
     mat[:50, :60] = sparse
     mat[50:, 60:] = rng.integers(-9, 10, (30, 40))
     calls = record_dense_calls(monkeypatch)
-    r, _, _ = check_echelon(mat, split=70)
+    r, _, _ = check_echelon(mat, 70)
     assert calls[0] == ((30, 40), P)  # the dense block, once the rest is gone
     assert r == la.rank_fraction(mat.tolist())
 
@@ -143,6 +147,45 @@ def test_front_end_builds_no_dense_copy():
     assert peak < mat.nbytes / 4
 
 
+def random_bounds(rng, n, count):
+    return tuple(sorted(rng.choice(np.arange(1, n), count,
+                                   replace=False).tolist()))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tiered_echelon_pivots_tier_by_tier(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    mat = rng.integers(-9, 10, (80, 120)) * (
+        rng.random((80, 120)) < (0.02, 0.05)[seed % 2])
+    if seed % 3 == 2:  # a dense block, handed off after the sparse pivots
+        mat[50:, 50:90] = rng.integers(-9, 10, (30, 40))
+    if seed % 2:
+        mat[:, 30:50] = mat[:, 10:30] * 3  # tiers whose columns repeat
+    bounds = random_bounds(rng, 120, 3 + seed % 2)
+    calls = record_dense_calls(monkeypatch)
+    r = la.sparse_echelon_mod_p(mat, P, bounds)[0]
+    assert (0 < calls[0][0][0] < r) == (seed % 3 == 2)
+    monkeypatch.undo()
+    check_echelon(mat, bounds)
+
+
+@pytest.mark.parametrize("field", [f"prime:{P}", "rational"])
+def test_rank_call_returns_the_pivot_rows_of_each_tier(field):
+    rng = np.random.default_rng(8)
+    left = rng.integers(-5, 6, (30, 12))
+    mat = (left @ rng.integers(-5, 6, (12, 50))).astype(np.int64)
+    mat[:, 40:] = rng.integers(-3, 4, (30, 10)) * (rng.random((30, 10)) < .3)
+    bounds = random_bounds(rng, 50, 3) + (50,)
+    prefix, rank, tiers = la.ranks_with_prefix(mat, bounds, field)
+    assert (prefix, rank) == (la.rank_fraction(mat[:, :50].tolist()),
+                              la.rank_fraction(mat.tolist()))
+    assert len(tiers) == len(bounds) - 1
+    for rows, bound in zip(tiers, bounds):
+        assert len(rows) == la.rank_fraction(mat[:, :bound].tolist())
+        assert la.rank_fraction(mat[rows, :bound].tolist()) == len(rows)
+    assert la.ranks_with_prefix(mat, 50, field) == (prefix, rank, ())
+
+
 @pytest.mark.parametrize("name,stellar,k", [("cube", False, 5),
                                             ("quartic_dual", True, 4)])
 def test_multiplication_matrices_match_dense_ranks(name, stellar, k,
@@ -151,25 +194,28 @@ def test_multiplication_matrices_match_dense_ranks(name, stellar, k,
     sub = (lat.stellar_subdivision(cone) if stellar
            else lat.trivial_subdivision(cone))
     work = sg._QuotientWorkspace(sg.random_degree_one(cone, 5), sub)
-    built = []  # the matrix dims() ranks at each degree 1 .. dim+1
-    monkeypatch.setattr(la, "ranks_with_prefix",
-                        lambda aug, split, field: built.append(aug) or (0, 0))
+    built = []  # (matrix, bounds, ranks) of dims() at each degree 1 .. dim+1
+    rank_call = la.ranks_with_prefix
+    monkeypatch.setattr(la, "ranks_with_prefix", lambda aug, bounds, field:
+                        built.append((aug, bounds, rank_call(
+                            aug, bounds, field))) or built[-1][2])
     work.dims()
-    aug = built[k - 1]
+    aug, bounds, (rank_m, rank_aug, _) = built[k - 1]
+    split = np.atleast_1d(bounds)[-1]
     mat = work.multiplication_matrix(k)
-    # the multiplication fills the leading columns, then one unit column
-    # per interior point, in order
-    assert np.array_equal(aug[:, :mat.shape[1]], mat)
-    rows, cols = np.nonzero(aug[:, mat.shape[1]:])
+    # the kept columns are a subsequence of the full matrix's columns
+    full = iter(map(bytes, mat.T))
+    assert all(col in full for col in map(bytes, aug[:, :split].T))
+    # then one unit column per interior point, in order
+    rows, cols = np.nonzero(aug[:, split:])
     assert tuple(work.points[k][i] for i in rows) == work.interior[k]
     assert cols.tolist() == list(range(len(work.interior[k])))
-    assert aug[rows, mat.shape[1] + cols].tolist() == [1] * len(rows)
-    r, pivots, order = la.sparse_echelon_mod_p(aug, P, mat.shape[1])
-    assert r == la.echelon_mod_p(aug, P)[0]
-    prefix = sum(1 for c in pivots if c < mat.shape[1])
-    assert prefix == la.echelon_mod_p(mat, P)[0]
-    assert sorted(order) == list(range(aug.shape[0]))
-    assert la.echelon_mod_p(aug[order[:r]][:, pivots], P)[0] == r
+    assert aug[rows, split + cols].tolist() == [1] * len(rows)
+    full_aug = np.concatenate([mat, aug[:, split:]], axis=1)
+    assert (rank_m, rank_aug) == (la.echelon_mod_p(mat, P)[0],
+                                  la.echelon_mod_p(full_aug, P)[0])
+    if name == "cube":  # regular: the kept multiplication prefix is square
+        assert split == aug.shape[0] == rank_m == 1331
 
 
 # -- certified ranks over Q -------------------------------------------------------
@@ -180,7 +226,7 @@ def test_rational_prefix_ranks_take_one_elimination(monkeypatch):
     aug = np.concatenate([mat, np.eye(20, dtype=np.int64)[:, :7]], axis=1)
     assert la.echelon_mod_p(mat, P)[0] == 20  # full row rank
     calls = record_dense_calls(monkeypatch)
-    assert la.ranks_with_prefix(aug, 30, "rational") == (20, 20)
+    assert la.ranks_with_prefix(aug, 30, "rational") == (20, 20, ())
     assert [p for _, p in calls] == [P]  # one elimination, not two
 
 
@@ -190,7 +236,7 @@ def test_rational_prefix_ranks_below_full_row_rank(monkeypatch):
     mat = (left @ rng.integers(-5, 6, (9, 30))).astype(np.int64)
     aug = np.concatenate([mat, np.eye(24, dtype=np.int64)[:, :5]], axis=1)
     calls = record_dense_calls(monkeypatch)
-    ranks = la.ranks_with_prefix(aug, 30, "rational")
+    ranks = la.ranks_with_prefix(aug, 30, "rational")[:2]
     assert ranks == (la.rank_fraction(mat.tolist()),
                      la.rank_fraction(aug.tolist())) == (9, 14)
     assert [p for _, p in calls] == [P]
