@@ -1,13 +1,17 @@
 """Write BENCH_<n>.json: the perfbench workloads and the tier-1 suite,
 measured on this checkout.
 
-    python scripts/bench.py 20 [--seed 3] [--seconds 20]
+    python scripts/bench.py 20
 
 Each workload of perfbench/run.py runs twice, with --trace 0 (end-to-end
-metrics) and --trace 1 (per-layer metrics); the record keeps the JSON
-summary that each run prints on its last line.  The tier-1 suite runs
-once, timed by the wall clock, with the peak RSS of its process.  BENCH
-files compare only when they come from the same machine and session.
+metrics) and --trace 1 (per-layer metrics), at seed SEED for SECONDS
+seconds, so that every BENCH file measures the same runs; the record
+keeps the JSON summary that each run prints on its last line.  The
+tier-1 suite runs once, timed by the wall clock, with the peak RSS of
+its process.  The provenance names the commit and lists what
+`git status --porcelain` reports, so a record taken on a changed tree
+says so.  BENCH files compare only when they come from the same machine
+and session.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("hodge", "box", "ring-dims", "koszul")
+SEED, SECONDS = 3, 20
 
 
 def run(cmd: list[str], env: dict | None = None):
@@ -44,16 +49,16 @@ def tier1() -> dict:
     last = proc.stdout.strip().splitlines()[-1] if proc.stdout else ""
     counts = {kind: int(n) for n, kind in re.findall(
         r"(\d+) (passed|failed|errors?|skipped)", last)}
-    # the suite is the first child this process waits for
+    # the largest child waited for so far: git's processes are far smaller
     rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
     return {"exit": proc.returncode, "wall_s": wall, "peak_rss_mb": rss,
             **counts}
 
 
-def perfbench(workload: str, seed: int, seconds: float, trace: int) -> dict:
+def perfbench(workload: str, trace: int) -> dict:
     proc, wall = run([sys.executable, "perfbench/run.py", "--workload",
-                      workload, "--seed", str(seed), "--seconds",
-                      str(seconds), "--trace", str(trace)])
+                      workload, "--seed", str(SEED), "--seconds",
+                      str(SECONDS), "--trace", str(trace)])
     if proc.returncode:
         return {"exit": proc.returncode, "wall_s": wall,
                 "stderr": proc.stderr[-2000:]}
@@ -63,7 +68,9 @@ def perfbench(workload: str, seed: int, seconds: float, trace: int) -> dict:
 
 def provenance() -> dict:
     commit = run(["git", "rev-parse", "HEAD"])[0]
+    status = run(["git", "status", "--porcelain"])[0]
     return {"git_commit": commit.stdout.strip() or None,
+            "git_status": status.stdout.splitlines(),
             "date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "machine": platform.machine(), "nproc": os.cpu_count(),
             "python": platform.python_version(), "numpy": numpy.__version__}
@@ -72,14 +79,11 @@ def provenance() -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("number", type=int, help="n of BENCH_<n>.json")
-    ap.add_argument("--seed", type=int, default=3)
-    ap.add_argument("--seconds", type=float, default=20)
     args = ap.parse_args(argv)
-    record = {"provenance": provenance(), "seed": args.seed,
-              "seconds": args.seconds, "tier1": tier1()}
-    record["workloads"] = {
-        w: {f"trace{t}": perfbench(w, args.seed, args.seconds, t)
-            for t in (0, 1)} for w in WORKLOADS}
+    record = {"provenance": provenance(), "seed": SEED, "seconds": SECONDS,
+              "tier1": tier1()}
+    record["workloads"] = {w: {f"trace{t}": perfbench(w, t) for t in (0, 1)}
+                           for w in WORKLOADS}
     path = ROOT / f"BENCH_{args.number}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(path)

@@ -441,12 +441,12 @@ def _echelon_inplace(a: np.ndarray, p: int):
     return r, pivots, order
 
 
-def sparse_echelon_mod_p(rows, p: int, bounds=None):
+def sparse_echelon_mod_p(rows, p: int, bounds=()):
     """Row echelon over GF(p) that eliminates on the nonzeros first.
 
     Markowitz pivoting on rows held as {column: residue} dicts: the active
     column with the fewest entries in the lowest tier (below bounds[0],
-    then below bounds[1], ...; an int is one bound), and in it the row with
+    then below bounds[1], ...; no bounds is one tier), and in it the row with
     the fewest entries.  Once that pivot's cost passes the HANDOFF rule,
     the rest goes to echelon_mod_p in one call, even for an empty core;
     its leftmost pivots keep the tiers in order.
@@ -460,8 +460,7 @@ def sparse_echelon_mod_p(rows, p: int, bounds=None):
     if mat.size == 0:
         return echelon_mod_p(rows, p)
     m, n = mat.shape
-    tier = np.searchsorted(np.atleast_1d(n if bounds is None else bounds),
-                           np.arange(n), side="right").tolist()
+    tier = np.searchsorted(bounds, np.arange(n), side="right").tolist()
     ri, ci = np.nonzero(mat)
     vals = mat[ri, ci] % p
     rows_ = [{} for _ in range(m)]
@@ -533,7 +532,7 @@ def rank_mod_p(rows, p: int) -> int:
 
 def _tiers(pivots, order, bounds):
     """Pivot counts below each bound, and pivot rows below all but the last."""
-    counts = [sum(1 for c in pivots if c < b) for b in np.atleast_1d(bounds)]
+    counts = [sum(1 for c in pivots if c < b) for b in bounds]
     return counts, tuple(order[:r] for r in counts[:-1])
 
 
@@ -666,7 +665,7 @@ def rank_rational_certified(rows, bounds):
     come from the last prime: a minor invertible mod p is so over Q.
     """
     mat = np.asarray(rows, dtype=np.int64)
-    split = int(np.atleast_1d(bounds)[-1])
+    split = bounds[-1]
     for p in islice(primes_below(DEFAULT_PRIME + 1), CERTIFY_PRIMES):
         r, piv, order = sparse_echelon_mod_p(mat, p, bounds)
         counts, tiers = _tiers(piv, order, bounds)
@@ -718,10 +717,10 @@ def ranks_with_prefix(mat: np.ndarray, bounds, field: str):
     """(rank of the columns below the last bound, rank of the whole matrix,
     tiers) over the field a descriptor names: the package's one rank call.
 
-    `bounds` is an increasing tuple of column bounds, or one int; tiers
-    holds, for each bound but the last, the pivot rows below it."""
+    `bounds` is an increasing tuple of column bounds; tiers holds, for
+    each bound but the last, the pivot rows below it."""
     if mat.size == 0:
-        return 0, 0, ([],) * (np.size(bounds) - 1)
+        return 0, 0, ([],) * (len(bounds) - 1)
     _, p = parse_field(field)
     if p:
         return ranks_with_prefix_mod_p(mat, bounds, p)

@@ -227,7 +227,7 @@ def build_complex(pair: ReflexivePair, f: DegreeOneElement,
 def cohomology_dims(complex_: KoszulComplex) -> dict:
     """dim ker - dim im of D on each conserved piece (s, t), where
     s = e + deg m - deg n and t = deg m + deg n."""
-    ranks = {st: la.ranks_with_prefix(d.dense(), d.shape[1],
+    ranks = {st: la.ranks_with_prefix(d.dense(), (d.shape[1],),
                                       complex_.field)[1]
              for st, d in complex_.blocks.items()}
     dims = {}

@@ -18,7 +18,6 @@ the same element makes sense over both backends.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
@@ -176,7 +175,7 @@ class _QuotientWorkspace:
         # one integer code per point, injective on the degree-k points and
         # linear, so that the code of a product is the sum of the codes
         span = pts.max(axis=0, initial=0) - pts.min(axis=0, initial=0) + 1
-        stride = [math.prod(span[:j].tolist()) for j in range(rank)]
+        stride = np.cumprod(np.r_[1, span[:-1]], dtype=object).tolist()
         lat._check_int64([stride], src[k - 1] + src[k] + self.points[1], rank)
         sorter = np.argsort(codes := pts @ stride)
         codes = codes[sorter]
@@ -210,7 +209,7 @@ class _QuotientWorkspace:
                                          skip)
             # the top degree's rows are not read, so it needs no tiers
             rank_m, rank_aug, tiers = la.ranks_with_prefix(
-                aug, bounds if k < top else bounds[-1], self.g.field)
+                aug, bounds if k < top else bounds[-1:], self.g.field)
             skip = ((), *tiers)
             r0.append(len(self.points[k]) - rank_m)
             r1.append(rank_aug - rank_m)

@@ -81,7 +81,7 @@ def full_matrix_dims(g, sub):
         split = len(ws.derivs) * len(prev)
         for j, p in enumerate(ws.interior[k]):
             mat[index[p], split + j] = 1
-        rank_m, rank_aug, _ = la.ranks_with_prefix(mat, split, g.field)
+        rank_m, rank_aug, _ = la.ranks_with_prefix(mat, (split,), g.field)
         r0.append(len(index) - rank_m)
         r1.append(rank_aug - rank_m)
     dim = g.cone.dim

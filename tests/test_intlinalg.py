@@ -161,7 +161,7 @@ def test_certified_rank_with_planted_kernel():
     left = rng.integers(-5, 5, (m, r))
     right = rng.integers(1, 10**6, (r, n))
     mat = left @ right
-    assert la.rank_rational_certified(mat, mat.shape[1])[1] == r
+    assert la.rank_rational_certified(mat, (mat.shape[1],))[1] == r
 
 
 def _record_calls(monkeypatch, calls, *names):
@@ -177,7 +177,7 @@ def test_certified_rank_dixon_route_with_dependent_leading_rows(monkeypatch):
     mat = dependent_rows_first(rng, 60, 90, 50, lead=5)
     calls = []
     _record_calls(monkeypatch, calls, "echelon_mod_p", "rref_mod_p")
-    assert la.rank_rational_certified(mat, mat.shape[1])[1] == (
+    assert la.rank_rational_certified(mat, (mat.shape[1],))[1] == (
         la.rank_fraction(mat.tolist()))
     # one pass, then Dixon
     assert [name for name, _ in calls] == ["echelon_mod_p", "rref_mod_p"]
@@ -186,7 +186,7 @@ def test_certified_rank_dixon_route_with_dependent_leading_rows(monkeypatch):
 def test_certified_rank_full_rank_shortcut():
     rng = np.random.default_rng(9)
     mat = rng.integers(1, 10**6, (90, 200))
-    assert la.rank_rational_certified(mat, mat.shape[1])[1] == 90
+    assert la.rank_rational_certified(mat, (mat.shape[1],))[1] == 90
 
 
 def test_certified_rank_small_matrix_takes_dixon_route(monkeypatch):
@@ -194,7 +194,7 @@ def test_certified_rank_small_matrix_takes_dixon_route(monkeypatch):
     _record_calls(monkeypatch, calls, "echelon_mod_p", "rref_mod_p",
                   "rank_fraction")
     assert la.rank_rational_certified(
-        [[1, 2, 3], [2, 4, 6], [0, 1, 1]], 3)[1] == 2
+        [[1, 2, 3], [2, 4, 6], [0, 1, 1]], (3,))[1] == 2
     assert [name for name, _ in calls] == ["echelon_mod_p", "rref_mod_p"]
 
 
@@ -202,7 +202,7 @@ def test_certified_rank_small_matrix_takes_dixon_route(monkeypatch):
 @example([[0, 0, 0], [0, 0, 0]])
 @settings(max_examples=80, deadline=None)
 def test_certified_rank_matches_fraction_rank(rows):
-    assert la.rank_rational_certified(rows, len(rows[0]))[1] == (
+    assert la.rank_rational_certified(rows, (len(rows[0]),))[1] == (
         la.rank_fraction(rows))
 
 
@@ -212,7 +212,7 @@ def test_certified_rank_retries_with_next_prime(monkeypatch):
            for row in ([1, 2, 3], [2, 4, 6], [0, 1, 1])]
     calls = []
     _record_calls(monkeypatch, calls, "echelon_mod_p", "rank_fraction")
-    assert la.rank_rational_certified(mat, 3)[1] == 2
+    assert la.rank_rational_certified(mat, (3,))[1] == 2
     primes = la.primes_below(la.DEFAULT_PRIME + 1)
     assert [(name, a[1]) for name, a in calls] == [
         ("echelon_mod_p", next(primes)), ("echelon_mod_p", next(primes))]
@@ -235,7 +235,7 @@ def test_certified_rank_lifts_forty_dependent_rows_once(monkeypatch):
     mat = dependent_rows_first(rng, 100, 80, 60, lead=4)
     calls = []
     _record_calls(monkeypatch, calls, "echelon_mod_p", "rref_mod_p")
-    assert la.rank_rational_certified(mat, mat.shape[1])[1] == (
+    assert la.rank_rational_certified(mat, (mat.shape[1],))[1] == (
         la.rank_fraction(mat.tolist()))
     assert [name for name, _ in calls] == ["echelon_mod_p", "rref_mod_p"]
 
@@ -253,7 +253,7 @@ def test_certified_rank_with_different_denominators(monkeypatch):
     lift = la._dixon_lift
     monkeypatch.setattr(la, "_dixon_lift",
                         lambda *a: lifts.append(lift(*a)) or lifts[-1])
-    assert la.rank_rational_certified(mat, mat.shape[1])[1] == 4 == (
+    assert la.rank_rational_certified(mat, (mat.shape[1],))[1] == 4 == (
         la.rank_fraction(mat.tolist()))
     (nums, den), = lifts
     col_dens = {max(Fraction(int(x), den).denominator for x in col)
@@ -277,7 +277,7 @@ def test_perturbed_lift_is_rejected(monkeypatch, bad_calls, primes):
     monkeypatch.setattr(la, "_dixon_lift", perturbed)
     calls = []
     _record_calls(monkeypatch, calls, "echelon_mod_p", "rref_fraction")
-    assert la.rank_rational_certified(mat, mat.shape[1])[1] == 20
+    assert la.rank_rational_certified(mat, (mat.shape[1],))[1] == 20
     names = [name for name, _ in calls]
     assert names.count("echelon_mod_p") == primes
     assert ("rref_fraction" in names) == (bad_calls is None)
