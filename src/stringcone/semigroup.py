@@ -9,7 +9,8 @@ coefficients; the image of the interior-supported subspace recovers the
 tilde-S coefficients for regular subdivisions.  The product is commutative
 and associative, so derivative d times the degree-(k-1) monomials on which
 derivatives < d pivoted lies in the span of derivatives < d at degree k:
-those columns are left out, and each rank call's tiers name them.
+those columns are left out, and each rank call's tiers name them.  Degree
+dim+1 is built only if the quotient is not zero at degree dim.
 
 Two scalar backends are available: residues modulo a prime (fast, default)
 and certified rational arithmetic.  Coefficients are drawn as integers so
@@ -94,15 +95,8 @@ def grading_functionals(cone: GradedCone) -> list[tuple]:
 def logarithmic_derivatives(g: DegreeOneElement) -> list[dict]:
     """g_j = sum over m of (m . n_j) g(m) [m] for the chosen functionals;
     the span does not depend on the choice."""
-    out = []
-    for n in grading_functionals(g.cone):
-        deriv = {}
-        for m, c in g.coefficients:
-            val = la.dot(m, n) * c
-            if val:
-                deriv[m] = val
-        out.append(deriv)
-    return out
+    return [{m: val for m, c in g.coefficients if (val := la.dot(m, n) * c)}
+            for n in grading_functionals(g.cone)]
 
 
 def deformed_product(subdivision: FanSubdivision, m1, m2):
@@ -127,7 +121,7 @@ class GradedQuotientReport:
     seed: int | None
     field: str
     subdivision: tuple
-    top_degree_dims: tuple  # (R0, R1) at degree dim+1, must vanish if regular
+    top_degree_dims: tuple  # (R0, R1) at degree dim+1; (0, 0) if R0[dim] = 0
     regular_profile: bool
 
 
@@ -137,25 +131,27 @@ class _QuotientWorkspace:
     def __init__(self, g: DegreeOneElement, subdivision: FanSubdivision):
         if subdivision.parent != g.cone:
             raise ValueError("element and subdivision live on different cones")
-        self.g = g
-        self.cone = g.cone
+        self.g, self.cone = g, g.cone
         self.derivs = logarithmic_derivatives(g)
-        dim = self.cone.dim
-        self.points = {k: lat.lattice_points_at_degree(self.cone, k)
-                       for k in range(dim + 2)}
-        self.interior = {k: lat.lattice_points_at_degree(self.cone, k, True)
-                         for k in range(dim + 2)}
-        cells = max(len(self.points[k])
-                    * (len(self.derivs) * len(self.points[k - 1])
-                       + len(self.interior[k]))
-                    for k in range(1, dim + 2))
-        if cells > MATRIX_CELL_BUDGET:
-            raise DimensionBudgetExceeded(
-                f"multiplication matrix of {cells} cells exceeds budget "
-                f"{MATRIX_CELL_BUDGET}")
-        all_pts = [p for k in range(dim + 2) for p in self.points[k]]
+        self._points_through(max(self.cone.dim, 1))
+        # cofactors have degree at most dim, so degree dim+1 needs no masks
+        all_pts = [p for pts in self.points.values() for p in pts]
         self.masks = dict(zip(all_pts, lat.cell_masks(subdivision.max_cones,
                                                       all_pts)))
+
+    def _points_through(self, top: int):
+        """Points and interior points of degrees 0 .. top; refuses a full
+        degree-top matrix with unit columns over the budget before assembly
+        (a degree-one generator maps degree k-1 into k, so none is larger)."""
+        self.points, self.interior = (
+            {k: lat.lattice_points_at_degree(self.cone, k, inner)
+             for k in range(top + 1)} for inner in (False, True))
+        rows = len(self.points[top])
+        cols = len(self.derivs) * len(self.points[top - 1]) + len(self.interior[top])
+        if rows * cols > MATRIX_CELL_BUDGET:
+            raise DimensionBudgetExceeded(
+                f"degree-{top} multiplication matrix of {rows} x {cols} = "
+                f"{rows * cols} cells exceeds budget {MATRIX_CELL_BUDGET}")
 
     def multiplication_matrix(self, k: int, interior_source: bool = False):
         """Rows indexed by degree-k points (interior points when
@@ -200,10 +196,14 @@ class _QuotientWorkspace:
 
     def dims(self) -> tuple[list, list]:
         """Dimensions of the quotient and of its interior image at degrees
-        0 .. dim+1."""
+        0 .. dim+1; degree dim+1 is built only when degree dim is not zero."""
         r0, r1 = [1], [1 if self.interior[0] else 0]
         top, skip = self.cone.dim + 1, ()
         for k in range(1, top + 1):
+            if k == top and r0[-1] == 0:  # zero at dim: zero above it
+                return r0 + [0], r1 + [0]
+            if k == top:
+                self._points_through(top)
             # the unit columns share the array, so no matrix is copied
             aug, bounds = self._products(self.points, k, self.interior[k],
                                          skip)
@@ -220,16 +220,15 @@ def graded_quotient_dims(g: DegreeOneElement,
                          subdivision: FanSubdivision | None = None,
                          seed: int | None = None) -> GradedQuotientReport:
     """Exact graded dimensions of the quotient by the logarithmic
-    derivatives in the deformed ring, and of the interior image inside it,
-    for degrees 0 .. dim (degree dim+1 is computed and reported separately
-    as the regularity cutoff)."""
+    derivatives in the deformed ring, and of its interior image, at degrees
+    0 .. dim; degree dim+1, the regularity cutoff, is reported apart and is
+    (0, 0) with no matrix built when degree dim is (see is_sigma_regular)."""
     if subdivision is None:
         subdivision = lat.trivial_subdivision(g.cone)
     r0, r1 = _QuotientWorkspace(g, subdivision).dims()
     dim = g.cone.dim
     s_total = sum(s_polynomial(g.cone).coeffs)
-    regular = (r0[dim + 1] == 0 and r1[dim + 1] == 0
-               and sum(r0[: dim + 1]) == s_total)
+    regular = r0[dim + 1] == r1[dim + 1] == 0 and sum(r0[:dim + 1]) == s_total
     return GradedQuotientReport(
         dims_R0=tuple(r0[: dim + 1]),
         dims_R1=tuple(r1[: dim + 1]),
@@ -254,15 +253,16 @@ def is_sigma_regular(g: DegreeOneElement,
     each cell ring must be finite-dimensional (zero at degree dim+1 with
     total dimension matching the cell's S-polynomial at t=1).
 
-    A failed check is reported as "not regular at the degree cutoff": the
-    criterion is sound for positive verdicts, while a negative one names
-    the first cell whose quotient has not terminated by degree dim+1.
+    The cutoff is a lemma: cells are generated by degree-one points, and in
+    a simplex v_1 .. v_dim of them a lattice point x of degree >= dim has a
+    coefficient >= 1, so v_i (x - v_i) = x.  So R_k = R_1 R_(k-1) for k >= dim
+    and a quotient zero at degree dim is zero above it (Stanley 1980;
+    Bruns-Gubeladze 2009).  A failure names the first cell not zero at dim+1.
     """
     if subdivision is None:
         subdivision = lat.trivial_subdivision(g.cone)
     for cell in subdivision.max_cones:
-        restricted = g.restrict(cell)
-        report = graded_quotient_dims(restricted,
+        report = graded_quotient_dims(g.restrict(cell),
                                       lat.trivial_subdivision(cell))
         if not report.regular_profile:
             return RegularityVerdict(

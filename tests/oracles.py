@@ -7,7 +7,9 @@ broadcast over the per-axis coordinate ranges of the degree-k box of the
 generators.  Its cost depends on the basis; its answer does not.
 `full_matrix_dims` is the graded ring's quotient dimensions from the full
 multiplication matrix of every derivative and every lower-degree point,
-assembled by one Python loop over the points.
+assembled by one Python loop over the points.  It enumerates and ranks
+degree dim+1 whatever degree dim gives, so it checks the cutoff that
+stops the graded ring at degree dim.
 """
 
 import math
@@ -17,7 +19,8 @@ import numpy as np
 from stringcone import intlinalg as la
 from stringcone import semigroup as sg
 from stringcone.errors import DimensionBudgetExceeded
-from stringcone.lattice import _BOX_BUDGET, _check_int64
+from stringcone.lattice import (_BOX_BUDGET, _check_int64,
+                                lattice_points_at_degree)
 
 
 def point_in_cone(cone, x, strict: bool = False) -> bool:
@@ -66,12 +69,15 @@ def full_matrix_dims(g, sub):
     """(dims_R0, dims_R1, top_degree_dims) from one rank per degree of the
     full multiplication matrix with one unit column per interior point."""
     ws = sg._QuotientWorkspace(g, sub)
-    r0, r1 = [1], [1 if ws.interior[0] else 0]
+    points, interior = ({k: lattice_points_at_degree(g.cone, k, inner)
+                         for k in range(g.cone.dim + 2)}
+                        for inner in (False, True))
+    r0, r1 = [1], [1 if interior[0] else 0]
     for k in range(1, g.cone.dim + 2):
-        index = {p: i for i, p in enumerate(ws.points[k])}
-        prev = ws.points[k - 1]
+        index = {p: i for i, p in enumerate(points[k])}
+        prev = points[k - 1]
         mat = np.zeros((len(index), len(ws.derivs) * len(prev)
-                        + len(ws.interior[k])), dtype=np.int64)
+                        + len(interior[k])), dtype=np.int64)
         for d, deriv in enumerate(ws.derivs):
             for i, m in enumerate(prev):
                 for mp, w in deriv.items():
@@ -79,7 +85,7 @@ def full_matrix_dims(g, sub):
                         mat[index[tuple(a + b for a, b in zip(mp, m))],
                             d * len(prev) + i] += w
         split = len(ws.derivs) * len(prev)
-        for j, p in enumerate(ws.interior[k]):
+        for j, p in enumerate(interior[k]):
             mat[index[p], split + j] = 1
         rank_m, rank_aug, _ = la.ranks_with_prefix(mat, (split,), g.field)
         r0.append(len(index) - rank_m)

@@ -378,11 +378,15 @@ def test_invalid_field_exits_2(field, fixture_dir, capsys):
 
 
 def test_ring_dims_over_matrix_budget_exits_2(fixture_dir, capsys):
-    # degree 6 of the quintic cone needs a 46,376 x 142,506 matrix
+    # the up-front check covers degrees 1 .. dim, whose largest matrix is
+    # degree 5's: 23,751 rows of the quintic cone by 5 * 10,626 products
+    # and 10,626 unit columns; degree 6 would get its own check only if it
+    # were built
     code = cli.main(["ring-dims", str(fixture_dir / "quintic.json")])
     err = capsys.readouterr().err
     assert code == 2
-    assert "DimensionBudgetExceeded" in err
+    assert "DimensionBudgetExceeded: degree-5 " in err
+    assert "23751 x 63756" in err
 
 
 def test_koszul_over_matrix_budget_exits_2(fixture_dir, capsys):
@@ -423,16 +427,23 @@ def test_polytope_subcommand_smoke(command, expect, fixture_dir, capsys):
 SWEEP = json.loads((pathlib.Path(__file__).parent / "cli_sweep.json").read_text())
 
 
-@pytest.mark.parametrize("record", SWEEP,
-                         ids=["-".join(r["args"]) for r in SWEEP])
-def test_output_matches_recorded_sweep(record, fixture_dir, capsys):
+@pytest.mark.parametrize("record", SWEEP, ids=[
+    "-".join(r["args"] + ["stellar"] * ("heights" in r)) for r in SWEEP])
+def test_output_matches_recorded_sweep(record, fixture_dir, tmp_path, capsys):
     # stdout of s-poly, tilde-s, g-poly, b-poly, e-st and hodge on every
     # reflexive fixture and e-st --toric on the fans, byte for byte as
     # recorded before the dense univariate polynomials; then faces, dual
     # and check-reflexive on every reflexive fixture and box on every
     # fixture with a simplicial cone, as recorded before facet incidences
-    # were stored on the cone
+    # were stored on the cone; then ring-dims on the 2-d fixtures over both
+    # fields and on the 3-d ones over the prime field, and koszul on the
+    # 2-d pairs, each plain and with the stellar heights of the subdivided
+    # cone, as recorded before the graded ring stopped at degree dim
     *flags, name = record["args"]
+    if "heights" in record:
+        heights = tmp_path / "heights.json"
+        heights.write_text(json.dumps({"heights": record["heights"]}))
+        flags += ["--subdivide", str(heights)]
     code = cli.main(flags + [str(fixture_dir / name)])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (0, record["stdout"], "")

@@ -1,5 +1,6 @@
 """Deformed semigroup-ring quotients, regularity, pairings."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,8 @@ from stringcone import intlinalg as la
 from stringcone import lattice as lat
 from stringcone import semigroup as sg
 from stringcone import stringy as st
-from stringcone.errors import InvalidField, NotRegular, PointOutsideCone
+from stringcone.errors import (DimensionBudgetExceeded, InvalidField,
+                               NotRegular, PointOutsideCone)
 
 A1 = lat.cone_from_generators([(0, 1), (2, 1)])
 SQUARE_CONE = lat.cone_from_generators(
@@ -441,3 +443,53 @@ def test_non_regular_element_matches_full_matrix_dims(name, stellar, field):
     assert not report.regular_profile
     assert (report.dims_R0, report.dims_R1,
             report.top_degree_dims) == full_matrix_dims(g, sub)
+
+
+# -- the graded ring stops at degree dim when the quotient vanishes there --------
+
+def test_small_support_elements_match_full_matrix_dims():
+    # elements on 1-4 of the points that can make a cell quotient finite
+    # (the cone's generators and its interior degree-one point); the
+    # oracle ranks degree dim+1 even where the quotient is zero at dim
+    cutoffs = 0
+    for name in ("diamond", "p2_dual", "cross", "quartic"):
+        cone = k_cone(name)
+        points = cone.generators + lat.lattice_points_at_degree(cone, 1, True)
+        for stellar in (False, True):
+            sub = subdivision(cone, stellar)
+            for seed in range(32):
+                rng = random.Random(seed)
+                g = sg.degree_one_element(cone, {
+                    m: rng.randint(1, 10**6)
+                    for m in rng.sample(points, rng.randint(1, 4))})
+                report = sg.graded_quotient_dims(g, sub)
+                assert (report.dims_R0, report.dims_R1,
+                        report.top_degree_dims) == full_matrix_dims(g, sub)
+                cutoffs += report.dims_R0[-1] == 0
+    assert cutoffs >= 16
+
+
+def full_matrix_cells(cone, k):
+    rows = len(lat.lattice_points_at_degree(cone, k))
+    return rows * (cone.dim * len(lat.lattice_points_at_degree(cone, k - 1))
+                   + len(lat.lattice_points_at_degree(cone, k, True)))
+
+
+def test_top_degree_has_its_own_budget_check(monkeypatch):
+    cone = k_cone("diamond")
+    top = cone.dim + 1
+    budget = full_matrix_cells(cone, cone.dim)
+    assert budget < full_matrix_cells(cone, top)
+    monkeypatch.setattr(sg, "MATRIX_CELL_BUDGET", budget)
+    built = []
+    products = sg._QuotientWorkspace._products
+    monkeypatch.setattr(sg._QuotientWorkspace, "_products",
+                        lambda self, src, k, *args: built.append(k)
+                        or products(self, src, k, *args))
+    assert sg.graded_quotient_dims(sg.random_degree_one(cone, 0)).regular_profile
+    assert max(built) == cone.dim
+    built.clear()
+    with pytest.raises(DimensionBudgetExceeded, match=f"degree-{top} "):
+        sg.graded_quotient_dims(
+            sg.degree_one_element(cone, {cone.generators[0]: 7}))
+    assert max(built) == cone.dim

@@ -185,7 +185,7 @@ def test_rank_call_returns_the_pivot_rows_of_each_tier(field):
     assert la.ranks_with_prefix(mat, (50,), field) == (prefix, rank, ())
 
 
-@pytest.mark.parametrize("name,stellar,k", [("cube", False, 5),
+@pytest.mark.parametrize("name,stellar,k", [("cube", False, 4),
                                             ("quartic_dual", True, 4)])
 def test_multiplication_matrices_match_dense_ranks(name, stellar, k,
                                                    monkeypatch):
@@ -193,7 +193,7 @@ def test_multiplication_matrices_match_dense_ranks(name, stellar, k,
     sub = (lat.stellar_subdivision(cone) if stellar
            else lat.trivial_subdivision(cone))
     work = sg._QuotientWorkspace(sg.random_degree_one(cone, 5), sub)
-    built = []  # (matrix, bounds, ranks) of dims() at each degree 1 .. dim+1
+    built = []  # (matrix, bounds, ranks) of dims() at each degree 1 .. dim
     rank_call = la.ranks_with_prefix
     monkeypatch.setattr(la, "ranks_with_prefix", lambda aug, bounds, field:
                         built.append((aug, bounds, rank_call(
@@ -215,7 +215,7 @@ def test_multiplication_matrices_match_dense_ranks(name, stellar, k,
     assert (rank_m, rank_aug) == (la.echelon_mod_p(mat, P)[0],
                                   la.echelon_mod_p(full_aug, P)[0])
     if name == "cube":  # regular: the kept multiplication prefix is square
-        assert split == aug.shape[0] == rank_m == 1331
+        assert split == aug.shape[0] == rank_m == 729
 
 
 # -- certified ranks over Q -------------------------------------------------------
@@ -267,10 +267,16 @@ def spy_certified_calls(monkeypatch):
 
 def test_graded_ring_makes_one_certified_call_per_degree(monkeypatch):
     cone = lat.gorenstein_cone_over(fx.polytope("diamond"))
-    g = sg.random_degree_one(cone, 0, "rational")
+    regular = sg.random_degree_one(cone, 0, "rational")
+    one_vertex = sg.degree_one_element(cone, {cone.generators[0]: 7},
+                                       "rational")
     counts = spy_certified_calls(monkeypatch)
-    sg.graded_quotient_dims(g)
-    assert counts["certified"] == cone.dim + 1  # degrees 1 .. dim+1
+    # degree dim+1 is built only when the quotient is not zero at dim
+    for g, degrees in ((regular, cone.dim), (one_vertex, cone.dim + 1)):
+        counts["certified"] = 0
+        report = sg.graded_quotient_dims(g)
+        assert report.regular_profile == (g is regular)
+        assert counts["certified"] == degrees
     assert counts["outside"] == 0
 
 
