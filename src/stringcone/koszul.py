@@ -15,7 +15,9 @@ nonnegative, so the projected multiplications commute.  The differential
 preserves s = (exterior degree) + deg(m) - deg(n) and raises
 t = deg(m) + deg(n) by one, so it is stored as one int64 COO matrix per
 piece, from (s, t) to (s, t+1), whose basis is numbered as it is
-enumerated; cohomology is reported per (s, t) piece.
+enumerated; numpy builds the numbering and the triplets, one gather per
+move.  Cohomology is reported per (s, t) piece, and D(s, t) is ranked only
+on the columns that D(s, t-1)'s pivot rows leave out.
 
 For regular f, g the cohomology matches, piece by piece, the sum over
 faces C of tilde-S coefficient products placed at exterior degree
@@ -52,9 +54,14 @@ class Differential:
     cols: np.ndarray
     vals: np.ndarray
 
-    def dense(self) -> np.ndarray:
-        mat = np.zeros(self.shape, dtype=np.int64)
-        np.add.at(mat, (self.rows, self.cols), self.vals)
+    def dense(self, skip=()) -> np.ndarray:
+        """The matrix without the columns listed in skip."""
+        keep = np.ones(self.shape[1], dtype=bool)
+        keep[list(skip)] = False
+        on = keep[self.cols]
+        mat = np.zeros((self.shape[0], int(keep.sum())), dtype=np.int64)
+        np.add.at(mat, (self.rows[on], (np.cumsum(keep) - 1)[self.cols[on]]),
+                  self.vals[on])
         return mat
 
 
@@ -81,11 +88,28 @@ class KoszulComplex:
 
     def verify_d_squared(self) -> bool:
         """D(s, t+1) D(s, t) = 0 over the integers on every piece."""
-        for (s, t), first in self.blocks.items():
-            second = self.blocks.get((s, t + 1))
-            if second is not None and np.any(second.dense() @ first.dense()):
-                return False
-        return True
+        return all(_product_vanishes(self.blocks[s, t + 1], first)
+                   for (s, t), first in self.blocks.items()
+                   if (s, t + 1) in self.blocks)
+
+
+def _product_vanishes(left: Differential, right: Differential) -> bool:
+    """left @ right == 0 exactly: a sort-merge on the shared index pairs each
+    entry of left with the entries of right in the row its column names, and
+    the products are summed per entry in int64 when no sum can wrap, else
+    in Python integers."""
+    by_row = np.argsort(right.rows, kind="stable")
+    lo, hi = (np.searchsorted(right.rows[by_row], left.cols, side)
+              for side in ("left", "right"))
+    li = np.repeat(np.arange(len(lo)), hi - lo)
+    ri = by_row[np.arange(len(li)) + (lo - np.cumsum(hi - lo) + hi - lo)[li]]
+    wide = (np.abs(left.vals).max(initial=0).item() * right.shape[0]
+            * np.abs(right.vals).max(initial=0).item() >= 2**63)
+    terms = left.vals[li].astype(object if wide else np.int64) * right.vals[ri]
+    key = left.rows[li] * right.shape[1] + right.cols[ri]
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    return not np.add.reduceat(terms[order], starts).any()
 
 
 @lru_cache(maxsize=None)
@@ -98,6 +122,16 @@ def _exterior_flips(rank: int) -> tuple:
 
 def _as_array(points, rank: int) -> np.ndarray:
     return np.array(list(points), dtype=np.int64).reshape(-1, rank)
+
+
+def _shift_table(points: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """Row of points[i] + support[j] among the distinct points, or -1."""
+    sums = (points[:, None] + support[None]).reshape(-1, points.shape[1])
+    _, label = np.unique(np.concatenate([points, sums]), axis=0,
+                         return_inverse=True)
+    row = np.full(len(label), -1)
+    row[label[:len(points)]] = np.arange(len(points))
+    return row[label[len(points):]].reshape(len(points), len(support))
 
 
 def _orthogonal_pairs(pair: ReflexivePair, cap: int) -> Counter:
@@ -160,76 +194,90 @@ def build_complex(pair: ReflexivePair, f: DegreeOneElement,
         if not verdict.regular:
             raise NotRegular(verdict.detail)
 
-    deg_k, deg_d = ({p: d for d in range(cap + 1)
-                     for p in lat.lattice_points_at_degree(cone, d)}
-                    for cone in (k_cone, k_dual))
-    points_d = list(deg_d)
-    arr_d = _as_array(points_d, rank)
-    orthogonal = {m: np.flatnonzero(arr_d @ m == 0) for m in deg_k}
-    pieces: dict = {}
-    index_of: dict = {}  # (m, n) -> number of (wedges[q], m, n), per q
-    for m, a in deg_k.items():
-        for n in (points_d[y] for y in orthogonal[m]):
-            b = deg_d[n]
-            ids = index_of[m, n] = []
-            for idx in wedges:
-                basis = pieces.setdefault((len(idx) + a - b, a + b), [])
-                ids.append(len(basis))
-                basis.append((idx, m, n))
-    space = PairedMonomialSpace(pair=pair, cap=cap, pieces=pieces)
+    points_k, points_d = ([p for d in range(cap + 1)
+                           for p in lat.lattice_points_at_degree(cone, d)]
+                          for cone in (k_cone, k_dual))
+    arr_k, arr_d = _as_array(points_k, rank), _as_array(points_d, rank)
+    a, b = arr_k @ k_cone.deg, arr_d @ k_dual.deg
+    # element e is (wedges[e % width], m, n) of orthogonal pair e // width,
+    # pairs in row-major order; pieces are numbered as they first appear,
+    # and an element by the elements of its piece before it
+    pk, pd = np.nonzero(arr_k @ arr_d.T == 0)
+    width = 1 << rank
+    s = (np.array([len(idx) for idx in wedges])
+         + (a[pk] - b[pd])[:, None]).ravel()
+    t = np.repeat(a[pk] + b[pd], width)
+    _, first, inverse = np.unique((s + cap) * (2 * cap + 1) + t,
+                                  return_index=True, return_inverse=True)
+    lead = first[inverse]  # the first element of each element's piece
+    order = np.argsort(lead, kind="stable")  # elements grouped by piece
+    pos = np.argsort(order)  # place of each element in that grouping
+    number = pos - pos[lead]
+    elems = [(wedges[q], points_k[i], points_d[y]) for q, i, y in zip(
+        (order % width).tolist(), pk[order // width].tolist(),
+        pd[order // width].tolist())]
+    first = np.sort(first)
+    cut = np.r_[pos[first], len(order)].tolist()
+    pieces = {st: elems[lo:hi] for st, lo, hi in zip(
+        zip(s[first].tolist(), t[first].tolist()), cut, cut[1:])}
 
-    # q -> [(q ^ 1 << i, sign * v_i)]: contraction by v lowers q, wedge raises
-    contract, wedge = ({vec: [[(q2, sign * vec[i]) for i, q2, sign in row
-                               if vec[i] and (q2 < q) == lower]
-                              for q, row in enumerate(_exterior_flips(rank))]
-                        for vec, _ in elem.coefficients}
-                       for lower, elem in ((True, f), (False, g)))
     # the projection keeps f(m') [m'] on [m, n] when m'.n = 0, and g(n') [n']
-    # when m.n' = 0 and, on a deformed dual side, n and n' share a cell
-    f_zero = arr_d @ _as_array((p for p, _ in f.coefficients), rank).T == 0
-    g_zero = _as_array(deg_k, rank) @ _as_array(
-        (p for p, _ in g.coefficients), rank).T == 0
-    masks = (None if dual_subdivision is None else dict(zip(
-        points_d, lat.cell_masks(dual_subdivision.max_cones, points_d))))
-    coo = {st: ([], [], []) for st in pieces}
-    for (m, a), g_row in zip(deg_k.items(), g_zero):
-        for y in orthogonal[m]:
-            n = points_d[y]
-            b = deg_d[n]
-            moves = []  # (move table, coefficient, numbers of the target)
-            if a < cap:
-                moves += [(contract[mp], c,
-                           index_of[tuple(u + v for u, v in zip(m, mp)), n])
-                          for (mp, c), z in zip(f.coefficients, f_zero[y])
-                          if z]
-            if b < cap:
-                moves += [(wedge[np_], c,
-                           index_of[m, tuple(u + v for u, v in zip(n, np_))])
-                          for (np_, c), z in zip(g.coefficients, g_row)
-                          if z and (masks is None or masks[n] & masks[np_])]
-            for q, (idx, src) in enumerate(zip(wedges, index_of[m, n])):
-                rows, cols, vals = coo[len(idx) + a - b, a + b]
-                for table, c, target in moves:
-                    for q2, w in table[q]:
-                        rows.append(target[q2])
-                        cols.append(src)
-                        vals.append(w * c)
-
-    blocks = {(s, t): Differential(
-        shape=(len(pieces.get((s, t + 1), ())), len(pieces[s, t])),
-        rows=np.array(rows, dtype=np.int64),
-        cols=np.array(cols, dtype=np.int64),
-        vals=np.array(vals, dtype=np.int64))
-        for (s, t), (rows, cols, vals) in coo.items()}
-    return KoszulComplex(space=space, blocks=blocks, field=f.field)
+    # when m.n' = 0 and, on a deformed dual side, n and n' share a cell: a
+    # move by m' or n' is kept when it leads to a pair within the cap
+    moves = f.coefficients + g.coefficients
+    vecs = _as_array((p for p, _ in moves), rank)
+    coeffs = np.fromiter((c for _, c in moves), np.int64, len(moves))
+    lower = np.arange(len(moves)) < len(f.coefficients)  # contract, or wedge
+    # to[x, j]: the pair that move j takes pair x to, or -1 if it is none;
+    # a shift table's -1 reads the last row or column of pair_id, all -1
+    pair_id = np.full((len(points_k) + 1, len(points_d) + 1), -1)
+    pair_id[pk, pd] = np.arange(len(pk))
+    to = np.concatenate([
+        pair_id[_shift_table(arr_k, vecs[lower])[pk], pd[:, None]],
+        pair_id[pk[:, None], _shift_table(arr_d, vecs[~lower])[pd]]], axis=1)
+    if dual_subdivision is not None:
+        masks = lat.cell_masks(dual_subdivision.max_cones, points_d + [
+            p for p, _ in g.coefficients])
+        to[:, len(f.coefficients):][~np.array(
+            [[x & y != 0 for y in masks[len(points_d):]]
+             for x in masks[:len(points_d)]], dtype=bool)[pd]] = -1
+    src, j = np.nonzero(to >= 0)
+    flips = np.array(_exterior_flips(rank), dtype=np.int64)
+    parts = []  # (sort key, source, target, value) per bit i
+    for i in range(rank):
+        # contraction by m' clears bit i of q where m'_i != 0, wedge sets it
+        hit, q = np.nonzero((vecs[j, i, None] != 0)
+                            & ((np.arange(width) >> i & 1) == lower[j, None]))
+        e_src = src[hit] * width + q
+        parts.append(((pos[e_src] * len(moves) + j[hit]) * rank + i, e_src,
+                      to[src[hit], j[hit]] * width + flips[q, i, 1],
+                      vecs[j[hit], i] * coeffs[j[hit]] * flips[q, i, 2]))
+    key, src, dst, vals = (np.concatenate(x) for x in zip(*parts))
+    del parts
+    perm = np.argsort(key)  # by (source element, move, bit), as enumerated
+    cut = np.searchsorted(pos[src[perm]], cut).tolist()
+    rows, cols, vals = number[dst[perm]], number[src[perm]], vals[perm]
+    blocks = {(s_, t_): Differential(
+        shape=(len(pieces.get((s_, t_ + 1), ())), len(basis)),
+        rows=rows[lo:hi], cols=cols[lo:hi], vals=vals[lo:hi])
+        for ((s_, t_), basis), lo, hi in zip(pieces.items(), cut, cut[1:])}
+    return KoszulComplex(space=PairedMonomialSpace(pair, cap, pieces),
+                         blocks=blocks, field=f.field)
 
 
 def cohomology_dims(complex_: KoszulComplex) -> dict:
     """dim ker - dim im of D on each conserved piece (s, t), where
-    s = e + deg m - deg n and t = deg m + deg n."""
-    ranks = {st: la.ranks_with_prefix(d.dense(), (d.shape[1],),
-                                      complex_.field)[1]
-             for st, d in complex_.blocks.items()}
+    s = e + deg m - deg n and t = deg m + deg n.
+
+    D(s, t) is ranked only on the columns off the pivot rows of D(s, t-1):
+    the minor there is invertible (mod p, so over Q), so its columns span a
+    W in im D(s, t-1) (in ker D(s, t), as D^2 = 0) that the unit vectors off
+    those rows complement, and D(s, t) has the same image on them."""
+    ranks, reached = {}, {}
+    for (s, t), d in sorted(complex_.blocks.items()):
+        mat = d.dense(skip=reached.pop((s, t), ()))
+        _, ranks[s, t], (reached[s, t + 1],) = la.ranks_with_prefix(
+            mat, (mat.shape[1],) * 2, complex_.field)
     dims = {}
     for (s, t), basis in complex_.space.pieces.items():
         h = len(basis) - ranks[s, t] - ranks.get((s, t - 1), 0)

@@ -280,15 +280,22 @@ def pairing_matrix(g: DegreeOneElement, subdivision: FanSubdivision | None,
     Fractions over Q and integers standing for their residues over GF(p)."""
     if subdivision is None:
         subdivision = lat.trivial_subdivision(g.cone)
-    verdict = is_sigma_regular(g, subdivision)
-    if not verdict.regular:
-        raise NotRegular(verdict.detail)
+    r1 = None
+    if subdivision.max_cones == (g.cone,):
+        # the one cell is the cone: its check ranks the pairing's matrices
+        report = graded_quotient_dims(g, subdivision)
+        r1 = report.dims_R1 if report.regular_profile else None
+    if r1 is None:
+        verdict = is_sigma_regular(g, subdivision)
+        if not verdict.regular:
+            raise NotRegular(verdict.detail)
     dim = g.cone.dim
     if k > dim or k < 0:
         return []
     ws = _QuotientWorkspace(g, subdivision)
     # symmetry of the induced interior pairing, asserted as rank equality
-    _, r1 = ws.dims()
+    if r1 is None:
+        _, r1 = ws.dims()
     if r1[k] != r1[dim - k]:
         raise NotRegular(
             f"interior ranks at degrees {k} and {dim - k} differ")

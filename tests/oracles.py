@@ -9,7 +9,9 @@ generators.  Its cost depends on the basis; its answer does not.
 multiplication matrix of every derivative and every lower-degree point,
 assembled by one Python loop over the points.  It enumerates and ranks
 degree dim+1 whatever degree dim gives, so it checks the cutoff that
-stops the graded ring at degree dim.
+stops the graded ring at degree dim.  `full_block_cohomology` ranks every
+Koszul differential on all its columns, so it checks the column skip of
+`koszul.cohomology_dims`.
 """
 
 import math
@@ -92,3 +94,17 @@ def full_matrix_dims(g, sub):
         r1.append(rank_aug - rank_m)
     dim = g.cone.dim
     return tuple(r0[:dim + 1]), tuple(r1[:dim + 1]), (r0[-1], r1[-1])
+
+
+def full_block_cohomology(complex_):
+    """Koszul cohomology dims from the rank of every full differential
+    block, with no column left out."""
+    ranks = {st: la.ranks_with_prefix(d.dense(), (d.shape[1],),
+                                      complex_.field)[1]
+             for st, d in complex_.blocks.items()}
+    dims = {}
+    for (s, t), basis in complex_.space.pieces.items():
+        h = len(basis) - ranks[s, t] - ranks.get((s, t - 1), 0)
+        if h:
+            dims[s, t] = h
+    return dims

@@ -438,7 +438,10 @@ def test_output_matches_recorded_sweep(record, fixture_dir, tmp_path, capsys):
     # were stored on the cone; then ring-dims on the 2-d fixtures over both
     # fields and on the 3-d ones over the prime field, and koszul on the
     # 2-d pairs, each plain and with the stellar heights of the subdivided
-    # cone, as recorded before the graded ring stopped at degree dim
+    # cone, as recorded before the graded ring stopped at degree dim; then
+    # koszul over Q on the 2-d pairs, plain and stellar, and koszul --cap 4
+    # on the diamond, as recorded before the Koszul complex was assembled
+    # by numpy and ranked on reduced differentials
     *flags, name = record["args"]
     if "heights" in record:
         heights = tmp_path / "heights.json"

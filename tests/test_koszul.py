@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from oracles import full_block_cohomology
 
 from stringcone import fixtures as fx
 from stringcone import koszul as kz
@@ -55,6 +56,33 @@ def test_d_squared_single_monomial(monkeypatch):
     assume_regular(monkeypatch)
     complex_ = kz.build_complex(pair, apex, g)
     assert complex_.verify_d_squared()
+
+
+def flip_one_value(complex_):
+    """Negate one entry of some D(s, t) whose target row D(s, t+1) reads,
+    so that D(s, t+1) D(s, t) changes by a nonzero column."""
+    for (s, t), d in complex_.blocks.items():
+        after = complex_.blocks.get((s, t + 1))
+        if after is not None:
+            hit = np.flatnonzero(np.isin(d.rows, after.cols))
+            if len(hit):
+                d.vals[hit[0]] *= -1
+                return
+    raise AssertionError("no entry of one block is read by the next")
+
+
+@pytest.mark.parametrize("scale", [1, 2**40])
+def test_d_squared_detects_one_flipped_value(scale, monkeypatch):
+    # 2**40 times the coefficients forces the products into Python integers
+    pair = make_pair("diamond")
+    f, g = (sg.degree_one_element(e.cone, {m: scale * c
+                                          for m, c in e.coefficients})
+            for e in elements(pair, 0))
+    assume_regular(monkeypatch)
+    complex_ = kz.build_complex(pair, f, g)
+    assert complex_.verify_d_squared()
+    flip_one_value(complex_)
+    assert not complex_.verify_d_squared()
 
 
 def test_field_mismatch_rejected():
@@ -194,6 +222,43 @@ def test_expected_is_the_reindexed_cohomology_table(name):
     table = st.string_cohomology_table(pair)
     assert expected == {(pair.cone.dim - 1 - p, q + 1): h
                         for (p, q), h in table.entries}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("field", [sg.DEFAULT_FIELD, "rational"])
+@pytest.mark.parametrize("stellar", [False, True])
+@pytest.mark.parametrize("name", ["segment", "diamond", "square", "p2",
+                                  "p2_dual"])
+def test_reduced_blocks_match_full_block_cohomology(name, stellar, field,
+                                                    seed):
+    pair = make_pair(name)
+    f = sg.random_degree_one(pair.cone, seed, field=field)
+    g = sg.random_degree_one(pair.dual, seed + 17, field=field)
+    sub = lat.stellar_subdivision(pair.dual) if stellar else None
+    for cap in (pair.cone.dim, pair.cone.dim + 1):
+        complex_ = kz.build_complex(pair, f, g, cap=cap, dual_subdivision=sub)
+        assert kz.cohomology_dims(complex_) == full_block_cohomology(complex_)
+
+
+@pytest.mark.parametrize("field", [sg.DEFAULT_FIELD, "rational"])
+@pytest.mark.parametrize("degenerate", ["zero", "apex"])
+def test_degenerate_complexes_match_full_block_cohomology(degenerate, field,
+                                                          monkeypatch):
+    # far from exact: most of each piece survives, so the columns left out
+    # come from small images
+    pair = make_pair("diamond")
+    if degenerate == "zero":
+        f, g = (sg.degree_one_element(c, {}, field)
+                for c in (pair.cone, pair.dual))
+    else:
+        f = sg.degree_one_element(pair.cone, {(0, 0, 1): 321}, field)
+        g = sg.random_degree_one(pair.dual, 18, field=field)
+    assume_regular(monkeypatch)
+    for cap in (3, 4):
+        complex_ = kz.build_complex(pair, f, g, cap=cap)
+        dims = kz.cohomology_dims(complex_)
+        assert dims == full_block_cohomology(complex_)
+        assert sum(dims.values()) > 4
 
 
 def test_rational_field_variant():

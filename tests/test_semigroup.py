@@ -299,6 +299,21 @@ def test_pairing_at_degree_zero_reduces_the_top_image_once(monkeypatch):
     assert images.count(cone.dim) == 1
 
 
+def test_pairing_with_one_cell_ranks_its_matrices_once(monkeypatch):
+    # the trivial subdivision's one cell is the cone, so its regularity
+    # check ranks the pairing's own matrices: dim calls per degree, not 2 dim
+    cone = k_cone("cross")
+    g = sg.random_degree_one(cone, seed=0)
+    want = [sg.pairing_matrix(g, None, k) for k in range(cone.dim + 1)]
+    calls = []
+    rank = la.ranks_with_prefix
+    monkeypatch.setattr(la, "ranks_with_prefix",
+                        lambda *args: calls.append(args) or rank(*args))
+    assert [sg.pairing_matrix(g, None, k)
+            for k in range(cone.dim + 1)] == want
+    assert len(calls) == cone.dim * (cone.dim + 1) == 20
+
+
 def test_pairing_rational_backend():
     g = sg.random_degree_one(k_cone("p2"), seed=1, field="rational")
     mat = sg.pairing_matrix(g, None, 1)
