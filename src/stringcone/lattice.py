@@ -18,10 +18,13 @@ Lattice points come from box groups (Stanley 1980).  A face is cut into
 the simplices of a pulling triangulation, made half-open so that they
 partition it (Koeppe and Verdoolaege 2008, Thm 3), and every degree-k
 point is exactly one lifted box class, of some degree d, of one simplex
-plus a sum of k - d of that simplex's generators (_half_open_classes).
-stringy.face_s counts the classes by degree; lattice_points_at_degree
-adds the sums, so neither cost depends on the basis.  Every int64 kernel
-first checks that its values cannot wrap.
+plus a sum of k - d of that simplex's generators.  The triangulation
+restricts to faces, so one Smith form and one histogram of the classes
+by support and degree per top simplex of the cone serve every face
+(_simplex_box): stringy.face_s reads S off them, and
+lattice_points_at_degree adds the sums to the top face's lifted classes,
+so neither cost depends on the basis.  Every int64 kernel first checks
+that its values cannot wrap.
 """
 
 from __future__ import annotations
@@ -478,7 +481,7 @@ def _pulling_triangulation(face: Face) -> tuple:
     """Simplices (sorted generator indices) triangulating the face with no
     new rays: its smallest generator index coned over the triangulations
     of the facets, read off the face's down-set in the parent's lattice,
-    that miss it."""
+    that miss it (so the cone's own triangulation restricts to it)."""
     if len(face.gen_indices) == face.dim:
         return (tuple(sorted(face.gen_indices)),)
     apex = min(face.gen_indices)
@@ -488,47 +491,71 @@ def _pulling_triangulation(face: Face) -> tuple:
                  for s in _pulling_triangulation(f))
 
 
-def _half_open_classes(face: Face):
-    """Yield (simplex, L, lifted classes) per chunk of the box classes of
-    each simplex of the face's pulling triangulation: int64 generator
-    coordinates over L.  Facet i of a simplex is open when the i-th
-    coordinate of the reference point, the sum of the face's generators
-    perturbed lexicographically by them in index order, is negative, and a
-    class with coordinate 0 there is lifted by the i-th generator (to L).
-    A class's degree is its coordinate sum over L."""
-    gens, members = face.cone.generators, sorted(face.gen_indices)
+@lru_cache(maxsize=None)
+def _simplex_box(cone: GradedCone, simplex: tuple) -> tuple:
+    """(U, orders, lam, counts) of a simplex of the cone's pulling
+    triangulation: its Smith data D = U M V, lam[k] = L * (its generator
+    coordinates of the cone's k-th generator), and {mask: counts by
+    degree} of its box classes by the bitmask of their nonzero
+    coordinates, over the chunks of _box_classes."""
+    n, rank = len(simplex), cone.ambient_rank
+    u, d, v = la._diagonalize([cone.generators[i] for i in simplex])
+    orders = [abs(d[i][i]) for i in range(n)]
+    big_l, chunks = _box_classes(u, orders)
+    g, w, z = (np.array(x, dtype=object).reshape(s) for x, s in  # Python ints
+               zip((cone.generators, v, u), ((-1, rank), (rank, -1), (n, n))))
+    lam = (g @ w[:, :n] * [big_l // d[i][i] for i in range(n)] @ z).tolist()
+    bits, counts = 1 << np.arange(n, dtype=np.int64), 0
+    for nums in chunks:
+        key = ((nums != 0) @ bits) * (n + 1) + nums.sum(axis=1) // big_l
+        counts = counts + np.bincount(key, minlength=(n + 1) << n)
+    rows = np.reshape(counts, (1 << n, n + 1)).tolist()
+    return u, orders, lam, {m: row for m, row in enumerate(rows) if any(row)}
+
+
+def _half_open_simplices(face: Face):
+    """(top, inside, open) for each simplex s of the face's pulling
+    triangulation: the simplex of the cone's triangulation containing s
+    (the box classes of s are its classes supported on s), and bitmasks
+    of the positions of s in it and of the open ones among them.  Facet i of s is
+    open when the i-th coordinate of the reference point, the sum of the
+    face's generators perturbed lexicographically by them in index order,
+    is negative; a class with coordinate 0 there is lifted by generator i."""
+    members = sorted(face.gen_indices)
+    tops = _pulling_triangulation(face_lattice(face.cone).maximum())
     for simplex in _pulling_triangulation(face):
-        n = len(simplex)
-        u, d, v = la._diagonalize([gens[i] for i in simplex])
-        diag = [d[i][i] for i in range(n)]
-        big_l, chunks = _box_classes(u, [abs(x) for x in diag])
-        cols, scale = list(zip(*v))[:n], [big_l // x for x in diag]
-
-        def lam(x):  # L * (generator coordinates of x) = ((x V)_i L / d_i) U
-            y = [la.dot(x, c) * s for c, s in zip(cols, scale)]
-            return [la.dot(y, c) for c in zip(*u)]
-
-        sign = lam([sum(c) for c in zip(*(gens[k] for k in members))])
+        top = next((t for t in tops if set(simplex).issubset(t)), None)
+        if top is None:
+            raise InvalidSubdivision(f"no top simplex contains {simplex}")
+        pos = [top.index(i) for i in simplex]
+        lam = _simplex_box(face.cone, top)[2]
+        # lam is linear, and its coordinates off s vanish on the face
+        sign = [sum(c) for c in zip(*(lam[k] for k in members))]
         for k in members:  # the tie-break, only where a coordinate is still 0
-            if all(sign):
+            if all(sign[p] for p in pos):
                 break
-            sign = [s or x for s, x in zip(sign, lam(gens[k]))]
-        is_open = np.array([s < 0 for s in sign], dtype=bool)
-        for nums in chunks:
-            nums[:, is_open] += big_l * (nums[:, is_open] == 0)
-            yield simplex, big_l, nums
+            sign = [s or x for s, x in zip(sign, lam[k])]
+        yield (top, sum(1 << p for p in pos),
+               sum(1 << p for p in pos if sign[p] < 0))
 
 
 @lru_cache(maxsize=4)
 def _class_points(cone: GradedCone) -> tuple:
-    """(generators G, points num G / L, degrees) of each chunk of the
-    cone's _half_open_classes, as int64 arrays kept across degrees."""
+    """(generators G, points num G / L, degrees) of each chunk of the box
+    classes of the half-open simplices of the cone's top face, lifted to
+    L on their open facets, as int64 arrays kept across degrees."""
     out = []
-    for simplex, big_l, nums in _half_open_classes(face_lattice(cone).maximum()):
+    top = face_lattice(cone).maximum()
+    for simplex, _, is_open in _half_open_simplices(top):
+        u, orders = _simplex_box(cone, simplex)[:2]
+        big_l, chunks = _box_classes(u, orders)
         gens = [cone.generators[i] for i in simplex]
         _check_int64(gens, [(big_l,)], len(gens))
         g = np.array(gens, dtype=np.int64)
-        out.append((g, nums @ g // big_l, nums.sum(axis=1) // big_l))
+        lift = list(po._bits(is_open))
+        for nums in chunks:
+            nums[:, lift] += big_l * (nums[:, lift] == 0)
+            out.append((g, nums @ g // big_l, nums.sum(axis=1) // big_l))
     return tuple(out)
 
 

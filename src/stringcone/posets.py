@@ -6,7 +6,10 @@ poset P of positive rank,
     H(P,t) = sum over min < x <= max of (t-1)^(rank(x)-1) * G([x,max], t),
     G(P,t) = truncation below rank(P)/2 of (1-t) * H(P,t),
 
-with G = H = 1 in rank 0.  The two-variable B-polynomial is defined by the
+with G = H = 1 in rank 0.  On an Eulerian interval of rank d, with H
+summed over the upper intervals as above, g_1 = (number of coatoms) - d
+(Stanley 1987): G = 1 for d <= 2 and G = 1 + g_1 t for d = 3, 4, which
+_g returns without H.  The two-variable B-polynomial is defined by the
 convolution recursion
 
     sum over x of B([min,x]; u,v) * u^(d-rank(x)) * G([x,max], u^-1 v) = G(P, uv)
@@ -49,6 +52,8 @@ class _Root:
     def __init__(self, elements, index, rank, up, down, dual=None):
         self.elements, self.index, self.rank = elements, index, rank
         self.up, self.down = up, down
+        self.level = [sum(1 << i for i, r in enumerate(rank) if r == k)
+                      for k in range(max(rank) + 1)]  # elements by rank
         self.memo = defaultdict(dict)
         self._dual = dual
 
@@ -219,8 +224,11 @@ def _t_minus_1_power(k: int) -> tuple[int, ...]:
 def _g(root: _Root, lo: int, hi: int) -> UnivariatePolynomial:
     """G read off H: the coefficients h_k - h_(k-1) of (1-t) H for k < d/2."""
     d = root.rank[hi] - root.rank[lo]
-    if d == 0:
+    if d < 3:
         return UnivariatePolynomial.one()
+    if d < 5:  # g_1 = (number of coatoms) - d
+        coatoms = root.up[lo] & root.down[hi] & root.level[root.rank[hi] - 1]
+        return UnivariatePolynomial((1, coatoms.bit_count() - d))
     h = [0] + _h(root, lo, hi).coeff_list(d)
     return UnivariatePolynomial(h[k + 1] - h[k] for k in range((d + 1) // 2))
 

@@ -4,8 +4,8 @@ The S-polynomial of a graded cone is (1-t)^dim times the generating series
 of its lattice points graded by degree (the h*-polynomial of the degree-1
 slice).  It is counted with no lattice-point enumeration (Stanley 1980):
 face_s counts by degree the lifted box classes of the half-open simplices
-of a pulling triangulation of the face (lattice._half_open_classes, the
-same classes that lattice_points_at_degree enumerates points from).
+of a pulling triangulation of the face, read off the class histograms of
+the cone's top simplices that contain them (lattice._simplex_box).
 The tilde-S polynomial corrects the alternating face sum of
 S-polynomials by G-polynomials of the upper face intervals and records the
 graded dimensions of the interior quotient modules.  Every sum over the
@@ -62,12 +62,16 @@ def _times_one_minus_t_pow(counts, d: int) -> UnivariatePolynomial:
 
 @lru_cache(maxsize=None)
 def face_s(face: lat.Face) -> UnivariatePolynomial:
-    """S of a face from its generator indices in the parent cone: the box
-    classes of the half-open simplices of its pulling triangulation, each
-    over (1-t)^dim, counted by degree."""
-    return UnivariatePolynomial(sum(
-        np.bincount(nums.sum(axis=1) // big_l, minlength=face.dim + 1)
-        for _, big_l, nums in lat._half_open_classes(face)).tolist())
+    """S of a face from its generator indices in the parent cone: for each
+    half-open simplex s of its triangulation, the classes of the top
+    simplex around s supported on s, by degree, lifted on s's open facets."""
+    acc = [0] * (face.dim + face.cone.dim + 1)  # shift + degree
+    for top, inside, is_open in lat._half_open_simplices(face):
+        for mask, row in lat._simplex_box(face.cone, top)[3].items():
+            if not mask & ~inside:
+                for deg, count in enumerate(row, (is_open & ~mask).bit_count()):
+                    acc[deg] += count
+    return UnivariatePolynomial(acc)
 
 
 def s_polynomial(cone: GradedCone) -> UnivariatePolynomial:

@@ -11,6 +11,7 @@ from stringcone import posets as po
 from stringcone.errors import NotEulerian, NotGraded
 from stringcone.polynomials import BivariateLaurentPolynomial as B
 from stringcone.polynomials import UnivariatePolynomial as U
+from test_stringy import sheared_hodge_polytopes
 
 
 def face_poset(name):
@@ -261,9 +262,23 @@ def assert_matches_textbook(poset, rename, rank):
         assert po.b_polynomial(interval) == B(b(x, y))
 
 
-@pytest.mark.parametrize("name", fx.REFLEXIVE_NAMES)
+def sheared_rank_five_cones():
+    """Cones over the hodge benchmark's sheared 4-cube and bicubic: rank-5
+    face lattices with non-Boolean intervals of ranks 3 and 4."""
+    *_, cube4, bicubic = sheared_hodge_polytopes()
+    return {"cube4": lat.gorenstein_cone_over(lat.lattice_polytope(cube4)),
+            "bicubic": lat.gorenstein_cone_over(lat.lattice_polytope(bicubic))}
+
+
+def lattice_cone(name):
+    if name in ("cube4", "bicubic"):
+        return sheared_rank_five_cones()[name]
+    return lat.gorenstein_cone_over(fx.polytope(name))
+
+
+@pytest.mark.parametrize("name", fx.REFLEXIVE_NAMES + ("cube4", "bicubic"))
 def test_ghb_match_textbook_recursion_on_face_lattices(name):
-    fl = lat.face_lattice(lat.gorenstein_cone_over(fx.polytope(name)))
+    fl = lat.face_lattice(lattice_cone(name))
     poset = po.poset_of_face_lattice(fl)
     top = fl.maximum()
     assert_matches_textbook(poset, lambda f: f,
@@ -280,3 +295,16 @@ def test_ghb_match_textbook_recursion_on_boolean_lattices(n):
     poset = po.boolean_lattice(n)
     assert_matches_textbook(poset, lambda s: s,
                             {s: len(s) for s in poset.elements})
+
+
+@pytest.mark.parametrize("name", fx.REFLEXIVE_NAMES + ("cube4", "bicubic"))
+def test_g1_is_coatoms_minus_rank(name):
+    # the closed form below rank 5, with the coatoms counted here from the
+    # ranks; from rank 5 on the recursion computes G
+    poset = po.poset_of_face_lattice(lat.face_lattice(lattice_cone(name)))
+    for p in (poset, poset.dual()):
+        for interval in all_intervals(p):
+            top, d = interval.max, interval.total_rank()
+            coatoms = sum(p.interval(x, top).total_rank() == 1
+                          for x in interval.elements)
+            assert po.g_polynomial(interval).coeff_list(1) == [1, coatoms - d]

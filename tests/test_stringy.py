@@ -22,6 +22,7 @@ from stringcone import stringy as st
 from stringcone.errors import (
     ConeNotInFan,
     DimensionBudgetExceeded,
+    InvalidSubdivision,
     NegativeHodgeNumber,
     NotSimplicial,
 )
@@ -126,6 +127,48 @@ def test_face_s_matches_scan_on_the_sheared_hodge_batch():
         for top in (p.cone, p.dual):
             for face in lat.face_lattice(top).faces:
                 assert st.face_s(face) == scan_s(face.as_cone()), face
+
+
+def top_simplices(cone):
+    return lat._pulling_triangulation(lat.face_lattice(cone).maximum())
+
+
+@pytest.mark.parametrize("name", fx.REFLEXIVE_NAMES)
+def test_face_s_takes_one_smith_form_per_top_simplex(name, monkeypatch):
+    p = pair(name)
+    cold_caches()
+    calls = []
+    real = la._diagonalize
+    monkeypatch.setattr(la, "_diagonalize",
+                        lambda mat: calls.append(mat) or real(mat))
+    for top in (p.cone, p.dual):
+        for face in lat.face_lattice(top).faces:
+            st.face_s(face)
+    # a self-dual pair (the segment) has one cone
+    assert len(calls) == sum(map(len, map(top_simplices, {p.cone, p.dual})))
+    if name == "quintic":  # two simplices, not one Smith form per face
+        assert len(calls) == 2
+
+
+@pytest.mark.parametrize("name", fx.REFLEXIVE_NAMES)
+def test_every_face_simplex_lies_in_a_top_simplex(name):
+    for cone in (pair(name).cone, pair(name).dual):
+        for face in lat.face_lattice(cone).faces:
+            found = list(lat._half_open_simplices(face))
+            assert [tuple(top[i] for i in po._bits(inside))
+                    for top, inside, _ in found] \
+                == list(lat._pulling_triangulation(face))
+            assert all(top in top_simplices(cone) for top, _, _ in found)
+
+
+def test_face_simplex_outside_every_top_simplex_raises(monkeypatch):
+    fl = lat.face_lattice(k_cone("cube"))
+    real = lat._pulling_triangulation
+    monkeypatch.setattr(lat, "_pulling_triangulation",
+                        lambda f: real(f)[:1] if f == fl.maximum() else real(f))
+    with pytest.raises(InvalidSubdivision, match="contains"):
+        for face in fl.faces:
+            list(lat._half_open_simplices(face))
 
 
 @pytest.mark.parametrize("name", fx.SMALL_REFLEXIVE_NAMES)
