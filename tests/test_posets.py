@@ -262,21 +262,20 @@ def assert_matches_textbook(poset, rename, rank):
         assert po.b_polynomial(interval) == B(b(x, y))
 
 
-def sheared_rank_five_cones():
-    """Cones over the hodge benchmark's sheared 4-cube and bicubic: rank-5
-    face lattices with non-Boolean intervals of ranks 3 and 4."""
-    *_, cube4, bicubic = sheared_hodge_polytopes()
-    return {"cube4": lat.gorenstein_cone_over(lat.lattice_polytope(cube4)),
-            "bicubic": lat.gorenstein_cone_over(lat.lattice_polytope(bicubic))}
+# with the hodge benchmark's sheared 4-cube and bicubic: rank-5 face
+# lattices with non-Boolean intervals of ranks 3 and 4
+LATTICE_NAMES = fx.REFLEXIVE_NAMES + ("cube4", "bicubic")
 
 
 def lattice_cone(name):
-    if name in ("cube4", "bicubic"):
-        return sheared_rank_five_cones()[name]
-    return lat.gorenstein_cone_over(fx.polytope(name))
+    if name in fx.REFLEXIVE_NAMES:
+        return lat.gorenstein_cone_over(fx.polytope(name))
+    *_, cube4, bicubic = sheared_hodge_polytopes()
+    vertices = {"cube4": cube4, "bicubic": bicubic}[name]
+    return lat.gorenstein_cone_over(lat.lattice_polytope(vertices))
 
 
-@pytest.mark.parametrize("name", fx.REFLEXIVE_NAMES + ("cube4", "bicubic"))
+@pytest.mark.parametrize("name", LATTICE_NAMES)
 def test_ghb_match_textbook_recursion_on_face_lattices(name):
     fl = lat.face_lattice(lattice_cone(name))
     poset = po.poset_of_face_lattice(fl)
@@ -297,7 +296,7 @@ def test_ghb_match_textbook_recursion_on_boolean_lattices(n):
                             {s: len(s) for s in poset.elements})
 
 
-@pytest.mark.parametrize("name", fx.REFLEXIVE_NAMES + ("cube4", "bicubic"))
+@pytest.mark.parametrize("name", LATTICE_NAMES)
 def test_g1_is_coatoms_minus_rank(name):
     # the closed form below rank 5, with the coatoms counted here from the
     # ranks; from rank 5 on the recursion computes G
