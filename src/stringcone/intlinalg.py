@@ -4,26 +4,27 @@ All geometry in this package reduces to small exact-arithmetic kernels:
 
 * Smith-form based integer solving (grading functionals, lattice kernels,
   saturations),
-* row echelon over a prime field p < 2**22 in two stages.  The sparse front
-  end (`sparse_echelon_mod_p`) reduces only the nonzero entries and
+* row echelon over a prime field p < 2**22 in two stages, both reading
+  one sparse form, `SparseMatrix` (int64 triplets with a shape).  The
+  sparse front end (`sparse_echelon_mod_p`) reduces only the nonzeros and
   eliminates on them with Markowitz pivoting, column with the fewest
   entries first, in tiers: the columns below each of a list of bounds
   are exhausted before the next.  Once the cheapest pivot costs more than
   1/HANDOFF_SHARE of the active rows x columns plus HANDOFF_FLOOR, the
-  remaining core goes to the dense kernel (`echelon_mod_p`: blocked
-  float64 multiply, exact because every intermediate value stays below
-  2**53, leftmost pivots, so the tiers stay in order).  RREF over GF(p)
-  (`rref_mod_p`) is that kernel's echelon followed by a blocked
-  back-substitution over the pivot rows,
+  remaining core is built once as float64 residues and eliminated in
+  place by the dense kernel (`echelon_mod_p`: blocked float64 multiply in
+  row chunks, exact because every value stays below 2**53, leftmost
+  pivots, so the tiers stay in order).  RREF over GF(p) (`rref_mod_p`) is
+  that kernel's echelon and a blocked back-substitution over the pivots,
 * certified rational rank (`rank_rational_certified`, the one entry over
   Q): one tiered mod-p echelon proposes the rank of the columns below the
   last bound and of the whole matrix and names a square subsystem S.
   Full row or column rank mod p pins a rank; otherwise one Dixon p-adic
   lift of S (one inverse mod p, one product per digit and one
   shared-denominator reconstruction over every dependent row) and one
-  exact bigint check promote it from "probable" to proven.  Fraction
-  elimination, which is always correct, is only the fallback after every
-  prime attempt failed.
+  exact bigint check promote it from "probable" to proven.  Only the
+  pivot columns are made dense, and only the Fraction fallback after
+  every prime attempt failed densifies the whole matrix.
 
 `ranks_with_prefix` (the one rank call; a plain rank is its second entry
 with the column count as the one bound) and `rref` dispatch on a field
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
@@ -66,6 +68,51 @@ _BLOCK = 64
 # differentials of the 2-d fixtures.
 HANDOFF_SHARE = 512
 HANDOFF_FLOOR = 512
+
+
+@dataclass(frozen=True)
+class SparseMatrix:
+    """An integer matrix as int64 triplets: entry vals[k] sits at row
+    rows[k], column cols[k], and no (row, column) appears twice.  Its rows,
+    read by index or iteration, come out dense."""
+
+    shape: tuple
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    @classmethod
+    def of(cls, mat) -> SparseMatrix:
+        """mat itself, or the nonzeros of a dense matrix or nested list."""
+        if isinstance(mat, cls):
+            return mat
+        mat = np.asarray(mat)
+        if mat.ndim != 2:  # an empty list
+            mat = mat.reshape(0, 0)
+        rows, cols = np.nonzero(mat)
+        return cls(mat.shape, rows, cols, mat[rows, cols])
+
+    def drop_columns(self, skip) -> SparseMatrix:
+        """The matrix without the columns listed in skip."""
+        keep = np.ones(self.shape[1], dtype=bool)
+        keep[list(skip)] = False
+        on = keep[self.cols]
+        return SparseMatrix((self.shape[0], int(keep.sum())), self.rows[on],
+                            (np.cumsum(keep) - 1)[self.cols[on]], self.vals[on])
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __iter__(self):
+        by = np.argsort(self.rows, kind="stable")
+        cut = np.searchsorted(self.rows[by], np.arange(len(self) + 1)).tolist()
+        for lo, hi in zip(cut, cut[1:]):
+            row = np.zeros(self.shape[1], dtype=self.vals.dtype)
+            row[self.cols[by[lo:hi]]] = self.vals[by[lo:hi]]
+            yield row
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        return next(islice(self, i, None))
 
 
 @lru_cache(maxsize=None)
@@ -343,17 +390,17 @@ def primes_below(start: int):
 
 
 def _to_mod_array(rows, p: int) -> np.ndarray:
-    """Residues mod p of an integer matrix, as float64."""
-    if isinstance(rows, np.ndarray) and rows.dtype != object:
-        return (rows.astype(np.int64) % p).astype(np.float64)
-    return np.array([[int(x) % p for x in row] for row in rows],
-                    dtype=np.float64)
-
-
-def _check_float64_prime(p: int) -> None:
+    """Residues mod p of an integer matrix, as a 2-d float64 array (a
+    float64 array as is); the float64 kernels refuse p >= 2**22."""
     if p >= MAX_FIELD_CHAR:
         raise ValueError(f"prime {p} too large for float64 elimination "
                          f"(needs p < 2**22)")
+    if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
+        return rows
+    if isinstance(rows, np.ndarray) and rows.dtype != object:
+        return (rows.astype(np.int64, copy=False) % p).astype(np.float64)
+    return np.array([[int(x) % p for x in row] for row in rows]
+                    or np.empty((0, 0)), dtype=np.float64)
 
 
 def echelon_mod_p(rows, p: int):
@@ -361,26 +408,23 @@ def echelon_mod_p(rows, p: int):
 
     Returns (rank, pivot_columns, order): order[i] is the input row that
     ends at echelon position i, so rows order[:rank] are independent mod p
-    and, restricted to the pivot columns, form an invertible matrix.
+    and, restricted to the pivot columns, form an invertible matrix.  A
+    float64 array holds residues in [0, p) and is eliminated in place.
     """
-    _check_float64_prime(p)
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    if m == 0 or n == 0:
-        return 0, [], list(range(m))
     return _echelon_inplace(_to_mod_array(rows, p), p)
 
 
 def _echelon_inplace(a: np.ndarray, p: int):
-    """The forward elimination of echelon_mod_p on a nonempty float64
-    residue matrix, in place: leaves a[:rank] in row echelon form with
-    leading ones and entries in [0, p), and the rows below it zero.
+    """The forward elimination of echelon_mod_p on a float64 residue
+    matrix, in place: leaves a[:rank] in row echelon form with leading
+    ones and entries in [0, p), and the rows below it zero.
 
     Every value stays an exact integer below 2**53: 64-term dot products
     of residues need 64 * (p-1)**2 < 2**53, and p < 2**22 leaves room to
     defer reductions across panels.  Scalar work touches only the
     64-column panel; the trailing block is updated by forward substitution
-    on the pivot rows plus one GEMM.
+    on the pivot rows plus one GEMM per chunk of about 2**18 cells, so no
+    temporary is as large as the matrix.
     """
     m, n = a.shape
     order = list(range(m))
@@ -428,9 +472,11 @@ def _echelon_inplace(a: np.ndarray, p: int):
                 np.mod(row, p, out=row)
                 row *= inv
                 np.mod(row, p, out=row)
-            # one GEMM handles every row below the panel
+            # the rows below the panel take one GEMM per chunk
             if m > r:
-                trail[r:] -= a[r:, panel] @ trail[r0:r]
+                step = max(_BLOCK, (1 << 18) // trail.shape[1])
+                for lo in range(r, m, step):
+                    trail[lo:lo + step] -= a[lo:lo + step, panel] @ trail[r0:r]
                 bound += panel_growth
                 if bound + panel_growth > cap:
                     np.mod(trail[r:], p, out=trail[r:])
@@ -442,30 +488,29 @@ def _echelon_inplace(a: np.ndarray, p: int):
 
 
 def sparse_echelon_mod_p(rows, p: int, bounds=()):
-    """Row echelon over GF(p) that eliminates on the nonzeros first.
+    """Row echelon over GF(p) of a SparseMatrix (or a dense matrix read
+    into one) that eliminates on the nonzeros first.
 
     Markowitz pivoting on rows held as {column: residue} dicts: the active
     column with the fewest entries in the lowest tier (below bounds[0],
     then below bounds[1], ...; no bounds is one tier), and in it the row with
     the fewest entries.  Once that pivot's cost passes the HANDOFF rule,
-    the rest goes to echelon_mod_p in one call, even for an empty core;
-    its leftmost pivots keep the tiers in order.
+    the rest goes to echelon_mod_p as float64 residues in one call, even
+    for an empty core; its leftmost pivots keep the tiers in order.
 
     Returns (rank, pivots, order) like echelon_mod_p, in elimination order:
     rows order[:rank] and columns pivots form a square matrix invertible
     mod p, and for each bound the pivots below it come first and count
     the rank of the columns below it.
     """
-    mat = np.asarray(rows)
-    if mat.size == 0:
-        return echelon_mod_p(rows, p)
+    mat = SparseMatrix.of(rows)
     m, n = mat.shape
     tier = np.searchsorted(bounds, np.arange(n), side="right").tolist()
-    ri, ci = np.nonzero(mat)
-    vals = mat[ri, ci] % p
+    vals = mat.vals % p
     rows_ = [{} for _ in range(m)]
     cols = [set() for _ in range(n)]
-    for i, c, v in zip(*(a[vals != 0].tolist() for a in (ri, ci, vals))):
+    for i, c, v in zip(*(a[vals != 0].tolist()
+                         for a in (mat.rows, mat.cols, vals))):
         rows_[i][c] = v
         cols[c].add(i)
     heap = [(tier[c], len(col), c) for c, col in enumerate(cols) if col]
@@ -515,11 +560,11 @@ def sparse_echelon_mod_p(rows, p: int, bounds=()):
         order.append(i)
     core_rows = [i for i, row in enumerate(rows_) if row]
     core_cols = np.flatnonzero([len(col) for col in cols])
-    core = np.zeros((len(core_rows), core_cols.size), dtype=np.int64)
+    core = np.zeros((len(core_rows), core_cols.size))
     for a, i in enumerate(core_rows):
         core[a, np.searchsorted(core_cols, list(rows_[i]))] = list(
             rows_[i].values())
-    del rows_, cols  # freed before the dense kernel makes its copies
+    del rows_, cols  # freed before the dense kernel runs
     _, core_piv, core_order = echelon_mod_p(core, p)
     pivots += core_cols[core_piv].tolist()
     order += [core_rows[a] for a in core_order]
@@ -558,11 +603,6 @@ def rref_mod_p(rows, p: int):
     exceeds p + 64 * (p-1)**2 < 2**53.
 
     Returns (rank, pivots, int64 matrix); exact for p < 2**22."""
-    _check_float64_prime(p)
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    if m == 0 or n == 0:
-        return 0, [], np.zeros((m, n), dtype=np.int64)
     a = _to_mod_array(rows, p)
     r, pivots, _ = _echelon_inplace(a, p)
     for lo in range((r - 1) // _BLOCK * _BLOCK, -1, -_BLOCK):
@@ -664,46 +704,47 @@ def rank_rational_certified(rows, bounds):
     Fraction elimination, which is always correct, decides.  The tiers
     come from the last prime: a minor invertible mod p is so over Q.
     """
-    mat = np.asarray(rows, dtype=np.int64)
+    mat = SparseMatrix.of(rows)
     split = bounds[-1]
+    left = mat.drop_columns(range(split, mat.shape[1]))
     for p in islice(primes_below(DEFAULT_PRIME + 1), CERTIFY_PRIMES):
         r, piv, order = sparse_echelon_mod_p(mat, p, bounds)
         counts, tiers = _tiers(piv, order, bounds)
-        prefix = _certify_left_kernel(mat[:, :split], p, counts[-1], piv,
-                                      order)
+        prefix = _certify_left_kernel(left, p, counts[-1], piv, order)
         if prefix is None:
             continue
         full = (prefix if split == mat.shape[1]
                 else _certify_left_kernel(mat, p, r, piv, order))
         if full is not None:
             return prefix, full, tiers
-    _, piv = rref_fraction(mat.tolist())
+    _, piv = rref_fraction([row.tolist() for row in mat])
     return sum(1 for c in piv if c < split), len(piv), tiers
 
 
-def _certify_left_kernel(mat: np.ndarray, prime: int, r: int, piv, order):
+def _certify_left_kernel(mat: SparseMatrix, prime: int, r: int, piv, order):
     """Certified rank of mat from an echelon mod prime that names r
     independent rows order[:r] and pivot columns piv[:r], or None."""
     nrows, ncols = mat.shape
     if r == nrows or r == ncols:
         return r  # full rank mod p pins the rank over Q
     if r == 0:
-        return 0 if not mat.any() else None
-    independent, dependent, piv = order[:r], order[r:], piv[:r]
-    # a dependent row f is y @ mat[independent] for the y that solves
-    # y @ mat[independent, piv] = mat[f, piv]: one column per row f
-    if (lifted := _dixon_lift(mat[np.ix_(independent, piv)].T,
-                              mat[np.ix_(dependent, piv)].T, prime)) is None:
+        return 0 if not mat.vals.any() else None
+    # rows renumbered in echelon order: the independent ones come first
+    mat = replace(mat, rows=np.argsort(order)[mat.rows])
+    # a dependent row f is y @ mat[:r] for the y that solves
+    # y @ mat[:r, piv] = mat[f, piv]: one column per row f
+    piv = np.array(piv[:r])
+    on_piv = np.array([row[piv] for row in mat])
+    if (lifted := _dixon_lift(on_piv[:r].T, on_piv[r:].T, prime)) is None:
         return None
     y, den = lifted
-    # exact check of Y^T mat[independent] = den mat[dependent] on the
-    # nonzeros of mat[independent], grouped by column, one row f at a time
-    cols, rows = np.nonzero(mat[independent].T)
-    vals = mat[np.take(independent, rows), cols].astype(object)
-    starts = np.flatnonzero(np.diff(cols, prepend=-1))
-    for j, f in enumerate(dependent):
-        total = -den * mat[f].astype(object)
-        total[cols[starts]] += np.add.reduceat(y[rows, j] * vals, starts)
+    # exact check of Y^T mat[:r] = den mat[r:] on the nonzeros of mat[:r],
+    # one row f at a time
+    on = mat.rows < r
+    rows, cols, vals = mat.rows[on], mat.cols[on], mat.vals[on].astype(object)
+    for j, row in enumerate(islice(mat, r, None)):
+        total = -den * row.astype(object)
+        np.add.at(total, cols, y[rows, j] * vals)
         if np.count_nonzero(total):
             return None
     return r
@@ -713,13 +754,15 @@ def _certify_left_kernel(mat: np.ndarray, prime: int, r: int, piv, order):
 # Field dispatch
 # ---------------------------------------------------------------------------
 
-def ranks_with_prefix(mat: np.ndarray, bounds, field: str):
+def ranks_with_prefix(mat, bounds, field: str):
     """(rank of the columns below the last bound, rank of the whole matrix,
     tiers) over the field a descriptor names: the package's one rank call.
 
+    `mat` is a SparseMatrix, or a dense matrix read once into one;
     `bounds` is an increasing tuple of column bounds; tiers holds, for
     each bound but the last, the pivot rows below it."""
-    if mat.size == 0:
+    mat = SparseMatrix.of(mat)
+    if 0 in mat.shape:
         return 0, 0, ([],) * (len(bounds) - 1)
     _, p = parse_field(field)
     if p:

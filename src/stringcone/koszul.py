@@ -13,9 +13,9 @@ bit i, left wedge by e_i sets it, both with sign (-1)^(factors of q below i).
 D^2 = 0 holds unconditionally because pairings of cone points are
 nonnegative, so the projected multiplications commute.  The differential
 preserves s = (exterior degree) + deg(m) - deg(n) and raises
-t = deg(m) + deg(n) by one, so it is stored as one int64 COO matrix per
-piece, from (s, t) to (s, t+1), whose basis is numbered as it is
-enumerated; numpy builds the numbering and the triplets, one gather per
+t = deg(m) + deg(n) by one, so it is stored as one SparseMatrix (int64
+triplets) per piece, from (s, t) to (s, t+1), whose basis is numbered as it
+is enumerated; numpy builds the numbering and the triplets, one gather per
 move.  Cohomology is reported per (s, t) piece, and D(s, t) is ranked only
 on the columns that D(s, t-1)'s pivot rows leave out.
 
@@ -45,27 +45,6 @@ from .stringy import face_s, tilde_s_products
 
 
 @dataclass(frozen=True)
-class Differential:
-    """D from the (s, t) piece to the (s, t+1) piece as int64 triplets:
-    entry vals[k] sits at target row rows[k], source column cols[k]."""
-
-    shape: tuple  # (dim of (s, t+1), dim of (s, t))
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-
-    def dense(self, skip=()) -> np.ndarray:
-        """The matrix without the columns listed in skip."""
-        keep = np.ones(self.shape[1], dtype=bool)
-        keep[list(skip)] = False
-        on = keep[self.cols]
-        mat = np.zeros((self.shape[0], int(keep.sum())), dtype=np.int64)
-        np.add.at(mat, (self.rows[on], (np.cumsum(keep) - 1)[self.cols[on]]),
-                  self.vals[on])
-        return mat
-
-
-@dataclass(frozen=True)
 class PairedMonomialSpace:
     """Basis of the complex: each conserved piece (s, t) lists its
     elements (exterior index tuple, m, n) in the order they are numbered."""
@@ -83,7 +62,7 @@ class KoszulComplex:
     """The differential of every piece, over the scalar field of f and g."""
 
     space: PairedMonomialSpace
-    blocks: dict  # (s, t) -> Differential into (s, t+1)
+    blocks: dict  # (s, t) -> la.SparseMatrix of D into (s, t+1)
     field: str
 
     def verify_d_squared(self) -> bool:
@@ -93,7 +72,7 @@ class KoszulComplex:
                    if (s, t + 1) in self.blocks)
 
 
-def _product_vanishes(left: Differential, right: Differential) -> bool:
+def _product_vanishes(left: la.SparseMatrix, right: la.SparseMatrix) -> bool:
     """left @ right == 0 exactly: a sort-merge on the shared index pairs each
     entry of left with the entries of right in the row its column names, and
     the products are summed per entry in int64 when no sum can wrap, else
@@ -257,7 +236,7 @@ def build_complex(pair: ReflexivePair, f: DegreeOneElement,
     perm = np.argsort(key)  # by (source element, move, bit), as enumerated
     cut = np.searchsorted(pos[src[perm]], cut).tolist()
     rows, cols, vals = number[dst[perm]], number[src[perm]], vals[perm]
-    blocks = {(s_, t_): Differential(
+    blocks = {(s_, t_): la.SparseMatrix(
         shape=(len(pieces.get((s_, t_ + 1), ())), len(basis)),
         rows=rows[lo:hi], cols=cols[lo:hi], vals=vals[lo:hi])
         for ((s_, t_), basis), lo, hi in zip(pieces.items(), cut, cut[1:])}
@@ -275,7 +254,7 @@ def cohomology_dims(complex_: KoszulComplex) -> dict:
     those rows complement, and D(s, t) has the same image on them."""
     ranks, reached = {}, {}
     for (s, t), d in sorted(complex_.blocks.items()):
-        mat = d.dense(skip=reached.pop((s, t), ()))
+        mat = d.drop_columns(reached.pop((s, t), ()))
         _, ranks[s, t], (reached[s, t + 1],) = la.ranks_with_prefix(
             mat, (mat.shape[1],) * 2, complex_.field)
     dims = {}

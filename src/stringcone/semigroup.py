@@ -154,14 +154,15 @@ class _QuotientWorkspace:
                 f"{rows * cols} cells exceeds budget {MATRIX_CELL_BUDGET}")
 
     def multiplication_matrix(self, k: int, interior_source: bool = False):
-        """Rows indexed by degree-k points (interior points when
+        """Dense rows indexed by degree-k points (interior points when
         interior_source), columns by (derivative, degree-(k-1) point)."""
-        return self._products(self.interior if interior_source
-                              else self.points, k)[0]
+        mat = self._products(self.interior if interior_source
+                             else self.points, k)[0]
+        return np.array(list(mat), dtype=np.int64).reshape(mat.shape)
 
     def _products(self, src: dict, k: int, units=(), skip=()):
-        """(matrix, block bounds): the multiplication matrix from the
-        degree-(k-1) to the degree-k points of src, then one unit column
+        """(la.SparseMatrix, block bounds): the multiplication matrix from
+        the degree-(k-1) to the degree-k points of src, then one unit column
         per point of units.  Block d holds derivative d times each
         degree-(k-1) point whose index is not in skip[d], in order."""
         rank = self.cone.ambient_rank
@@ -180,9 +181,8 @@ class _QuotientWorkspace:
             keep[d, rows] = False
         bounds = np.cumsum(keep.sum(axis=1)).tolist() or [0]
         column = np.cumsum(keep).reshape(keep.shape) - 1  # where kept
-        mat = np.zeros((len(pts), bounds[-1] + len(unit)), dtype=np.int64)
-        mat[sorter[np.searchsorted(codes, unit @ stride)],
-            bounds[-1] + np.arange(len(unit))] = 1
+        parts = [(sorter[np.searchsorted(codes, unit @ stride)],
+                  bounds[-1] + np.arange(len(unit)), np.ones(len(unit), np.int64))]
         masks = [self.masks[m] for m in src[k - 1]]
         for mp, code in zip(map(tuple, supp.tolist()), supp @ stride):
             # the degree-(k-1) points that share a cell with mp
@@ -191,8 +191,10 @@ class _QuotientWorkspace:
             for d, deriv in enumerate(self.derivs):
                 if w := deriv.get(mp):
                     kept = keep[d, i]
-                    mat[rows[kept], column[d, i[kept]]] += w
-        return mat, tuple(bounds)
+                    parts.append((rows[kept], column[d, i[kept]],
+                                  np.full(kept.sum(), w)))
+        return la.SparseMatrix((len(pts), bounds[-1] + len(unit)), *(
+            np.concatenate(x) for x in zip(*parts))), tuple(bounds)
 
     def dims(self) -> tuple[list, list]:
         """Dimensions of the quotient and of its interior image at degrees
@@ -204,7 +206,7 @@ class _QuotientWorkspace:
                 return r0 + [0], r1 + [0]
             if k == top:
                 self._points_through(top)
-            # the unit columns share the array, so no matrix is copied
+            # the unit columns share the triplets, so no matrix is copied
             aug, bounds = self._products(self.points, k, self.interior[k],
                                          skip)
             # the top degree's rows are not read, so it needs no tiers

@@ -96,10 +96,17 @@ def full_matrix_dims(g, sub):
     return tuple(r0[:dim + 1]), tuple(r1[:dim + 1]), (r0[-1], r1[-1])
 
 
+def dense(mat):
+    """A SparseMatrix as a dense int64 array; repeated entries add up."""
+    out = np.zeros(mat.shape, dtype=np.int64)
+    np.add.at(out, (mat.rows, mat.cols), mat.vals)
+    return out
+
+
 def full_block_cohomology(complex_):
     """Koszul cohomology dims from the rank of every full differential
     block, with no column left out."""
-    ranks = {st: la.ranks_with_prefix(d.dense(), (d.shape[1],),
+    ranks = {st: la.ranks_with_prefix(dense(d), (d.shape[1],),
                                       complex_.field)[1]
              for st, d in complex_.blocks.items()}
     dims = {}

@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from oracles import full_block_cohomology
+from oracles import dense, full_block_cohomology
 
 from stringcone import fixtures as fx
 from stringcone import koszul as kz
@@ -134,7 +134,7 @@ def test_differentials_map_st_to_st_plus_one():
     for (s, t), d in complex_.blocks.items():
         assert d.shape == (len(pieces.get((s, t + 1), ())), len(pieces[s, t]))
         assert d.rows.dtype == d.cols.dtype == d.vals.dtype == np.int64
-        assert d.dense().shape == d.shape
+        assert dense(d).shape == d.shape
 
 
 def test_cap_too_small():

@@ -5,9 +5,12 @@ does not fail on a deleted or renamed name."""
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+from oracles import dense
 
 from stringcone import fixtures as fx
+from stringcone import intlinalg as la
 from stringcone import koszul as kz
 from stringcone import semigroup as sg
 
@@ -44,3 +47,19 @@ def test_build_complex_trace_reads_the_complex():
         kz.build_complex, (), {}, complex_, None)
     assert info == {"space": complex_.space.total_dim(),
                     "blocks": len(complex_.blocks)}
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (4, 5)])
+def test_modp_trace_reads_triplets_like_their_dense_form(shape):
+    # the tracer sizes the matrix of every mod-p rank call; it reads a
+    # SparseMatrix through len(), row 0 and row iteration
+    rng = np.random.default_rng(0)
+    mat = la.SparseMatrix.of(rng.integers(-2, 3, shape) * (
+        rng.random(shape) < .5))
+    record = [None] * 7
+    record[tracing.PARENT] = -1
+    before = tracing._BEFORE["ranks_with_prefix_mod_p"]
+    info = before(la.ranks_with_prefix_mod_p, (mat,), {}, [], record)
+    assert info == before(la.ranks_with_prefix_mod_p, (dense(mat),), {}, [],
+                          record) == {"cells": mat.shape[0] * mat.shape[1],
+                                      "nnz": np.count_nonzero(mat.vals)}

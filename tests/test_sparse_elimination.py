@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from oracles import dense
 
 from stringcone import fixtures as fx
 from stringcone import intlinalg as la
@@ -199,7 +200,8 @@ def test_multiplication_matrices_match_dense_ranks(name, stellar, k,
                         built.append((aug, bounds, rank_call(
                             aug, bounds, field))) or built[-1][2])
     work.dims()
-    aug, bounds, (rank_m, rank_aug, _) = built[k - 1]
+    triplets, bounds, (rank_m, rank_aug, _) = built[k - 1]
+    aug = dense(triplets)
     check_echelon(aug, bounds, exact=False)  # the square is too big for Q
     split = bounds[-1]
     mat = work.multiplication_matrix(k)
@@ -290,3 +292,63 @@ def test_koszul_makes_one_certified_call_per_block(monkeypatch):
     assert counts["certified"] == sum(
         1 for d in complex_.blocks.values() if 0 not in d.shape) > 0
     assert counts["outside"] == 0
+
+
+# -- one sparse form from assembly to elimination ----------------------------------
+
+def assert_distinct_entries(mat):
+    """No (row, column) of a SparseMatrix holds two entries."""
+    keys = mat.rows * max(mat.shape[1], 1) + mat.cols
+    assert np.unique(keys).size == keys.size
+
+
+def test_graded_ring_triplets_eliminate_like_their_dense_form(monkeypatch):
+    cone = lat.gorenstein_cone_over(fx.polytope("cube"))
+    work = sg._QuotientWorkspace(sg.random_degree_one(cone, 5),
+                                 lat.trivial_subdivision(cone))
+    built = []
+    rank_call = la.ranks_with_prefix
+    monkeypatch.setattr(la, "ranks_with_prefix", lambda aug, bounds, field:
+                        built.append((aug, bounds)) or rank_call(
+                            aug, bounds, field))
+    work.dims()
+    for mat, _ in built:
+        assert isinstance(mat, la.SparseMatrix)
+        assert_distinct_entries(mat)
+    mat, bounds = built[3]  # degree 4: three derivative tiers, then units
+    assert len(bounds) == 4
+    assert la.sparse_echelon_mod_p(mat, P, bounds) == (
+        la.sparse_echelon_mod_p(dense(mat), P, bounds))
+
+
+@pytest.mark.parametrize("stellar", [False, True])
+@pytest.mark.parametrize("name", ["segment", "diamond", "square", "p2",
+                                  "p2_dual"])
+def test_koszul_triplets_eliminate_like_their_dense_form(name, stellar):
+    pair = fx.reflexive_pair(name)
+    complex_ = kz.build_complex(
+        pair, sg.random_degree_one(pair.cone, 0),
+        sg.random_degree_one(pair.dual, 17),
+        dual_subdivision=lat.stellar_subdivision(pair.dual) if stellar
+        else None)
+    for d in complex_.blocks.values():
+        assert_distinct_entries(d)
+        bounds = (d.shape[1] // 2, d.shape[1])
+        assert la.sparse_echelon_mod_p(d, P, bounds) == (
+            la.sparse_echelon_mod_p(dense(d), P, bounds))
+        skip = range(0, d.shape[1], 3)
+        assert (dense(d.drop_columns(skip))
+                == np.delete(dense(d), list(skip), axis=1)).all()
+
+
+def test_graded_ring_memory_peak():
+    cone = lat.gorenstein_cone_over(fx.polytope("cube"))
+    g = sg.random_degree_one(cone, 0)
+    sg.graded_quotient_dims(g)  # the lattice points are cached from here on
+    tracemalloc.start()
+    try:
+        assert sg.graded_quotient_dims(g).regular_profile
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11 * 2**20
