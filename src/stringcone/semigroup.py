@@ -182,7 +182,8 @@ class _QuotientWorkspace:
         bounds = np.cumsum(keep.sum(axis=1)).tolist() or [0]
         column = np.cumsum(keep).reshape(keep.shape) - 1  # where kept
         parts = [(sorter[np.searchsorted(codes, unit @ stride)],
-                  bounds[-1] + np.arange(len(unit)), np.ones(len(unit), np.int64))]
+                  bounds[-1] + np.arange(len(unit)),
+                  np.ones(len(unit), np.int64))]
         masks = [self.masks[m] for m in src[k - 1]]
         for mp, code in zip(map(tuple, supp.tolist()), supp @ stride):
             # the degree-(k-1) points that share a cell with mp

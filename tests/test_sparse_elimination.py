@@ -315,7 +315,7 @@ def test_graded_ring_triplets_eliminate_like_their_dense_form(monkeypatch):
     for mat, _ in built:
         assert isinstance(mat, la.SparseMatrix)
         assert_distinct_entries(mat)
-    mat, bounds = built[3]  # degree 4: three derivative tiers, then units
+    mat, bounds = built[3]  # degree 4: a tier per derivative, then units
     assert len(bounds) == 4
     assert la.sparse_echelon_mod_p(mat, P, bounds) == (
         la.sparse_echelon_mod_p(dense(mat), P, bounds))
