@@ -33,6 +33,8 @@ descriptor, so callers hold one code path for both scalar fields.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import heapq
 import math
 from dataclasses import dataclass, replace
@@ -558,13 +560,19 @@ def sparse_echelon_mod_p(rows, p: int, bounds=()):
         ncols -= 1
         pivots.append(c)
         order.append(i)
+    # the surviving entries as arrays, and the dicts freed before the core
     core_rows = [i for i, row in enumerate(rows_) if row]
     core_cols = np.flatnonzero([len(col) for col in cols])
-    core = np.zeros((len(core_rows), core_cols.size))
-    for a, i in enumerate(core_rows):
-        core[a, np.searchsorted(core_cols, list(rows_[i]))] = list(
-            rows_[i].values())
-    del rows_, cols  # freed before the dense kernel runs
+    sizes = [len(rows_[i]) for i in core_rows]
+    keys = np.fromiter((c for i in core_rows for c in rows_[i]), np.int64)
+    vals = np.fromiter((v for i in core_rows for v in rows_[i].values()), float)
+    del rows_, cols
+    core = np.zeros((len(core_rows), core_cols.size))  # resident once filled
+    if core_rows:  # glibc keeps the freed heap resident until it is trimmed
+        with contextlib.suppress(AttributeError, OSError, TypeError):
+            ctypes.CDLL(None).malloc_trim(0)
+        core[np.repeat(np.arange(len(core_rows)), sizes),
+             np.searchsorted(core_cols, keys)] = vals
     _, core_piv, core_order = echelon_mod_p(core, p)
     pivots += core_cols[core_piv].tolist()
     order += [core_rows[a] for a in core_order]

@@ -29,6 +29,7 @@ the dual cone) leaves all reported dimensions unchanged.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -41,7 +42,7 @@ from . import lattice as lat
 from .errors import CapTooSmall, DimensionBudgetExceeded, NotRegular
 from .lattice import FanSubdivision, ReflexivePair
 from .semigroup import MATRIX_CELL_BUDGET, DegreeOneElement, is_sigma_regular
-from .stringy import face_s, tilde_s_products
+from .stringy import face_s, s_polynomial, tilde_s_products
 
 
 @dataclass(frozen=True)
@@ -154,6 +155,14 @@ def build_complex(pair: ReflexivePair, f: DegreeOneElement,
         cap = k_cone.dim
     if cap < k_cone.dim:
         raise CapTooSmall(f"cap {cap} below cone dimension {k_cone.dim}")
+    # points of degree <= cap per cone: [t^cap] S(t) / (1-t)^(dim+1)
+    table = math.prod(1 + sum(c * math.comb(cap - i + cone.dim, cone.dim)
+                              for i, c in enumerate(s_polynomial(cone).coeffs))
+                      for cone in (k_cone, k_dual))
+    if table > MATRIX_CELL_BUDGET:
+        raise DimensionBudgetExceeded(
+            f"Koszul point-pair table of {table} cells exceeds budget "
+            f"{MATRIX_CELL_BUDGET}")
     rank = k_cone.ambient_rank
     wedges = [tuple(i for i in range(rank) if q >> i & 1)
               for q in range(1 << rank)]

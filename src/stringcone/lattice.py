@@ -11,8 +11,8 @@ integers, and each cone keeps the incidences it found as bitmasks (the
 generators on which each facet vanishes); cones of dimension lower than
 the ambient rank are handled through saturated span lattices.  Extreme
 rays, lower hulls, face lattices (incidence closure), dual faces and
-subdivision checks all read those bitmasks, and each face
-lattice carries its one Eulerian poset.
+subdivision checks all read those bitmasks, and each face lattice carries
+its one Eulerian poset, which numbers the faces as the lattice does.
 
 Lattice points come from box groups (Stanley 1980).  A face is cut into
 the simplices of a pulling triangulation, made half-open so that they
@@ -79,17 +79,6 @@ class RationalPolytope:
     vertices: tuple[tuple[Fraction, ...], ...]
 
 
-def _homogenized_generators(vertices) -> tuple[Vector, ...]:
-    """Vertices v -> primitive generators of the cone over v x {1}."""
-    gens = []
-    for v in vertices:
-        den = 1
-        for x in v:
-            den = den * Fraction(x).denominator // math.gcd(den, Fraction(x).denominator)
-        gens.append(la.primitive_vector([int(Fraction(x) * den) for x in v] + [den]))
-    return tuple(gens)
-
-
 def lattice_polytope(vertices) -> LatticePolytope:
     """Canonicalize a vertex list: dedupe, require full dimension, drop
     non-extreme points (the non-extreme rays of the cone over them), sort."""
@@ -108,15 +97,13 @@ def lattice_polytope(vertices) -> LatticePolytope:
                            cone=cone)
 
 
-def dual_polytope(p: LatticePolytope | RationalPolytope) -> RationalPolytope:
+def dual_polytope(p: LatticePolytope) -> RationalPolytope:
     """Polar dual {n : <m, n> >= -1 for all m in p}, exact: each facet
     a·x + c >= 0 of p gives the vertex a / c."""
-    facets = p.cone.facets if isinstance(p, LatticePolytope) else [
-        h for h, _ in _cone_facets_fulldim(_homogenized_generators(p.vertices),
-                                           p.rank + 1)]
-    if any(f[-1] <= 0 for f in facets):
+    if any(f[-1] <= 0 for f in p.cone.facets):
         raise OriginNotInterior("origin is not in the interior")
-    verts = [tuple(Fraction(a_i, f[-1]) for a_i in f[:-1]) for f in facets]
+    verts = [tuple(Fraction(a_i, f[-1]) for a_i in f[:-1])
+             for f in p.cone.facets]
     return RationalPolytope(rank=p.rank, vertices=tuple(sorted(verts)))
 
 
@@ -391,34 +378,31 @@ def _facets_of_face(cone: GradedCone, members: int) -> dict[int, int]:
 @dataclass(frozen=True)
 class FaceLattice:
     """All faces of a cone with the containment order as cover relations.
-    Equality is on these three fields; the index of the faces by generator
-    set and the lattice's EulerianPoset are derived on first use."""
+    Equality is on these three fields; the lattice's EulerianPoset, whose
+    root numbers the faces as `faces` does, is derived on first use."""
 
     cone: GradedCone
     faces: tuple[Face, ...]            # sorted by (dim, generator indices)
     covers: tuple[tuple[int, int], ...]  # (lower index, upper index)
 
     @cached_property
-    def _positions(self) -> dict[frozenset, int]:
-        return {f.gen_indices: i for i, f in enumerate(self.faces)}
-
-    @cached_property
     def poset(self) -> po.EulerianPoset:
-        """The lattice as an EulerianPoset on generator-index sets, whose
-        root numbers the faces in lattice order."""
-        return po.poset_of_face_lattice(self)
+        """The lattice as an EulerianPoset on generator-index sets, checked
+        Eulerian once (NotEulerian), so every G([f, F]) of `below` exists."""
+        poset = po.poset_of_face_lattice(self)
+        po._checked(poset)
+        return poset
 
     def face_of_gens(self, gen_indices) -> Face:
-        key = frozenset(gen_indices)
-        if key not in self._positions:
-            raise KeyError(f"no face with generators {sorted(key)}")
-        return self.faces[self._positions[key]]
+        return self.faces[self.poset._root.index[frozenset(gen_indices)]]
 
-    def down_set(self, face: Face) -> list[Face]:
-        """The faces G <= face in lattice order: the poset's interval from
-        the origin face up to face."""
-        below = self.poset.interval(self.faces[0].gen_indices, face.gen_indices)
-        return [self.faces[self._positions[g]] for g in below.elements]
+    def below(self, face: Face) -> list[tuple]:
+        """The faces f <= face in lattice order, each with G([f, face]), read
+        by number off the poset root's down-set bits and G memo: no views."""
+        root = self.poset._root
+        top = root.index[face.gen_indices]
+        return [(self.faces[f], po._g(root, f, top))
+                for f in po._bits(root.down[top])]
 
     def maximum(self) -> Face:
         return self.faces[-1]
@@ -480,13 +464,14 @@ def _box_classes(u, orders):
 def _pulling_triangulation(face: Face) -> tuple:
     """Simplices (sorted generator indices) triangulating the face with no
     new rays: its smallest generator index coned over the triangulations
-    of the facets, read off the face's down-set in the parent's lattice,
-    that miss it (so the cone's own triangulation restricts to it)."""
+    of the facets, read off the faces below it in the parent's lattice
+    (`FaceLattice.below`), that miss it (so the cone's own triangulation
+    restricts to it)."""
     if len(face.gen_indices) == face.dim:
         return (tuple(sorted(face.gen_indices)),)
     apex = min(face.gen_indices)
     return tuple((apex,) + s
-                 for f in face_lattice(face.cone).down_set(face)
+                 for f, _ in face_lattice(face.cone).below(face)
                  if f.dim == face.dim - 1 and apex not in f.gen_indices
                  for s in _pulling_triangulation(f))
 

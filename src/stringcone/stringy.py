@@ -9,8 +9,8 @@ the cone's top simplices that contain them (lattice._simplex_box).
 The tilde-S polynomial corrects the alternating face sum of
 S-polynomials by G-polynomials of the upper face intervals and records the
 graded dimensions of the interior quotient modules.  Every sum over the
-faces below a face walks its down-set in the poset that the parent's face
-lattice carries.
+faces f below a face F reads them, each with G([f, F]), off the parent's
+face lattice (`FaceLattice.below`), whose poset numbers the faces alike.
 
 Two independent routes compute the stringy E-function of the Calabi-Yau
 hypersurface attached to a reflexive pair (K, K*):
@@ -93,12 +93,10 @@ def s_polynomial_interior(cone: GradedCone) -> UnivariatePolynomial:
 
 @lru_cache(maxsize=None)
 def face_tilde_s(face: lat.Face) -> UnivariatePolynomial:
-    """tilde-S of the face's cone, summed over the down-set G <= F in the
-    parent's lattice (so its G-polynomials are memoised once per cone)."""
-    fl = lat.face_lattice(face.cone)
+    """tilde-S of the face's cone, summed over the faces f <= F of the
+    parent's lattice with their G([f, F]), memoised once per cone (below)."""
     acc = [0] * (face.dim + 1)  # deg S(f) + deg G([f, face]) <= dim face
-    for f in fl.down_set(face):
-        g = po.g_polynomial(fl.poset.interval(f.gen_indices, face.gen_indices))
+    for f, g in lat.face_lattice(face.cone).below(face):
         s = face_s(f).coeffs
         sign = (-1) ** (face.dim - f.dim)
         for j, gj in enumerate(g.coeffs):
@@ -256,10 +254,9 @@ def e_st_oracle(pair: ReflexivePair) -> BivariateLaurentPolynomial:
     for face, dual in _faces_with_duals(pair):
         s1 = face_s(face).to_bivariate(-1, 1)  # S(C1, v/u)
         u_pow = _UV(face.dim, 0)
-        for c2 in dual_lattice.down_set(dual):  # faces of K* in the dual face
-            interval = dual_lattice.poset.interval(c2.gen_indices,
-                                                   dual.gen_indices)
-            b = po.b_polynomial(interval)
+        for c2, _ in dual_lattice.below(dual):  # faces of K* in the dual face
+            b = po.b_polynomial(dual_lattice.poset.interval(
+                c2.gen_indices, dual.gen_indices))  # by the public view
             s2 = face_s(c2).to_bivariate(1, 1)  # S(C2, uv)
             sign = (-1) ** (dim_k - c2.dim)
             numerator = numerator + sign * (u_pow * b * s1 * s2)

@@ -148,7 +148,7 @@ def criterion_tilde_s() -> list[CheckResult]:
                 simp_ok = False
             # inversion identity: S(C) = sum tildeS(C1) G([C1,C]*, t)
             s = UnivariatePolynomial.zero()
-            for sub in fl.down_set(face):
+            for sub, _ in fl.below(face):
                 iv = fl.poset.interval(sub.gen_indices, face.gen_indices)
                 s = s + st.tilde_s_polynomial(sub.as_cone()) \
                     * po.g_polynomial(iv.dual())

@@ -5,6 +5,7 @@ import pathlib
 import random
 import re
 import time
+import tracemalloc
 
 import pytest
 
@@ -136,6 +137,27 @@ def test_koszul_large_cap_is_refused_before_enumeration(fixture_dir, capsys):
     assert code == 2
     assert capsys.readouterr().err.startswith("DimensionBudgetExceeded: ")
     assert elapsed < 5
+
+
+@pytest.mark.parametrize("cap", [100, 160, 10**9])
+def test_koszul_point_pair_table_is_refused_before_allocation(
+        fixture_dir, capsys, cap):
+    # the segment's complex passes the cell count up to cap 165, but its
+    # point-pair tables are ((cap + 1)^2 + 1)^2 cells
+    tracemalloc.start()
+    start = time.process_time()
+    try:
+        code = cli.main(["koszul", str(fixture_dir / "segment.json"),
+                         "--cap", str(cap)])
+        elapsed = time.process_time() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "DimensionBudgetExceeded: Koszul point-pair table")
+    assert elapsed < 1
+    assert peak < 20 * 2**20
 
 
 def test_subdivide_subcommand(fixture_dir, tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 import random
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from stringcone.errors import (
     DimensionBudgetExceeded,
     InvalidSubdivision,
     NotComplete,
+    NotEulerian,
     NotGorenstein,
     NotReflexivePair,
     OriginNotInterior,
@@ -64,8 +66,7 @@ def test_rational_dual_roundtrip():
     p = lat.lattice_polytope([(-1,), (2,)])
     d = lat.dual_polytope(p)
     assert not is_integral(d)
-    back = lat.dual_polytope(d)
-    assert is_integral(back) and to_lattice(back) == p
+    assert d.vertices == ((Fraction(-1, 2),), (Fraction(1),))
 
 
 # -- reflexivity ---------------------------------------------------------------
@@ -324,6 +325,34 @@ def face_lattice_oracle(cone):
               for j, up in enumerate(faces)
               if up.dim == low.dim + 1 and low.gen_indices <= up.gen_indices]
     return lat.FaceLattice(cone=cone, faces=tuple(faces), covers=tuple(covers))
+
+
+@pytest.mark.parametrize("name", fx.REFLEXIVE_NAMES)
+def test_below_matches_public_interval_g(name):
+    pair = fx.reflexive_pair(name)
+    for cone in (pair.cone, pair.dual):
+        fl = lat.face_lattice(cone)
+        poset = po.poset_of_face_lattice(fl)
+        for face in fl.faces:
+            expect = [(f, po.g_polynomial(
+                poset.interval(f.gen_indices, face.gen_indices)))
+                for f in fl.faces if f.gen_indices <= face.gen_indices]
+            assert fl.below(face) == expect
+
+
+def test_below_refuses_a_non_eulerian_lattice():
+    # the diamond's cone without the ray of generator 0: the two edges on
+    # that ray each cover one ray, so their lower intervals are chains
+    fl = lat.face_lattice(fx.reflexive_pair("diamond").cone)
+    keep = [i for i, f in enumerate(fl.faces) if f.gen_indices != {0}]
+    number = {i: k for k, i in enumerate(keep)}
+    broken = lat.FaceLattice(
+        cone=fl.cone, faces=tuple(fl.faces[i] for i in keep),
+        covers=tuple((number[i], number[j]) for i, j in fl.covers
+                     if i in number and j in number))
+    assert not po.poset_of_face_lattice(broken).is_eulerian()
+    with pytest.raises(NotEulerian):
+        broken.below(broken.maximum())
 
 
 def oracle_cones(name):

@@ -424,6 +424,36 @@ def test_e_st_hypersurface_builds_one_poset_per_face_lattice(monkeypatch):
     assert poset_roots(calls) == lattice_roots([p.cone, p.dual])
 
 
+def test_e_st_hypersurface_reads_g_by_face_number(monkeypatch):
+    views, checks = [], []
+    interval = po.EulerianPoset.interval
+    is_eulerian = po.EulerianPoset.is_eulerian
+
+    def spy_interval(self, x, y):
+        views.append((x, y))
+        return interval(self, x, y)
+
+    def spy_is_eulerian(self):
+        checks.append(self)
+        return is_eulerian(self)
+
+    monkeypatch.setattr(po.EulerianPoset, "interval", spy_interval)
+    monkeypatch.setattr(po.EulerianPoset, "is_eulerian", spy_is_eulerian)
+    for name in ("quintic", "cube"):
+        for cache in (st.face_tilde_s, st.face_s, lat.face_lattice,
+                      lat._pulling_triangulation):
+            cache.cache_clear()
+        views.clear()
+        checks.clear()
+        p = pair(name)
+        st.e_st_hypersurface(p)
+        faces = sum(len(lat.face_lattice(c).faces) for c in (p.cone, p.dual))
+        # every G([f, F]) is read by face number: no interval view, and the
+        # Eulerian test runs per lattice, not per (f, F) pair
+        assert views == []
+        assert 0 < len(checks) <= faces
+
+
 @pytest.mark.parametrize("name", fx.REFLEXIVE_NAMES)
 def test_two_formulas_agree(name):
     p = pair(name)
