@@ -6,8 +6,10 @@ All geometry in this package reduces to small exact-arithmetic kernels:
   saturations),
 * row echelon over a prime field p < 2**22 in two stages, both reading
   one sparse form, `SparseMatrix` (int64 triplets with a shape).  The
-  sparse front end (`sparse_echelon_mod_p`) reduces only the nonzeros and
-  eliminates on them with Markowitz pivoting, column with the fewest
+  sparse front end (`sparse_echelon_mod_p`) reduces only the nonzeros,
+  takes every entry alone in its row or column in bulk with numpy
+  (structured Gaussian elimination, LaMacchia-Odlyzko 1990), then
+  eliminates on the rest with Markowitz pivoting, column with the fewest
   entries first, in tiers: the columns below each of a list of bounds
   are exhausted before the next.  Once the cheapest pivot costs more than
   1/HANDOFF_SHARE of the active rows x columns plus HANDOFF_FLOOR, the
@@ -20,11 +22,12 @@ All geometry in this package reduces to small exact-arithmetic kernels:
   Q): one tiered mod-p echelon proposes the rank of the columns below the
   last bound and of the whole matrix and names a square subsystem S.
   Full row or column rank mod p pins a rank; otherwise one Dixon p-adic
-  lift of S (one inverse mod p, one product per digit and one
-  shared-denominator reconstruction over every dependent row) and one
-  exact bigint check promote it from "probable" to proven.  Only the
-  pivot columns are made dense, and only the Fraction fallback after
-  every prime attempt failed densifies the whole matrix.
+  lift of S (one inverse mod p, two exact float64 BLAS products per
+  digit, early termination on one random combination of the right-hand
+  sides, and one shared-denominator reconstruction over every dependent
+  row) and one exact bigint check promote it from "probable" to proven.
+  Only the pivot columns are made dense, and only the Fraction fallback
+  after every prime attempt failed densifies the whole matrix.
 
 `ranks_with_prefix` (the one rank call; a plain rank is its second entry
 with the column count as the one bound) and `rref` dispatch on a field
@@ -37,6 +40,8 @@ import contextlib
 import ctypes
 import heapq
 import math
+import random
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -493,12 +498,16 @@ def sparse_echelon_mod_p(rows, p: int, bounds=()):
     """Row echelon over GF(p) of a SparseMatrix (or a dense matrix read
     into one) that eliminates on the nonzeros first.
 
-    Markowitz pivoting on rows held as {column: residue} dicts: the active
-    column with the fewest entries in the lowest tier (below bounds[0],
-    then below bounds[1], ...; no bounds is one tier), and in it the row with
-    the fewest entries.  Once that pivot's cost passes the HANDOFF rule,
-    the rest goes to echelon_mod_p as float64 residues in one call, even
-    for an empty core; its leftmost pivots keep the tiers in order.
+    Numpy passes first take, until one finds none, every entry alone in
+    its row, and every entry alone in its column whose row held no entry
+    in an earlier tier (below bounds[0], then bounds[1], ...; no bounds is
+    one tier), at most one per row and column: each adds one to every
+    tier's rank.  Then Markowitz pivoting on the surviving rows as
+    {column: residue} dicts: the active column with the fewest entries in
+    the lowest tier, and in it the row with the fewest.  Once that pivot's
+    cost passes the HANDOFF rule, the rest goes to echelon_mod_p as
+    float64 residues in one call, even for an empty core.  One stable
+    sort by tier puts the pivots in tier order.
 
     Returns (rank, pivots, order) like echelon_mod_p, in elimination order:
     rows order[:rank] and columns pivots form a square matrix invertible
@@ -507,18 +516,41 @@ def sparse_echelon_mod_p(rows, p: int, bounds=()):
     """
     mat = SparseMatrix.of(rows)
     m, n = mat.shape
-    tier = np.searchsorted(bounds, np.arange(n), side="right").tolist()
+    tiers = np.searchsorted(bounds, np.arange(n), side="right")
     vals = mat.vals % p
-    rows_ = [{} for _ in range(m)]
-    cols = [set() for _ in range(n)]
-    for i, c, v in zip(*(a[vals != 0].tolist()
-                         for a in (mat.rows, mat.cols, vals))):
-        rows_[i][c] = v
-        cols[c].add(i)
-    heap = [(tier[c], len(col), c) for c, col in enumerate(cols) if col]
-    heapq.heapify(heap)
-    nrows, ncols = sum(1 for row in rows_ if row), len(heap)
+    r, c, v = (a[vals != 0] for a in (mat.rows, mat.cols, vals))
+    # the lowest tier of each row, which only rises as entries go
+    span = len(bounds) + 1
+    low = (np.bincount(r * span + tiers[c], minlength=m * span)
+           .reshape(m, span) > 0).argmax(1)
     pivots, order = [], []
+    while r.size:
+        in_row = np.bincount(r, minlength=m)[r] == 1
+        in_col = (np.bincount(c, minlength=n)[c] == 1) > in_row
+        in_col &= low[r] == tiers[c]  # a column singleton's row starts there
+        pick = (in_row | in_col).nonzero()[0]
+        if not pick.size:
+            break
+        # only row singletons share a column, and only column singletons a
+        # row: the lowest (row, column) of each such group is taken
+        rp, cp = r[pick], c[pick]
+        group = np.where(in_row[pick], cp, n + rp)
+        by = np.lexsort((cp, rp, group))
+        by = by[np.concatenate(([True], group[by][1:] != group[by][:-1]))]
+        order += rp[by].tolist()
+        pivots += cp[by].tolist()
+        keep = (np.bincount(rp[by], minlength=m)[r]
+                + np.bincount(cp[by], minlength=n)[c]) == 0
+        r, c, v = r[keep], c[keep], v[keep]
+    tier = tiers.tolist()
+    rows_, cols = defaultdict(dict), defaultdict(set)
+    for i, k, x in zip(r.tolist(), c.tolist(), v.tolist()):
+        rows_[i][k] = x
+        cols[k].add(i)
+    del r, c, v  # the dicts hold the survivors now
+    heap = [(tier[k], len(col), k) for k, col in cols.items()]
+    heapq.heapify(heap)
+    nrows, ncols = len(rows_), len(heap)
     while heap:
         _, count, c = heap[0]
         col = cols[c]
@@ -561,8 +593,8 @@ def sparse_echelon_mod_p(rows, p: int, bounds=()):
         pivots.append(c)
         order.append(i)
     # the surviving entries as arrays, and the dicts freed before the core
-    core_rows = [i for i, row in enumerate(rows_) if row]
-    core_cols = np.flatnonzero([len(col) for col in cols])
+    core_rows = sorted(i for i, row in rows_.items() if row)
+    core_cols = np.array(sorted(k for k, col in cols.items() if col), np.int64)
     sizes = [len(rows_[i]) for i in core_rows]
     keys = np.fromiter((c for i in core_rows for c in rows_[i]), np.int64)
     vals = np.fromiter((v for i in core_rows for v in rows_[i].values()), float)
@@ -576,6 +608,8 @@ def sparse_echelon_mod_p(rows, p: int, bounds=()):
     _, core_piv, core_order = echelon_mod_p(core, p)
     pivots += core_cols[core_piv].tolist()
     order += [core_rows[a] for a in core_order]
+    by = sorted(range(len(pivots)), key=lambda j: tier[pivots[j]])
+    pivots, order = [pivots[j] for j in by], [order[j] for j in by]
     return len(pivots), pivots, order + sorted(set(range(m)) - set(order))
 
 
@@ -647,20 +681,33 @@ def vector_rational_reconstruct(residues, modulus: int):
     """(numerators, shared denominator) of the rational vector with these
     residues, or None when an entry fails.  After each expensive
     single-entry reconstruction the running denominator is applied to the
-    remaining residues, which then usually pass a cheap integerness test."""
+    remaining residues, which then usually pass a cheap integerness test.
+    Each numerator is scaled once, at the end, from the denominator it was
+    read with to the final one."""
     bound = math.isqrt(modulus // 2)
-    den, nums = 1, []
+    den, nums, dens = 1, [], []
     for r in residues:
         y = int(r) * den % modulus
         if y > bound and modulus - y > bound:
             f = rational_reconstruct(y, modulus)
             if f is None:
                 return None
-            nums = [x * f.denominator for x in nums]
-            den *= f.denominator
-            y = f.numerator
+            den, y = den * f.denominator, f.numerator
         nums.append(y if y <= bound else y - modulus)
-    return nums, den
+        dens.append(den)
+    scale = {d: den // d for d in set(dens)}
+    return [x * scale[d] for x, d in zip(nums, dens)], den
+
+
+def _digit_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left @ right in int64, for a float64 left holding integers and
+    0 <= right < 2**22: float64 BLAS products with the 11-bit halves of
+    right, exact while each |left| row sum times 2**11 stays below 2**53
+    (every partial sum, in any order, is then an exact integer) and the
+    result fits in int64."""
+    out = (left @ (right >> 11).astype(np.float64)).astype(np.int64) << 11
+    out += (left @ (right & 2047).astype(np.float64)).astype(np.int64)
+    return out
 
 
 def _dixon_lift(square: np.ndarray, rhs: np.ndarray, p: int):
@@ -670,31 +717,44 @@ def _dixon_lift(square: np.ndarray, rhs: np.ndarray, p: int):
     the digits of a Hadamard-type bound do not reconstruct.
 
     One rref_mod_p of [square | I] inverts square mod p; every digit is
-    one product of that inverse with the residues of all right-hand sides,
-    and one vector_rational_reconstruct over all entries ends the lift."""
+    one _digit_product of that inverse with the residues of all right-hand
+    sides and one of square with the digit.  The guard
+    max_entry * n * p < 2**62 keeps both exact: their row sums times 2**11
+    stay below n * 2**33 and 2**62 / p * 2**11 < 2**53.  Early termination
+    (Chen-Storjohann 2005): one random combination of the entries is
+    reconstructed at digits 25% apart; once it gives the same rational at
+    two successive digits, one vector_rational_reconstruct over all
+    entries ends the lift."""
     n, max_entry = len(square), int(np.abs(square).max())
     if max_entry * n * p >= 1 << 62:
         return None
     bits = n * (math.log2(max_entry + 1) + 0.5 * math.log2(max(n, 2)) + 1) + 64
     max_digits = int(bits / math.log2(p) * 2) + 32
-    _, piv, mat = rref_mod_p(np.concatenate(
+    _, piv, inv = rref_mod_p(np.concatenate(
         [square % p, np.eye(n, dtype=np.int64)], axis=1), p)
     if piv[:n] != list(range(n)):
         return None
-    inv = mat[:, n:]
-    residue = rhs
-    accum = np.zeros(rhs.shape, dtype=object)
-    modulus, check_at = 1, 24
+    inv, square_f = inv[:, n:].astype(np.float64), square.astype(np.float64)
+    rng = random.Random(p)  # mix = left @ X @ right, one random scalar
+    right = np.array([rng.randrange(1, 256) for _ in range(rhs.shape[1])])
+    left = np.array([rng.randrange(1, 256) for _ in range(n)], dtype=object)
+    residue, accum, mix = rhs, np.zeros(rhs.shape, dtype=object), 0
+    modulus, mixed, check_at = 1, None, 1
     for step in range(1, max_digits + 1):
-        z = inv @ (residue % p) % p
+        z = _digit_product(inv, residue % p) % p
         accum += z.astype(object) * modulus
+        mix += int((z @ right).astype(object) @ left) * modulus
         modulus *= p
-        residue = (residue - square @ z) // p
-        if step >= check_at or step == max_digits:
-            check_at *= 2
+        residue = (residue - _digit_product(square_f, z)) // p
+        if step < check_at and step < max_digits:
+            continue
+        seen, mixed = mixed, vector_rational_reconstruct([mix], modulus)
+        if (mixed is not None and mixed == seen) or step == max_digits:
             sol = vector_rational_reconstruct(accum.ravel(), modulus)
             if sol is not None:
                 return np.array(sol[0], dtype=object).reshape(rhs.shape), sol[1]
+        # confirm a reconstruction at the next digit; else check 25% later
+        check_at = step + 1 if mixed else step + 1 + step // 4
     return None
 
 

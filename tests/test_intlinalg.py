@@ -230,6 +230,26 @@ def test_dixon_lift_solves_every_right_hand_side_at_once():
     assert (mat.astype(object) @ nums == den * rhs.astype(object)).all()
 
 
+def test_digit_product_is_exact_at_the_float64_edge():
+    rng = np.random.default_rng(47)
+    k = 4
+    # the pieces' partial sums reach 2**52 and the products 2**62, which
+    # one float64 product of the whole factors rounds
+    left = rng.integers(2**38, 2**39, (30, k)) * rng.choice([-1, 1], (30, k))
+    right = rng.integers(0, 2**22, (k, 20))
+    exact = left.astype(object) @ right.astype(object)
+    assert (la._digit_product(left.astype(np.float64), right) == exact).all()
+    naive = left.astype(np.float64) @ right.astype(np.float64)
+    assert any(int(x) != y for x, y in zip(naive.ravel(), exact.ravel()))
+    # every partial sum of the low pieces one step below 2**53
+    edge = (2**53 - 1) // (k * (2**11 - 1))
+    left = np.full((3, k), -edge)
+    left[1, 1:] = edge
+    right = np.full((k, 5), 2**11 - 1)
+    assert (la._digit_product(left.astype(np.float64), right)
+            == left.astype(object) @ right.astype(object)).all()
+
+
 def test_certified_rank_lifts_forty_dependent_rows_once(monkeypatch):
     rng = np.random.default_rng(31)
     mat = dependent_rows_first(rng, 100, 80, 60, lead=4)

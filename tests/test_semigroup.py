@@ -460,6 +460,22 @@ def test_non_regular_element_matches_full_matrix_dims(name, stellar, field):
             report.top_degree_dims) == full_matrix_dims(g, sub)
 
 
+def test_one_vertex_element_on_the_cube_is_lifted_at_every_degree(monkeypatch):
+    # many dependent rows: degree 5 lifts a 946 x 946 system with 385
+    # right-hand sides, and no rank falls back to Fraction elimination
+    lifts = []
+    lift = la._dixon_lift
+    monkeypatch.setattr(la, "_dixon_lift", lambda square, rhs, p: lifts.append(
+        (len(square), lift(square, rhs, p))) or lifts[-1][1])
+    cone = k_cone("cube")
+    g = sg.degree_one_element(cone, {cone.generators[0]: 7}, "rational")
+    report = sg.graded_quotient_dims(g, lat.stellar_subdivision(cone))
+    assert (report.dims_R0, report.dims_R1, report.top_degree_dims) == (
+        (1, 26, 105, 262, 521), (0, 1, 26, 105, 262), (906, 521))
+    assert max(n for n, _ in lifts) == 946
+    assert all(lifted is not None for _, lifted in lifts)
+
+
 # -- the graded ring stops at degree dim when the quotient vanishes there --------
 
 def test_small_support_elements_match_full_matrix_dims():

@@ -83,6 +83,36 @@ def test_zero_single_row_and_single_column():
     assert check_echelon([[0], [2 * P], [5], [7]])[:2] == (1, [0])
 
 
+def test_column_singleton_waits_for_its_tier():
+    # column 2 holds one entry, but its row also meets column 0, a tier
+    # earlier: taken first, it would leave the prefix at rank 1, not 2
+    assert check_echelon([[1, 0, 1], [1, 1, 0]], (2,))[:2] == (2, [1, 0])
+
+
+def test_permuted_triangular_matrix_is_taken_in_bulk(monkeypatch):
+    # after the pivots before it, every pivot is alone in its row
+    rng = np.random.default_rng(9)
+    n = 600
+    tri = np.triu(rng.integers(-9, 10, (n, n)) * (rng.random((n, n)) < 0.01))
+    tri[np.arange(n), np.arange(n)] = rng.choice([-7, -1, 1, 2, 5], n)
+    mat = tri[rng.permutation(n)][:, rng.permutation(n)]
+    dense_form = la.SparseMatrix.of(mat)
+    shuffle = rng.permutation(dense_form.vals.size)
+    triplets = la.SparseMatrix(mat.shape, *(a[shuffle] for a in (
+        dense_form.rows, dense_form.cols, dense_form.vals)))
+    bounds = (n // 2, n)
+    heaps = []
+    monkeypatch.setattr(la.heapq, "heapify", lambda heap: heaps.append(
+        len(heap)))
+    calls = record_dense_calls(monkeypatch)
+    result = la.sparse_echelon_mod_p(triplets, P, bounds)
+    assert heaps == [0] and calls == [((0, 0), P)]  # no loop, no core
+    assert result[0] == n
+    assert result == la.sparse_echelon_mod_p(mat, P, bounds)
+    monkeypatch.undo()
+    check_echelon(mat, bounds, exact=False)
+
+
 def test_entries_that_vanish_mod_p():
     mat = [[P, 2 * P, 1], [3 * P, 5, 0], [P, 0, 0]]
     r, pivots, order = check_echelon(mat, (1,))
