@@ -40,12 +40,10 @@ from .posets import (
 from .semigroup import (
     DegreeOneElement,
     GradedQuotientReport,
-    deformed_product,
     degree_one_element,
     graded_quotient_dims,
     is_sigma_regular,
     logarithmic_derivatives,
-    pairing_matrix,
     random_degree_one,
 )
 from .stringy import (

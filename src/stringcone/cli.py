@@ -246,6 +246,9 @@ def main(argv=None) -> int:
     except StringConeError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"OSError: {exc}", file=sys.stderr)
+        return 2
     if output:
         print(output)
     return code

@@ -30,8 +30,8 @@ All geometry in this package reduces to small exact-arithmetic kernels:
   after every prime attempt failed densifies the whole matrix.
 
 `ranks_with_prefix` (the one rank call; a plain rank is its second entry
-with the column count as the one bound) and `rref` dispatch on a field
-descriptor, so callers hold one code path for both scalar fields.
+with the column count as the one bound) dispatches on a field descriptor,
+so callers hold one code path for both scalar fields.
 """
 
 from __future__ import annotations
@@ -836,15 +836,3 @@ def ranks_with_prefix(mat, bounds, field: str):
     if p:
         return ranks_with_prefix_mod_p(mat, bounds, p)
     return rank_rational_certified(mat, bounds)
-
-
-def rref(rows, field: str):
-    """(pivot columns, nonzero rows of the reduced row echelon form) over
-    the field a descriptor names: Fractions over Q, residues in [0, p) over
-    GF(p).  Entries are integers, or Fractions over Q."""
-    _, p = parse_field(field)
-    if p:
-        _, pivots, mat = rref_mod_p(rows, p)
-        return pivots, mat[:len(pivots)].tolist()
-    mat, pivots = rref_fraction(rows)
-    return pivots, mat[:len(pivots)]

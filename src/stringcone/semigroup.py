@@ -26,7 +26,7 @@ import numpy as np
 
 from . import intlinalg as la
 from . import lattice as lat
-from .errors import DimensionBudgetExceeded, NotRegular, PointOutsideCone
+from .errors import DimensionBudgetExceeded, PointOutsideCone
 from .lattice import FanSubdivision, GradedCone
 from .stringy import s_polynomial
 
@@ -87,7 +87,7 @@ def grading_functionals(cone: GradedCone) -> list[tuple]:
     deterministic greedy choice of the leftmost independent coordinates."""
     if not cone.generators:
         return []
-    pivots, _ = la.rref(cone.generators, "rational")
+    pivots = la.rref_fraction(cone.generators)[1]
     return [tuple(int(j == i) for j in range(cone.ambient_rank))
             for i in pivots]
 
@@ -97,19 +97,6 @@ def logarithmic_derivatives(g: DegreeOneElement) -> list[dict]:
     the span does not depend on the choice."""
     return [{m: val for m, c in g.coefficients if (val := la.dot(m, n) * c)}
             for n in grading_functionals(g.cone)]
-
-
-def deformed_product(subdivision: FanSubdivision, m1, m2):
-    """[m1][m2] in the deformed ring: m1+m2 when some maximal cell contains
-    both points, None (the zero product) otherwise."""
-    m1 = tuple(int(x) for x in m1)
-    m2 = tuple(int(x) for x in m2)
-    for m, bit in zip((m1, m2), lat.cell_masks((subdivision.parent,),
-                                                (m1, m2))):
-        if not bit:
-            raise PointOutsideCone(f"{m} is outside the cone")
-    mask1, mask2 = lat.cell_masks(subdivision.max_cones, (m1, m2))
-    return tuple(a + b for a, b in zip(m1, m2)) if mask1 & mask2 else None
 
 
 @dataclass(frozen=True)
@@ -126,7 +113,7 @@ class GradedQuotientReport:
 
 
 class _QuotientWorkspace:
-    """Shared matrix assembly for quotient dimensions and pairings."""
+    """Multiplication-matrix assembly for the quotient dimensions."""
 
     def __init__(self, g: DegreeOneElement, subdivision: FanSubdivision):
         if subdivision.parent != g.cone:
@@ -152,13 +139,6 @@ class _QuotientWorkspace:
             raise DimensionBudgetExceeded(
                 f"degree-{top} multiplication matrix of {rows} x {cols} = "
                 f"{rows * cols} cells exceeds budget {MATRIX_CELL_BUDGET}")
-
-    def multiplication_matrix(self, k: int, interior_source: bool = False):
-        """Dense rows indexed by degree-k points (interior points when
-        interior_source), columns by (derivative, degree-(k-1) point)."""
-        mat = self._products(self.interior if interior_source
-                             else self.points, k)[0]
-        return np.array(list(mat), dtype=np.int64).reshape(mat.shape)
 
     def _products(self, src: dict, k: int, units=(), skip=()):
         """(la.SparseMatrix, block bounds): the multiplication matrix from
@@ -273,68 +253,3 @@ def is_sigma_regular(g: DegreeOneElement,
                 detail=f"cell quotient not finite at cutoff: "
                        f"dims {report.dims_R0} + top {report.top_degree_dims}")
     return RegularityVerdict(regular=True, witness=None, detail="all cells pass")
-
-
-def pairing_matrix(g: DegreeOneElement, subdivision: FanSubdivision | None,
-                   k: int):
-    """Multiplication pairing between the degree-k quotient and the
-    complementary-degree interior quotient, evaluated in the 1-dimensional
-    top interior quotient; full rank for regular elements.  Entries are
-    Fractions over Q and integers standing for their residues over GF(p)."""
-    if subdivision is None:
-        subdivision = lat.trivial_subdivision(g.cone)
-    r1 = None
-    if subdivision.max_cones == (g.cone,):
-        # the one cell is the cone: its check ranks the pairing's matrices
-        report = graded_quotient_dims(g, subdivision)
-        r1 = report.dims_R1 if report.regular_profile else None
-    if r1 is None:
-        verdict = is_sigma_regular(g, subdivision)
-        if not verdict.regular:
-            raise NotRegular(verdict.detail)
-    dim = g.cone.dim
-    if k > dim or k < 0:
-        return []
-    ws = _QuotientWorkspace(g, subdivision)
-    # symmetry of the induced interior pairing, asserted as rank equality
-    if r1 is None:
-        _, r1 = ws.dims()
-    if r1[k] != r1[dim - k]:
-        raise NotRegular(
-            f"interior ranks at degrees {k} and {dim - k} differ")
-
-    def quotient(kk: int, interior: bool):
-        """(basis, pivots, reduced rows): the RREF of the image of
-        multiplication in the degree-kk monomials (interior ones when
-        interior); the monomials off its pivots span the quotient."""
-        pts = ws.interior[kk] if interior else ws.points[kk]
-        image = (ws.multiplication_matrix(kk, interior_source=interior)
-                 .T.tolist() if kk else [])
-        pivots, reduced = la.rref(image, g.field)
-        bound = set(pivots)
-        return ([p for i, p in enumerate(pts) if i not in bound],
-                pivots, reduced)
-
-    basis_k = quotient(k, interior=False)[0]
-    top_basis, pivots, reduced = quotient(dim, interior=True)
-    basis_comp = top_basis if k == 0 else quotient(dim - k, interior=True)[0]
-    if len(top_basis) != 1:
-        raise NotRegular("top interior quotient is not one-dimensional")
-    # class of each interior degree-dim monomial in the one-dimensional top
-    # quotient, in the basis of the free monomial: 1 there, and -R[i][free]
-    # at the pivot of row i of the reduced image R
-    top = ws.interior[dim]
-    free = top.index(top_basis[0])
-    top_class = {top_basis[0]: 1}
-    top_class.update((top[c], -row[free]) for c, row in zip(pivots, reduced))
-
-    matrix = [[top_class[tuple(x + y for x, y in zip(a, b))]
-               if ws.masks[a] & ws.masks[b] else 0 for b in basis_comp]
-              for a in basis_k]
-    if matrix and matrix[0]:
-        rank = len(la.rref(matrix, g.field)[0])
-        if rank != len(matrix) or len(matrix) != len(matrix[0]):
-            raise NotRegular(
-                f"pairing at degree {k} is {len(matrix)}x{len(matrix[0])} "
-                f"of rank {rank}")
-    return matrix

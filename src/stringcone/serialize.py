@@ -83,7 +83,10 @@ def load_fan(path: str) -> Fan:
         raise ParseError(f"{path}: ray length does not match rank {rank}")
     if any(i < 0 or i >= len(ray_vecs) for c in cone_idx for i in c):
         raise ParseError(f"{path}: cone ray index out of range")
-    return lat.fan_from_rays(rank, ray_vecs, cone_idx)
+    try:
+        return lat.fan_from_rays(rank, ray_vecs, cone_idx)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def dump_fan(fan: Fan) -> str:

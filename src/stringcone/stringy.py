@@ -185,12 +185,6 @@ class HodgeTable:
     def as_dict(self) -> dict:
         return {pq: h for pq, h in self.entries}
 
-    def to_e_polynomial(self) -> BivariateLaurentPolynomial:
-        total = BivariateLaurentPolynomial.zero()
-        for (p, q), h in self.entries:
-            total = total + _UV(p, q, (-1) ** (p + q) * h)
-        return total
-
 
 def _table_from_entries(entries: dict, dimension: int) -> HodgeTable:
     cleaned = {pq: h for pq, h in entries.items() if h != 0}

@@ -219,7 +219,28 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "ParseError" in err
 
 
-DIAMOND = {"rank": 2, "vertices": [[1, 0], [0, 1], [-1, 0], [0, -1]]}
+@pytest.mark.parametrize("command", ["hodge", "e-st"])
+def test_fan_with_a_cone_that_is_not_pointed_exits_2(command, tmp_path,
+                                                      capsys):
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps({"rank": 2, "rays": [[1, 0], [-1, 0], [0, 1]],
+                                "cones": [[0, 1], [1, 2]]}))
+    code = cli.main([command, "--toric", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("ParseError: ") and "not pointed" in err
+
+
+def test_fixtures_dump_onto_a_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "taken"
+    path.write_text("")
+    code = cli.main(["fixtures", "--dump", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("OSError: ") and str(path) in err
+
+
+DIAMOND ={"rank": 2, "vertices": [[1, 0], [0, 1], [-1, 0], [0, -1]]}
 FAN_P2 = {"rank": 2, "rays": [[-1, -1], [0, 1], [1, 0]],
           "cones": [[0, 1], [0, 2], [1, 2]]}
 

@@ -1,7 +1,6 @@
-"""Deformed semigroup-ring quotients, regularity, pairings."""
+"""Deformed semigroup-ring quotients and regularity."""
 
 import random
-from fractions import Fraction
 
 import pytest
 from oracles import full_matrix_dims, point_in_cone
@@ -12,7 +11,7 @@ from stringcone import lattice as lat
 from stringcone import semigroup as sg
 from stringcone import stringy as st
 from stringcone.errors import (DimensionBudgetExceeded, InvalidField,
-                               NotRegular, PointOutsideCone)
+                               PointOutsideCone)
 
 A1 = lat.cone_from_generators([(0, 1), (2, 1)])
 SQUARE_CONE = lat.cone_from_generators(
@@ -111,42 +110,6 @@ def test_derivative_span_independent_of_functional_choice():
     for n in ((1, 1, 1), (1, -1, 0), (0, 1, -1)):  # another spanning triple
         alt.append([la.dot(p, n) * g.coefficient_map()[p] for p in pts])
     assert la.rank_fraction(rows) == la.rank_fraction(rows + alt)
-
-
-# -- deformed products --------------------------------------------------------------
-
-def test_deformed_product_trivial_and_split():
-    triv = lat.trivial_subdivision(SQUARE_CONE)
-    assert sg.deformed_product(triv, (0, 0, 1), (1, 1, 1)) == (1, 1, 2)
-    assert sg.deformed_product(triv, (0, 0, 0), (1, 1, 1)) == (1, 1, 1)
-    sub = lat.regular_subdivision(SQUARE_CONE, [0, 0, 0, 1])
-    t1, t2 = sub.max_cones
-    inner1 = next(p for p in lat.lattice_points_at_degree(SQUARE_CONE, 2)
-                  if point_in_cone(t1, p) and not point_in_cone(t2, p))
-    inner2 = next(p for p in lat.lattice_points_at_degree(SQUARE_CONE, 2)
-                  if point_in_cone(t2, p) and not point_in_cone(t1, p))
-    assert sg.deformed_product(sub, inner1, inner2) is None
-    assert sg.deformed_product(sub, (0, 0, 0), inner2) == inner2
-    with pytest.raises(PointOutsideCone):
-        sg.deformed_product(triv, (-1, 0, 1), (0, 0, 1))
-
-
-def test_deformed_product_commutative_associative_sample():
-    sub = lat.stellar_subdivision(k_cone("diamond"))
-    pts = lat.lattice_points_at_degree(sub.parent, 1)
-
-    def prod(a, b):
-        return sg.deformed_product(sub, a, b)
-
-    for a in pts:
-        for b in pts:
-            assert prod(a, b) == prod(b, a)
-            for c in pts[:3]:
-                left = prod(a, b)
-                lhs = prod(left, c) if left is not None else None
-                right = prod(b, c)
-                rhs = prod(a, right) if right is not None else None
-                assert lhs == rhs
 
 
 # -- graded dimensions -----------------------------------------------------------------
@@ -251,75 +214,6 @@ def test_restrict_subdivision_to_face():
         assert all(point_in_cone(face, g) for g in cell.generators)
 
 
-# -- pairing ---------------------------------------------------------------------------
-
-def test_pairing_a1():
-    g = sg.random_degree_one(A1, seed=0)
-    mat = sg.pairing_matrix(g, None, 0)
-    assert len(mat) == 1 and len(mat[0]) == 1 and mat[0][0] != 0
-
-
-def test_pairing_diamond_rank_symmetry():
-    g = sg.random_degree_one(k_cone("diamond"), seed=2)
-    m1 = sg.pairing_matrix(g, None, 1)
-    m2 = sg.pairing_matrix(g, None, 2)
-    assert (len(m1), len(m1[0])) == (2, 2)
-    assert (len(m2), len(m2[0])) == (1, 1)
-
-
-def test_pairing_beyond_top_degree_is_empty():
-    g = sg.random_degree_one(A1, seed=0)
-    assert sg.pairing_matrix(g, None, A1.dim + 1) == []
-
-
-def test_pairing_requires_regularity():
-    cone = k_cone("diamond")
-    coeffs = sg.random_degree_one(cone, seed=0).coefficient_map()
-    coeffs[cone.generators[0]] = 0
-    bad = sg.degree_one_element(cone, coeffs)
-    with pytest.raises(NotRegular):
-        sg.pairing_matrix(bad, None, 1)
-
-
-def test_pairing_at_degree_zero_reduces_the_top_image_once(monkeypatch):
-    cone = k_cone("p2_dual")
-    g = sg.random_degree_one(cone, seed=1, field="rational")
-    sub = lat.stellar_subdivision(cone)
-    images = []
-    build = sg._QuotientWorkspace.multiplication_matrix
-
-    def counted(self, k, interior_source=False):
-        if interior_source:
-            images.append(k)
-        return build(self, k, interior_source)
-
-    monkeypatch.setattr(sg._QuotientWorkspace, "multiplication_matrix", counted)
-    mat = sg.pairing_matrix(g, sub, 0)
-    assert len(mat) == len(mat[0]) == 1 and mat[0][0] != 0
-    assert images.count(cone.dim) == 1
-
-
-def test_pairing_with_one_cell_ranks_its_matrices_once(monkeypatch):
-    # the trivial subdivision's one cell is the cone, so its regularity
-    # check ranks the pairing's own matrices: dim calls per degree, not 2 dim
-    cone = k_cone("cross")
-    g = sg.random_degree_one(cone, seed=0)
-    want = [sg.pairing_matrix(g, None, k) for k in range(cone.dim + 1)]
-    calls = []
-    rank = la.ranks_with_prefix
-    monkeypatch.setattr(la, "ranks_with_prefix",
-                        lambda *args: calls.append(args) or rank(*args))
-    assert [sg.pairing_matrix(g, None, k)
-            for k in range(cone.dim + 1)] == want
-    assert len(calls) == cone.dim * (cone.dim + 1) == 20
-
-
-def test_pairing_rational_backend():
-    g = sg.random_degree_one(k_cone("p2"), seed=1, field="rational")
-    mat = sg.pairing_matrix(g, None, 1)
-    assert len(mat) == len(mat[0]) == 1 and mat[0][0] != 0
-
-
 # -- one rank route per field, and the closed forms against their loops ---------
 
 @pytest.mark.parametrize("name", ["diamond", "square"])
@@ -333,69 +227,6 @@ def test_rational_dims_make_no_fraction_rank(name, monkeypatch):
     for sub in (None, lat.stellar_subdivision(cone)):
         sg.graded_quotient_dims(g, sub)
     assert calls == []
-
-
-def pairing_oracle(g, subdivision, k):
-    """The pairing by one reduction loop per top monomial over the field's
-    own kernels (rref_mod_p or rref_fraction)."""
-    if subdivision is None:
-        subdivision = lat.trivial_subdivision(g.cone)
-    ws = sg._QuotientWorkspace(g, subdivision)
-    _, prime = la.parse_field(g.field)
-    dim = g.cone.dim
-
-    def quotient_basis(kk, interior):
-        pts = ws.interior[kk] if interior else ws.points[kk]
-        if kk == 0:
-            return list(pts), []
-        mat = ws.multiplication_matrix(kk, interior_source=interior)
-        if mat.shape[1] == 0:
-            return list(pts), []
-        rows = mat.T.tolist()
-        if prime:
-            _, pivots, reduced = la.rref_mod_p(rows, prime)
-            reduced = reduced.tolist()
-        else:
-            reduced, pivots = la.rref_fraction(rows)
-        basis = [pts[i] for i in range(len(pts)) if i not in pivots]
-        return basis, [(p, reduced[i]) for i, p in enumerate(pivots)]
-
-    basis_k, _ = quotient_basis(k, False)
-    basis_comp, _ = quotient_basis(dim - k, True)
-    top_basis, top_echelon = quotient_basis(dim, True)
-    top_index = {p: i for i, p in enumerate(ws.interior[dim])}
-
-    def evaluate_top(point):
-        vec = [0] * len(top_index)
-        vec[top_index[point]] = 1
-        if not prime:
-            vec = [Fraction(v) for v in vec]
-        for pcoord, row in top_echelon:
-            c = vec[pcoord]
-            if c:
-                vec = [a - c * b for a, b in zip(vec, row)]
-                if prime:
-                    vec = [v % prime for v in vec]
-        return vec[top_index[top_basis[0]]]
-
-    return [[evaluate_top(tuple(x + y for x, y in zip(a, b)))
-             if ws.masks[a] & ws.masks[b] else 0 for b in basis_comp]
-            for a in basis_k]
-
-
-@pytest.mark.parametrize("name", ["diamond", "square", "p2", "p2_dual"])
-@pytest.mark.parametrize("field", [sg.DEFAULT_FIELD, "rational"])
-def test_pairing_matches_reduction_loop(name, field):
-    cone = k_cone(name)
-    g = sg.random_degree_one(cone, seed=4, field=field)
-    _, prime = la.parse_field(field)
-    for sub in (None, lat.stellar_subdivision(cone)):
-        for k in range(cone.dim + 1):
-            got = sg.pairing_matrix(g, sub, k)
-            want = pairing_oracle(g, sub, k)
-            if prime:
-                got = [[x % prime for x in row] for row in got]
-            assert got == want
 
 
 def functionals_oracle(cone):
