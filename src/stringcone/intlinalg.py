@@ -49,7 +49,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import InvalidField
+from .errors import DimensionBudgetExceeded, InvalidField
 
 # A prime just above 2**21 keeps 64-term float64 dot products of residues
 # exact with room to defer modular reductions across several panels
@@ -75,6 +75,10 @@ _BLOCK = 64
 # differentials of the 2-d fixtures.
 HANDOFF_SHARE = 512
 HANDOFF_FLOOR = 512
+
+# the cells a multiplication matrix, a dense core or a Koszul complex's
+# elements and triplets may take; each is counted before it is allocated
+MATRIX_CELL_BUDGET = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -505,9 +509,10 @@ def sparse_echelon_mod_p(rows, p: int, bounds=()):
     tier's rank.  Then Markowitz pivoting on the surviving rows as
     {column: residue} dicts: the active column with the fewest entries in
     the lowest tier, and in it the row with the fewest.  Once that pivot's
-    cost passes the HANDOFF rule, the rest goes to echelon_mod_p as
-    float64 residues in one call, even for an empty core.  One stable
-    sort by tier puts the pivots in tier order.
+    cost passes the HANDOFF rule, the rest goes to echelon_mod_p as float64
+    residues in one call, even for an empty core, or DimensionBudgetExceeded
+    is raised before a core of more than MATRIX_CELL_BUDGET cells is
+    allocated.  One stable sort by tier puts the pivots in tier order.
 
     Returns (rank, pivots, order) like echelon_mod_p, in elimination order:
     rows order[:rank] and columns pivots form a square matrix invertible
@@ -595,6 +600,9 @@ def sparse_echelon_mod_p(rows, p: int, bounds=()):
     # the surviving entries as arrays, and the dicts freed before the core
     core_rows = sorted(i for i, row in rows_.items() if row)
     core_cols = np.array(sorted(k for k, col in cols.items() if col), np.int64)
+    if len(core_rows) * core_cols.size > MATRIX_CELL_BUDGET:
+        raise DimensionBudgetExceeded(f"dense core of {len(core_rows)} x "
+                                      f"{core_cols.size} exceeds budget")
     sizes = [len(rows_[i]) for i in core_rows]
     keys = np.fromiter((c for i in core_rows for c in rows_[i]), np.int64)
     vals = np.fromiter((v for i in core_rows for v in rows_[i].values()), float)

@@ -15,9 +15,11 @@ nonnegative, so the projected multiplications commute.  The differential
 preserves s = (exterior degree) + deg(m) - deg(n) and raises
 t = deg(m) + deg(n) by one, so it is stored as one SparseMatrix (int64
 triplets) per piece, from (s, t) to (s, t+1), whose basis is numbered as it
-is enumerated; numpy builds the numbering and the triplets, one gather per
-move.  Cohomology is reported per (s, t) piece, and D(s, t) is ranked only
-on the columns that D(s, t-1)'s pivot rows leave out.
+is enumerated.  The pairs come face by face: m.n = 0 exactly when n lies
+on the dual face of the face whose relative interior holds m.  One count
+of the elements and triplets, made before any point is built, is held to
+MATRIX_CELL_BUDGET.  Cohomology is reported per (s, t) piece, and D(s, t)
+is ranked only on the columns that D(s, t-1)'s pivot rows leave out.
 
 For regular f, g the cohomology matches, piece by piece, the sum over
 faces C of tilde-S coefficient products placed at exterior degree
@@ -30,19 +32,18 @@ the dual cone) leaves all reported dimensions unchanged.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 
 import numpy as np
 
 from . import intlinalg as la
 from . import lattice as lat
 from .errors import CapTooSmall, DimensionBudgetExceeded, NotRegular
+from .intlinalg import MATRIX_CELL_BUDGET
 from .lattice import FanSubdivision, ReflexivePair
-from .semigroup import MATRIX_CELL_BUDGET, DegreeOneElement, is_sigma_regular
-from .stringy import face_s, s_polynomial, tilde_s_products
+from .semigroup import DegreeOneElement, is_sigma_regular
+from .stringy import face_s, tilde_s_products
 
 
 @dataclass(frozen=True)
@@ -100,10 +101,6 @@ def _exterior_flips(rank: int) -> tuple:
                  for q in range(1 << rank))
 
 
-def _as_array(points, rank: int) -> np.ndarray:
-    return np.array(list(points), dtype=np.int64).reshape(-1, rank)
-
-
 def _shift_table(points: np.ndarray, support: np.ndarray) -> np.ndarray:
     """Row of points[i] + support[j] among the distinct points, or -1."""
     sums = (points[:, None] + support[None]).reshape(-1, points.shape[1])
@@ -114,26 +111,33 @@ def _shift_table(points: np.ndarray, support: np.ndarray) -> np.ndarray:
     return row[label[len(points):]].reshape(len(points), len(support))
 
 
-def _orthogonal_pairs(pair: ReflexivePair, cap: int) -> Counter:
-    """The pairs [m, n] with m.n = 0 by bidegree (a, b), a, b <= cap,
-    counted before any point is built: m.n = 0 exactly when n lies on the
-    dual face C* of the face C whose relative interior holds m.  A face
-    has S(t)/(1-t)^dim points by degree, S reversed on its relative
-    interior (Ehrhart reciprocity)."""
-    def counts(face, interior: bool) -> list:
-        s = face_s(face).coeffs
-        c = list((s + (0,) * (face.dim + 1 - len(s)))[::-1 if interior else 1])
-        c += [0] * (cap - face.dim)
-        for _ in range(face.dim):
-            c = list(accumulate(c))
-        return c
+def _orthogonal_pairs(points_k: np.ndarray, points_d: np.ndarray,
+                      facets) -> tuple:
+    """The indices (pk, pd) of the pairs with m.n = 0, in row-major order.
+    That holds exactly when n lies on the dual face of the face whose
+    relative interior holds m, the facets vanishing on m: one point per
+    face is dotted with every n, and the face's other points repeat it."""
+    _, rep, face = np.unique(points_k @ np.array(facets, np.int64).T == 0,
+                             axis=0, return_index=True, return_inverse=True)
+    of, pd = np.nonzero(points_k[rep] @ points_d.T == 0)
+    per = np.bincount(of, minlength=len(rep))[face]
+    at = np.searchsorted(of, face) - np.cumsum(per) + per
+    pk = np.repeat(np.arange(len(points_k)), per)
+    return pk, pd[at[pk] + np.arange(len(pk))]
 
-    pairs = Counter()
-    for face in lat.face_lattice(pair.cone).faces:
-        inner, outer = counts(face, True), counts(pair.dual_face(face), False)
-        pairs.update({(a, b): x * y for a, x in enumerate(inner) if x
-                      for b, y in enumerate(outer) if y})
-    return pairs
+
+def _pair_count(pair: ReflexivePair, cap: int) -> int:
+    """The pairs [m, n] with m.n = 0 and deg m, deg n <= cap, counted before
+    any point is built: each face C adds its relative-interior points times
+    the points of its dual face C*, sum_i s_i C(cap + i, dim C) times
+    sum_i s_i C(cap - i + dim C*, dim C*) (Ehrhart reciprocity)."""
+    def points(face, interior: bool) -> int:
+        return sum(c * math.comb(cap + (i if interior else face.dim - i),
+                                 face.dim)
+                   for i, c in enumerate(face_s(face).coeffs))
+
+    return sum(points(face, True) * points(pair.dual_face(face), False)
+               for face in lat.face_lattice(pair.cone).faces)
 
 
 def build_complex(pair: ReflexivePair, f: DegreeOneElement,
@@ -155,42 +159,32 @@ def build_complex(pair: ReflexivePair, f: DegreeOneElement,
         cap = k_cone.dim
     if cap < k_cone.dim:
         raise CapTooSmall(f"cap {cap} below cone dimension {k_cone.dim}")
-    # points of degree <= cap per cone: [t^cap] S(t) / (1-t)^(dim+1)
-    table = math.prod(1 + sum(c * math.comb(cap - i + cone.dim, cone.dim)
-                              for i, c in enumerate(s_polynomial(cone).coeffs))
-                      for cone in (k_cone, k_dual))
-    if table > MATRIX_CELL_BUDGET:
-        raise DimensionBudgetExceeded(
-            f"Koszul point-pair table of {table} cells exceeds budget "
-            f"{MATRIX_CELL_BUDGET}")
     rank = k_cone.ambient_rank
-    wedges = [tuple(i for i in range(rank) if q >> i & 1)
-              for q in range(1 << rank)]
-    # a pair of bidegree (a, b) gives one element per wedge to the piece
-    # (deg wedge + a - b, a + b); D maps (s, t) into (s, t+1)
-    dims = Counter()
-    for (a, b), c in _orthogonal_pairs(pair, cap).items():
-        for idx in wedges:
-            dims[len(idx) + a - b, a + b] += c
-    cells = sum(size * dims[s, t + 1] for (s, t), size in dims.items())
-    if cells > MATRIX_CELL_BUDGET:
+    moves = f.coefficients + g.coefficients
+    # each pair has 2**rank elements, and a move changes one bit of half of
+    # them per nonzero coordinate of its point: one triplet each at most
+    count = _pair_count(pair, cap) << rank - 1
+    count *= 2 + sum(x != 0 for p, _ in moves for x in p)
+    if count > MATRIX_CELL_BUDGET:
         raise DimensionBudgetExceeded(
-            f"Koszul differential of {cells} dense cells exceeds budget "
-            f"{MATRIX_CELL_BUDGET}")
+            f"Koszul complex of {count} elements and triplets exceeds budget")
     for elem, sub in ((f, None), (g, dual_subdivision)):
         verdict = is_sigma_regular(elem, sub)
         if not verdict.regular:
             raise NotRegular(verdict.detail)
 
+    wedges = [tuple(i for i in range(rank) if q >> i & 1)
+              for q in range(1 << rank)]
     points_k, points_d = ([p for d in range(cap + 1)
                            for p in lat.lattice_points_at_degree(cone, d)]
                           for cone in (k_cone, k_dual))
-    arr_k, arr_d = _as_array(points_k, rank), _as_array(points_d, rank)
+    arr_k, arr_d, vecs = (np.array(x, np.int64).reshape(-1, rank) for x in (
+        points_k, points_d, [p for p, _ in moves]))
     a, b = arr_k @ k_cone.deg, arr_d @ k_dual.deg
     # element e is (wedges[e % width], m, n) of orthogonal pair e // width,
     # pairs in row-major order; pieces are numbered as they first appear,
     # and an element by the elements of its piece before it
-    pk, pd = np.nonzero(arr_k @ arr_d.T == 0)
+    pk, pd = _orthogonal_pairs(arr_k, arr_d, k_cone.facets)
     width = 1 << rank
     s = (np.array([len(idx) for idx in wedges])
          + (a[pk] - b[pd])[:, None]).ravel()
@@ -201,50 +195,48 @@ def build_complex(pair: ReflexivePair, f: DegreeOneElement,
     order = np.argsort(lead, kind="stable")  # elements grouped by piece
     pos = np.argsort(order)  # place of each element in that grouping
     number = pos - pos[lead]
-    elems = [(wedges[q], points_k[i], points_d[y]) for q, i, y in zip(
-        (order % width).tolist(), pk[order // width].tolist(),
-        pd[order // width].tolist())]
     first = np.sort(first)
     cut = np.r_[pos[first], len(order)].tolist()
-    pieces = {st: elems[lo:hi] for st, lo, hi in zip(
+    # each element's wedge, m and n in piece order, as shared tuples
+    elems = [np.fromiter(objs, object, len(objs))[at] for objs, at in (
+        (wedges, order % width), (points_k, pk[order // width]),
+        (points_d, pd[order // width]))]
+    pieces = {st: list(zip(*(x[lo:hi] for x in elems))) for st, lo, hi in zip(
         zip(s[first].tolist(), t[first].tolist()), cut, cut[1:])}
+    del s, t, first, inverse, lead, pos, elems  # the triplets set the peak
 
     # the projection keeps f(m') [m'] on [m, n] when m'.n = 0, and g(n') [n']
-    # when m.n' = 0 and, on a deformed dual side, n and n' share a cell: a
-    # move by m' or n' is kept when it leads to a pair within the cap
-    moves = f.coefficients + g.coefficients
-    vecs = _as_array((p for p, _ in moves), rank)
-    coeffs = np.fromiter((c for _, c in moves), np.int64, len(moves))
+    # when m.n' = 0 and, on a deformed dual side, n and n' share a cell:
+    # to[x, j] is the pair within the cap that move j takes pair x to, or -1,
+    # found by its key pk * (|P_K*| + 1) + pd (a shift table's -1 gives none)
+    coeffs = np.array([c for _, c in moves], np.int64)
     lower = np.arange(len(moves)) < len(f.coefficients)  # contract, or wedge
-    # to[x, j]: the pair that move j takes pair x to, or -1 if it is none;
-    # a shift table's -1 reads the last row or column of pair_id, all -1
-    pair_id = np.full((len(points_k) + 1, len(points_d) + 1), -1)
-    pair_id[pk, pd] = np.arange(len(pk))
-    to = np.concatenate([
-        pair_id[_shift_table(arr_k, vecs[lower])[pk], pd[:, None]],
-        pair_id[pk[:, None], _shift_table(arr_d, vecs[~lower])[pd]]], axis=1)
+    stride = len(points_d) + 1
+    key = pk * stride + pd
+    want = np.concatenate([
+        _shift_table(arr_k, vecs[lower])[pk] * stride + pd[:, None],
+        pk[:, None] * stride + _shift_table(arr_d, vecs[~lower])[pd]], axis=1)
+    to = np.minimum(np.searchsorted(key, want), len(key) - 1)
+    to[key[to] != want] = -1
+    del key, want
     if dual_subdivision is not None:
         masks = lat.cell_masks(dual_subdivision.max_cones, points_d + [
             p for p, _ in g.coefficients])
         to[:, len(f.coefficients):][~np.array(
             [[x & y != 0 for y in masks[len(points_d):]]
              for x in masks[:len(points_d)]], dtype=bool)[pd]] = -1
-    src, j = np.nonzero(to >= 0)
-    flips = np.array(_exterior_flips(rank), dtype=np.int64)
-    parts = []  # (sort key, source, target, value) per bit i
-    for i in range(rank):
-        # contraction by m' clears bit i of q where m'_i != 0, wedge sets it
-        hit, q = np.nonzero((vecs[j, i, None] != 0)
-                            & ((np.arange(width) >> i & 1) == lower[j, None]))
-        e_src = src[hit] * width + q
-        parts.append(((pos[e_src] * len(moves) + j[hit]) * rank + i, e_src,
-                      to[src[hit], j[hit]] * width + flips[q, i, 1],
-                      vecs[j[hit], i] * coeffs[j[hit]] * flips[q, i, 2]))
-    key, src, dst, vals = (np.concatenate(x) for x in zip(*parts))
-    del parts
-    perm = np.argsort(key)  # by (source element, move, bit), as enumerated
-    cut = np.searchsorted(pos[src[perm]], cut).tolist()
-    rows, cols, vals = number[dst[perm]], number[src[perm]], vals[perm]
+    # contraction by m' clears bit i of q where m'_i != 0, wedge sets it;
+    # triplets are taken in piece order, by source element, move and bit
+    j, i = np.nonzero(vecs)
+    flips = np.array(_exterior_flips(rank), dtype=np.int64)[:, i, 1:]
+    at, ji = np.nonzero((to >= 0)[:, j][order // width] & (
+        (np.arange(width)[:, None] >> i & 1) == lower[j])[order % width])
+    cut = np.searchsorted(at, cut).tolist()
+    e = order[at]  # the source element of each triplet
+    rows = number[to[e // width, j[ji]] * width + flips[e % width, ji, 0]]
+    cols = number[e]
+    vals = (vecs[j, i] * coeffs[j])[ji] * flips[e % width, ji, 1]
+    del at, ji, e, to
     blocks = {(s_, t_): la.SparseMatrix(
         shape=(len(pieces.get((s_, t_ + 1), ())), len(basis)),
         rows=rows[lo:hi], cols=cols[lo:hi], vals=vals[lo:hi])

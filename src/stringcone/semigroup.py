@@ -27,13 +27,12 @@ import numpy as np
 from . import intlinalg as la
 from . import lattice as lat
 from .errors import DimensionBudgetExceeded, PointOutsideCone
+from .intlinalg import MATRIX_CELL_BUDGET
 from .lattice import FanSubdivision, GradedCone
 from .stringy import s_polynomial
 
 COEFFICIENT_RANGE = (1, 10**6)
 DEFAULT_FIELD = f"prime:{la.DEFAULT_PRIME}"
-# cells of the largest multiplication matrix a workspace may assemble
-MATRIX_CELL_BUDGET = 50_000_000
 
 
 @dataclass(frozen=True)

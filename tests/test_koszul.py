@@ -95,21 +95,23 @@ def test_field_mismatch_rejected():
 
 
 @pytest.mark.parametrize("name", ["segment", "diamond", "square", "p2",
-                                  "p2_dual"])
+                                  "p2_dual", "cube"])
 def test_budget_counts_built_differentials(name, monkeypatch):
-    # the budget check runs before assembly; it must count exactly the
-    # cells of the differentials that assembly then builds
+    # the budget check runs before any point is built; its count must bound
+    # the elements and triplets that assembly then builds, and it counts
+    # the elements exactly
     pair = make_pair(name)
     f, g = elements(pair, 0)
-    complex_ = kz.build_complex(pair, f, g)
-    cells = sum(d.shape[0] * d.shape[1] for d in complex_.blocks.values())
-    assert cells == {"segment": 336, "diamond": 183_348, "square": 183_348,
-                     "p2": 189_248, "p2_dual": 189_248}[name]
-    monkeypatch.setattr(kz, "MATRIX_CELL_BUDGET", cells - 1)
-    with pytest.raises(DimensionBudgetExceeded, match=str(cells)):
+    count = {"segment": 600, "diamond": 43_904, "square": 43_904,
+             "p2": 46_648, "p2_dual": 46_648, "cube": 5_561_088}[name]
+    monkeypatch.setattr(kz, "MATRIX_CELL_BUDGET", count - 1)
+    with pytest.raises(DimensionBudgetExceeded, match=str(count)):
         kz.build_complex(pair, f, g)
-    monkeypatch.setattr(kz, "MATRIX_CELL_BUDGET", cells)
-    kz.build_complex(pair, f, g)
+    monkeypatch.setattr(kz, "MATRIX_CELL_BUDGET", count)
+    complex_ = kz.build_complex(pair, f, g)
+    size = complex_.space.total_dim()
+    assert size == kz._pair_count(pair, pair.cone.dim) << pair.cone.ambient_rank
+    assert count >= size + sum(len(d.vals) for d in complex_.blocks.values())
 
 
 @pytest.mark.parametrize("name, cap", [("segment", 9), ("diamond", 6),
@@ -117,12 +119,15 @@ def test_budget_counts_built_differentials(name, monkeypatch):
                                        ("quartic", 4)])
 def test_orthogonal_pairs_counted_from_faces_match_the_scan(name, cap):
     pair = make_pair(name)
-    deg_k, deg_d = ({p: d for d in range(cap + 1)
-                     for p in lat.lattice_points_at_degree(cone, d)}
-                    for cone in (pair.cone, pair.dual))
-    scan = Counter((a, b) for m, a in deg_k.items()
-                   for n, b in deg_d.items() if np.dot(m, n) == 0)
-    assert kz._orthogonal_pairs(pair, cap) == scan
+    points_k, points_d = ([p for d in range(cap + 1)
+                           for p in lat.lattice_points_at_degree(cone, d)]
+                          for cone in (pair.cone, pair.dual))
+    scan = [(x, y) for x, m in enumerate(points_k)
+            for y, n in enumerate(points_d) if np.dot(m, n) == 0]
+    pk, pd = kz._orthogonal_pairs(np.array(points_k), np.array(points_d),
+                                  pair.cone.facets)
+    assert list(zip(pk.tolist(), pd.tolist())) == scan
+    assert kz._pair_count(pair, cap) == len(scan)
 
 
 def test_differentials_map_st_to_st_plus_one():
@@ -351,8 +356,8 @@ def flip_matrices(rank, v, w):
 
 @pytest.mark.parametrize("rank", range(1, lat.AMBIENT_RANK_BUDGET + 1))
 def test_flip_table_satisfies_the_clifford_relation(rank):
-    # no complex under the budgets reaches rank 4, so this is the only
-    # check of the sign rule there
+    # the K3 complexes of rank 4 pass the budget, but the quintic's, of
+    # rank 5, does not: from rank 5 up this is the only check of the signs
     rng = np.random.default_rng(rank)
     for _ in range(3):
         v, w = rng.integers(-9, 10, (2, rank))

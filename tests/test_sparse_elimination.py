@@ -12,6 +12,7 @@ from stringcone import intlinalg as la
 from stringcone import koszul as kz
 from stringcone import lattice as lat
 from stringcone import semigroup as sg
+from stringcone.errors import DimensionBudgetExceeded
 
 P = la.DEFAULT_PRIME
 
@@ -175,6 +176,30 @@ def test_front_end_builds_no_dense_copy():
         tracemalloc.stop()
     assert r == la.echelon_mod_p(mat, P)[0]
     assert peak < mat.nbytes / 4
+
+
+def test_dense_core_over_the_budget_is_refused_before_allocation(
+        monkeypatch):
+    # 2 I + (cyclic shift): two entries in every row and column, so no
+    # singleton; with the handoff floor lowered the whole matrix is the core
+    n = 500
+    mat = la.SparseMatrix(shape=(n, n), rows=np.tile(np.arange(n), 2),
+                          cols=np.r_[np.arange(n), np.roll(np.arange(n), -1)],
+                          vals=np.r_[np.full(n, 2), np.ones(n, np.int64)])
+    calls = record_dense_calls(monkeypatch)
+    monkeypatch.setattr(la, "HANDOFF_FLOOR", -n * n)
+    monkeypatch.setattr(la, "MATRIX_CELL_BUDGET", n * n - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionBudgetExceeded, match=f"{n} x {n} "):
+            la.sparse_echelon_mod_p(mat, P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not calls and peak < n * n * 8
+    monkeypatch.setattr(la, "MATRIX_CELL_BUDGET", n * n)
+    assert la.sparse_echelon_mod_p(mat, P)[0] == n  # det 2^n - 1 != 0 mod P
+    assert calls == [((n, n), P)]
 
 
 def random_bounds(rng, n, count):
