@@ -81,6 +81,12 @@ HANDOFF_FLOOR = 512
 MATRIX_CELL_BUDGET = 50_000_000
 
 
+def refuse_over_budget(cells: int, message: str):
+    """Raise DimensionBudgetExceeded(message) if cells > MATRIX_CELL_BUDGET."""
+    if cells > MATRIX_CELL_BUDGET:
+        raise DimensionBudgetExceeded(message)
+
+
 @dataclass(frozen=True)
 class SparseMatrix:
     """An integer matrix as int64 triplets: entry vals[k] sits at row
@@ -600,9 +606,8 @@ def sparse_echelon_mod_p(rows, p: int, bounds=()):
     # the surviving entries as arrays, and the dicts freed before the core
     core_rows = sorted(i for i, row in rows_.items() if row)
     core_cols = np.array(sorted(k for k, col in cols.items() if col), np.int64)
-    if len(core_rows) * core_cols.size > MATRIX_CELL_BUDGET:
-        raise DimensionBudgetExceeded(f"dense core of {len(core_rows)} x "
-                                      f"{core_cols.size} exceeds budget")
+    refuse_over_budget(len(core_rows) * core_cols.size, "dense core of "
+                       f"{len(core_rows)} x {core_cols.size} exceeds budget")
     sizes = [len(rows_[i]) for i in core_rows]
     keys = np.fromiter((c for i in core_rows for c in rows_[i]), np.int64)
     vals = np.fromiter((v for i in core_rows for v in rows_[i].values()), float)

@@ -39,8 +39,7 @@ import numpy as np
 
 from . import intlinalg as la
 from . import lattice as lat
-from .errors import CapTooSmall, DimensionBudgetExceeded, NotRegular
-from .intlinalg import MATRIX_CELL_BUDGET
+from .errors import CapTooSmall, NotRegular
 from .lattice import FanSubdivision, ReflexivePair
 from .semigroup import DegreeOneElement, is_sigma_regular
 from .stringy import face_s, tilde_s_products
@@ -165,9 +164,8 @@ def build_complex(pair: ReflexivePair, f: DegreeOneElement,
     # them per nonzero coordinate of its point: one triplet each at most
     count = _pair_count(pair, cap) << rank - 1
     count *= 2 + sum(x != 0 for p, _ in moves for x in p)
-    if count > MATRIX_CELL_BUDGET:
-        raise DimensionBudgetExceeded(
-            f"Koszul complex of {count} elements and triplets exceeds budget")
+    la.refuse_over_budget(count, f"Koszul complex of {count} elements and "
+                          "triplets exceeds budget")
     for elem, sub in ((f, None), (g, dual_subdivision)):
         verdict = is_sigma_regular(elem, sub)
         if not verdict.regular:

@@ -136,10 +136,10 @@ class GradedCone:
     """Pointed rational cone with primitive extreme generators and an
     integral grading functional equal to 1 on every generator.
 
-    Identity is structural on (ambient_rank, generators, deg); the facet
-    and equation lists are canonical but derived data, and so is the
-    incidence: incidence[j] is the bitmask of the generators on which
-    facets[j] vanishes.
+    Identity is structural on (ambient_rank, generators, deg), hashed once
+    since cones key many caches; the facet and equation lists are canonical
+    but derived data, and so is the incidence: incidence[j] is the bitmask
+    of the generators on which facets[j] vanishes.
     """
 
     ambient_rank: int
@@ -149,6 +149,13 @@ class GradedCone:
     equations: tuple[Vector, ...] = field(compare=False)
     dim: int = field(compare=False)
     incidence: tuple[int, ...] = field(compare=False)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.ambient_rank, self.generators, self.deg))
 
     def is_simplicial(self) -> bool:
         return len(self.generators) == self.dim

@@ -9,8 +9,11 @@ coefficients; the image of the interior-supported subspace recovers the
 tilde-S coefficients for regular subdivisions.  The product is commutative
 and associative, so derivative d times the degree-(k-1) monomials on which
 derivatives < d pivoted lies in the span of derivatives < d at degree k:
-those columns are left out, and each rank call's tiers name them.  Degree
-dim+1 is built only if the quotient is not zero at degree dim.
+those columns are left out, and each rank call's tiers name them.  Where S
+vanishes, so does a regular element's quotient: there the products are
+first ranked alone mod p (full row rank mod p is full row rank over Q), and
+the unit columns are built only if that falls short.  Degree dim+1 is built
+only if the quotient is not zero at degree dim.
 
 Two scalar backends are available: residues modulo a prime (fast, default)
 and certified rational arithmetic.  Coefficients are drawn as integers so
@@ -26,8 +29,7 @@ import numpy as np
 
 from . import intlinalg as la
 from . import lattice as lat
-from .errors import DimensionBudgetExceeded, PointOutsideCone
-from .intlinalg import MATRIX_CELL_BUDGET
+from .errors import PointOutsideCone
 from .lattice import FanSubdivision, GradedCone
 from .stringy import s_polynomial
 
@@ -42,9 +44,6 @@ class DegreeOneElement:
     cone: GradedCone
     coefficients: tuple  # sorted ((point, int), ...)
     field: str = DEFAULT_FIELD
-
-    def coefficient_map(self) -> dict:
-        return dict(self.coefficients)
 
     def restrict(self, subcone: GradedCone) -> "DegreeOneElement":
         inside = lat.cell_masks((subcone,), [m for m, _ in self.coefficients])
@@ -134,10 +133,9 @@ class _QuotientWorkspace:
              for k in range(top + 1)} for inner in (False, True))
         rows = len(self.points[top])
         cols = len(self.derivs) * len(self.points[top - 1]) + len(self.interior[top])
-        if rows * cols > MATRIX_CELL_BUDGET:
-            raise DimensionBudgetExceeded(
-                f"degree-{top} multiplication matrix of {rows} x {cols} = "
-                f"{rows * cols} cells exceeds budget {MATRIX_CELL_BUDGET}")
+        la.refuse_over_budget(rows * cols, (
+            f"degree-{top} multiplication matrix of {rows} x {cols} = "
+            f"{rows * cols} cells exceeds budget {la.MATRIX_CELL_BUDGET}"))
 
     def _products(self, src: dict, k: int, units=(), skip=()):
         """(la.SparseMatrix, block bounds): the multiplication matrix from
@@ -178,20 +176,27 @@ class _QuotientWorkspace:
 
     def dims(self) -> tuple[list, list]:
         """Dimensions of the quotient and of its interior image at degrees
-        0 .. dim+1; degree dim+1 is built only when degree dim is not zero."""
+        0 .. dim+1, degree dim+1 only when degree dim is not zero.  Where S
+        vanishes, the products alone are ranked first modulo the element's
+        prime, or DEFAULT_FIELD's over Q."""
         r0, r1 = [1], [1 if self.interior[0] else 0]
         top, skip = self.cone.dim + 1, ()
+        vanish, field = len(s_polynomial(self.cone).coeffs), self.g.field
+        attempt = ((), field if la.parse_field(field)[1] else DEFAULT_FIELD)
         for k in range(1, top + 1):
             if k == top and r0[-1] == 0:  # zero at dim: zero above it
                 return r0 + [0], r1 + [0]
             if k == top:
                 self._points_through(top)
-            # the unit columns share the triplets, so no matrix is copied
-            aug, bounds = self._products(self.points, k, self.interior[k],
-                                         skip)
-            # the top degree's rows are not read, so it needs no tiers
-            rank_m, rank_aug, tiers = la.ranks_with_prefix(
-                aug, bounds if k < top else bounds[-1:], self.g.field)
+            routes = (attempt, (self.interior[k], field))[k < vanish:]
+            for units, scalars in routes:
+                # the unit columns share the triplets, so no matrix is copied
+                aug, bounds = self._products(self.points, k, units, skip)
+                # the top degree's rows are not read, so it needs no tiers
+                rank_m, rank_aug, tiers = la.ranks_with_prefix(
+                    aug, bounds if k < top else bounds[-1:], scalars)
+                if rank_m == len(self.points[k]):
+                    break  # zero quotient: the unit columns add no rank
             skip = ((), *tiers)
             r0.append(len(self.points[k]) - rank_m)
             r1.append(rank_aug - rank_m)

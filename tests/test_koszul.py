@@ -7,6 +7,7 @@ import pytest
 from oracles import dense, full_block_cohomology
 
 from stringcone import fixtures as fx
+from stringcone import intlinalg as la
 from stringcone import koszul as kz
 from stringcone import lattice as lat
 from stringcone import semigroup as sg
@@ -104,10 +105,10 @@ def test_budget_counts_built_differentials(name, monkeypatch):
     f, g = elements(pair, 0)
     count = {"segment": 600, "diamond": 43_904, "square": 43_904,
              "p2": 46_648, "p2_dual": 46_648, "cube": 5_561_088}[name]
-    monkeypatch.setattr(kz, "MATRIX_CELL_BUDGET", count - 1)
+    monkeypatch.setattr(la, "MATRIX_CELL_BUDGET", count - 1)
     with pytest.raises(DimensionBudgetExceeded, match=str(count)):
         kz.build_complex(pair, f, g)
-    monkeypatch.setattr(kz, "MATRIX_CELL_BUDGET", count)
+    monkeypatch.setattr(la, "MATRIX_CELL_BUDGET", count)
     complex_ = kz.build_complex(pair, f, g)
     size = complex_.space.total_dim()
     assert size == kz._pair_count(pair, pair.cone.dim) << pair.cone.ambient_rank
@@ -151,7 +152,7 @@ def test_cap_too_small():
 
 def test_regularity_checked():
     pair = make_pair("diamond")
-    coeffs = sg.random_degree_one(pair.cone, seed=0).coefficient_map()
+    coeffs = dict(sg.random_degree_one(pair.cone, seed=0).coefficients)
     coeffs[pair.cone.generators[0]] = 0
     bad = sg.degree_one_element(pair.cone, coeffs)
     _, g = elements(pair, 0)

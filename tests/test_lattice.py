@@ -151,6 +151,16 @@ def test_gorenstein_cone_over():
     assert kq.dim == 5 and len(kq.generators) == 5
 
 
+def test_equal_cones_built_apart_are_equal_and_hash_equal():
+    a = lat.cone_from_generators([(0, 2), (2, 2), (1, 1), (2, 1)])
+    b = lat.cone_from_generators([(2, 1), (0, 1)])
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert hash(a) == hash((a.ambient_rank, a.generators, a.deg))
+    other = lat.cone_from_generators([(0, 1), (1, 1)])
+    assert a != other and {a: 1}.get(other) is None
+
+
 def test_deg_functional_examples():
     assert lat.deg_functional([(0, 1), (2, 1)]) == (0, 1)
     verts = [v + (1,) for v in poly("diamond").vertices]

@@ -12,6 +12,7 @@ from stringcone import semigroup as sg
 from stringcone import stringy as st
 from stringcone.errors import (DimensionBudgetExceeded, InvalidField,
                                PointOutsideCone)
+from stringcone.polynomials import UnivariatePolynomial
 
 A1 = lat.cone_from_generators([(0, 1), (2, 1)])
 SQUARE_CONE = lat.cone_from_generators(
@@ -74,16 +75,17 @@ def test_degree_one_element_validation():
     with pytest.raises(PointOutsideCone):
         sg.degree_one_element(A1, {(5, 1): 1})
     g = sg.degree_one_element(A1, {(0, 1): 1, (1, 1): 0})
-    assert g.coefficient_map() == {(0, 1): 1}
+    assert dict(g.coefficients) == {(0, 1): 1}
 
 
 def test_random_element_is_reproducible_and_full_support():
     g1 = sg.random_degree_one(A1, seed=42)
     g2 = sg.random_degree_one(A1, seed=42)
     assert g1 == g2
-    assert set(g1.coefficient_map()) == set(lat.lattice_points_at_degree(A1, 1))
+    assert {m for m, _ in g1.coefficients} == set(
+        lat.lattice_points_at_degree(A1, 1))
     lo, hi = sg.COEFFICIENT_RANGE
-    assert all(lo <= c <= hi for c in g1.coefficient_map().values())
+    assert all(lo <= c <= hi for _, c in g1.coefficients)
 
 
 def test_logarithmic_derivative_example():
@@ -108,7 +110,7 @@ def test_derivative_span_independent_of_functional_choice():
     rows = [[d.get(p, 0) for p in pts] for d in ders]
     alt = []
     for n in ((1, 1, 1), (1, -1, 0), (0, 1, -1)):  # another spanning triple
-        alt.append([la.dot(p, n) * g.coefficient_map()[p] for p in pts])
+        alt.append([la.dot(p, n) * dict(g.coefficients)[p] for p in pts])
     assert la.rank_fraction(rows) == la.rank_fraction(rows + alt)
 
 
@@ -175,7 +177,7 @@ def test_generic_element_is_regular():
 
 def test_missing_vertex_coefficient_breaks_regularity():
     cone = k_cone("diamond")
-    coeffs = sg.random_degree_one(cone, seed=0).coefficient_map()
+    coeffs = dict(sg.random_degree_one(cone, seed=0).coefficients)
     coeffs[cone.generators[0]] = 0
     bad = sg.degree_one_element(cone, coeffs)
     verdict = sg.is_sigma_regular(bad)
@@ -307,6 +309,40 @@ def test_one_vertex_element_on_the_cube_is_lifted_at_every_degree(monkeypatch):
     assert all(lifted is not None for _, lifted in lifts)
 
 
+@pytest.mark.parametrize("field", [sg.DEFAULT_FIELD, "rational"])
+def test_only_degrees_where_s_vanishes_add_a_mod_p_attempt(field,
+                                                           monkeypatch):
+    cone = k_cone("quartic")
+    sub = lat.trivial_subdivision(cone)
+    vanish = len(st.s_polynomial(cone).coeffs)
+    calls, lifts = [], []
+    rank_call, lift = la.ranks_with_prefix, la._dixon_lift
+    monkeypatch.setattr(la, "ranks_with_prefix", lambda mat, bounds, f:
+                        calls.append(f) or rank_call(mat, bounds, f))
+    monkeypatch.setattr(la, "_dixon_lift", lambda square, rhs, p:
+                        lifts.append((len(square), rhs.shape)) or lift(
+                            square, rhs, p))
+
+    def run(g):
+        calls.clear()
+        lifts.clear()
+        return sg._QuotientWorkspace(g, sub).dims(), calls[:], lifts[:]
+
+    _, fields, _ = run(sg.random_degree_one(cone, 0, field))
+    assert fields == [field] * (vanish - 1) + [sg.DEFAULT_FIELD] * (
+        cone.dim + 1 - vanish)  # regular: one rank call per degree
+    one_vertex = sg.degree_one_element(cone, {cone.generators[0]: 7}, field)
+    dims, fields, lifted = run(one_vertex)
+    # degrees vanish .. dim+1 each add a mod-p attempt that falls short
+    assert fields == [field] * (vanish - 1) + [sg.DEFAULT_FIELD, field] * (
+        cone.dim + 2 - vanish)
+    # the route that builds the unit columns at every degree lifts the same
+    monkeypatch.setattr(sg, "s_polynomial", lambda c: UnivariatePolynomial(
+        (1,) * (c.dim + 2)))
+    assert run(one_vertex)[::2] == (dims, lifted)
+    assert bool(lifted) == (field == "rational")
+
+
 # -- the graded ring stops at degree dim when the quotient vanishes there --------
 
 def test_small_support_elements_match_full_matrix_dims():
@@ -342,7 +378,7 @@ def test_top_degree_has_its_own_budget_check(monkeypatch):
     top = cone.dim + 1
     budget = full_matrix_cells(cone, cone.dim)
     assert budget < full_matrix_cells(cone, top)
-    monkeypatch.setattr(sg, "MATRIX_CELL_BUDGET", budget)
+    monkeypatch.setattr(la, "MATRIX_CELL_BUDGET", budget)
     built = []
     products = sg._QuotientWorkspace._products
     monkeypatch.setattr(sg._QuotientWorkspace, "_products",

@@ -255,6 +255,16 @@ def test_multiplication_matrices_match_dense_ranks(name, stellar, k,
                         built.append((aug, bounds, rank_call(
                             aug, bounds, field))) or built[-1][2])
     work.dims()
+    assert len(built) == k == cone.dim  # regular: one rank call per degree
+    # S vanishes at degree dim: the kept products alone, square and of full
+    # rank, with no unit column
+    triplets, bounds, (rank_m, rank_aug, _) = built[k - 1]
+    assert (bounds[-1] == triplets.shape[1] == triplets.shape[0] == rank_m
+            == rank_aug == len(work.points[k]))
+    if name == "cube":
+        assert rank_m == 729
+    # the unit columns at degree dim - 1, where S does not vanish
+    k -= 1
     triplets, bounds, (rank_m, rank_aug, _) = built[k - 1]
     aug = dense(triplets)
     check_echelon(aug, bounds, exact=False)  # the square is too big for Q
@@ -271,8 +281,7 @@ def test_multiplication_matrices_match_dense_ranks(name, stellar, k,
     full_aug = np.concatenate([mat, aug[:, split:]], axis=1)
     assert (rank_m, rank_aug) == (la.echelon_mod_p(mat, P)[0],
                                   la.echelon_mod_p(full_aug, P)[0])
-    if name == "cube":  # regular: the kept multiplication prefix is square
-        assert split == aug.shape[0] == rank_m == 729
+    assert rank_m == split  # regular: the kept products are independent
 
 
 # -- certified ranks over Q -------------------------------------------------------
@@ -300,41 +309,60 @@ def test_rational_prefix_ranks_below_full_row_rank(monkeypatch):
 
 
 def spy_certified_calls(monkeypatch):
-    """Count rank_rational_certified calls, and every sparse_echelon_mod_p
-    call made outside one."""
-    counts = {"certified": 0, "outside": 0, "depth": 0}
+    """A log of ("certified", rows) for each rank_rational_certified call
+    and ("outside", rows, rank) for each sparse_echelon_mod_p call made
+    outside one, in call order."""
+    log, depth = [], [0]
     certified, sparse = la.rank_rational_certified, la.sparse_echelon_mod_p
 
-    def certified_spy(*args):
-        counts["certified"] += 1
-        counts["depth"] += 1
+    def certified_spy(mat, *args):
+        log.append(("certified", len(mat)))
+        depth[0] += 1
         try:
-            return certified(*args)
+            return certified(mat, *args)
         finally:
-            counts["depth"] -= 1
+            depth[0] -= 1
 
-    def sparse_spy(*args):
-        counts["outside"] += not counts["depth"]
-        return sparse(*args)
+    def sparse_spy(mat, *args):
+        out = sparse(mat, *args)
+        if not depth[0]:
+            log.append(("outside", len(mat), out[0]))
+        return out
 
     monkeypatch.setattr(la, "rank_rational_certified", certified_spy)
     monkeypatch.setattr(la, "sparse_echelon_mod_p", sparse_spy)
-    return counts
+    return log
 
 
 def test_graded_ring_makes_one_certified_call_per_degree(monkeypatch):
+    # over Q, the only mod-p call outside a certified rank is the attempt
+    # at a degree where S vanishes, and a certified call replaces it
+    # unless it has full row rank
     cone = lat.gorenstein_cone_over(fx.polytope("diamond"))
+    vanish = len(sg.s_polynomial(cone).coeffs)
+    rows = [len(lat.lattice_points_at_degree(cone, k))
+            for k in range(cone.dim + 2)]
     regular = sg.random_degree_one(cone, 0, "rational")
     one_vertex = sg.degree_one_element(cone, {cone.generators[0]: 7},
                                        "rational")
-    counts = spy_certified_calls(monkeypatch)
+    log = spy_certified_calls(monkeypatch)
     # degree dim+1 is built only when the quotient is not zero at dim
     for g, degrees in ((regular, cone.dim), (one_vertex, cone.dim + 1)):
-        counts["certified"] = 0
+        log.clear()
         report = sg.graded_quotient_dims(g)
         assert report.regular_profile == (g is regular)
-        assert counts["certified"] == degrees
-    assert counts["outside"] == 0
+        calls = iter(log)
+        for k in range(1, degrees + 1):
+            call = next(calls)
+            if k >= vanish:
+                assert call[:2] == ("outside", rows[k])
+                if call[2] == rows[k]:
+                    continue
+                call = next(calls)
+            assert call == ("certified", rows[k])
+        assert next(calls, None) is None
+        assert sum(c[0] == "certified" for c in log) == (
+            vanish - 1 if g is regular else degrees)
 
 
 def test_koszul_makes_one_certified_call_per_block(monkeypatch):
@@ -342,11 +370,11 @@ def test_koszul_makes_one_certified_call_per_block(monkeypatch):
     complex_ = kz.build_complex(
         pair, sg.random_degree_one(pair.cone, 0, "rational"),
         sg.random_degree_one(pair.dual, 17, "rational"))
-    counts = spy_certified_calls(monkeypatch)
+    log = spy_certified_calls(monkeypatch)
     kz.cohomology_dims(complex_)
-    assert counts["certified"] == sum(
-        1 for d in complex_.blocks.values() if 0 not in d.shape) > 0
-    assert counts["outside"] == 0
+    assert {call[0] for call in log} == {"certified"}  # none outside
+    assert len(log) == sum(1 for d in complex_.blocks.values()
+                           if 0 not in d.shape)
 
 
 # -- one sparse form from assembly to elimination ----------------------------------
@@ -370,8 +398,8 @@ def test_graded_ring_triplets_eliminate_like_their_dense_form(monkeypatch):
     for mat, _ in built:
         assert isinstance(mat, la.SparseMatrix)
         assert_distinct_entries(mat)
-    mat, bounds = built[3]  # degree 4: a tier per derivative, then units
-    assert len(bounds) == 4
+    mat, bounds = built[2]  # degree 3: a tier per derivative, then units
+    assert len(bounds) == 4 and bounds[-1] < mat.shape[1]
     assert la.sparse_echelon_mod_p(mat, P, bounds) == (
         la.sparse_echelon_mod_p(dense(mat), P, bounds))
 
