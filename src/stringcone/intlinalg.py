@@ -29,9 +29,12 @@ All geometry in this package reduces to small exact-arithmetic kernels:
   Only the pivot columns are made dense, and only the Fraction fallback
   after every prime attempt failed densifies the whole matrix.
 
-`ranks_with_prefix` (the one rank call; a plain rank is its second entry
-with the column count as the one bound) dispatches on a field descriptor,
-so callers hold one code path for both scalar fields.
+`ranks_with_prefix` (the rank call of one matrix; a plain rank is its
+second entry with the column count as the one bound) and `block_ranks`
+(each block's rank and pivot rows from one elimination of a direct sum,
+one set of singleton passes over the sum, then Markowitz and core per
+block) dispatch on a field descriptor, so callers hold one code path for
+both scalar fields.
 """
 
 from __future__ import annotations
@@ -506,19 +509,10 @@ def _echelon_inplace(a: np.ndarray, p: int):
 
 def sparse_echelon_mod_p(rows, p: int, bounds=()):
     """Row echelon over GF(p) of a SparseMatrix (or a dense matrix read
-    into one) that eliminates on the nonzeros first.
-
-    Numpy passes first take, until one finds none, every entry alone in
-    its row, and every entry alone in its column whose row held no entry
-    in an earlier tier (below bounds[0], then bounds[1], ...; no bounds is
-    one tier), at most one per row and column: each adds one to every
-    tier's rank.  Then Markowitz pivoting on the surviving rows as
-    {column: residue} dicts: the active column with the fewest entries in
-    the lowest tier, and in it the row with the fewest.  Once that pivot's
-    cost passes the HANDOFF rule, the rest goes to echelon_mod_p as float64
-    residues in one call, even for an empty core, or DimensionBudgetExceeded
-    is raised before a core of more than MATRIX_CELL_BUDGET cells is
-    allocated.  One stable sort by tier puts the pivots in tier order.
+    into one) that eliminates on the nonzeros first, in tiers: the columns
+    below bounds[0], then bounds[1], ... (no bounds is one tier).  The
+    two stages are _singleton_passes and _markowitz_and_core; one stable
+    sort by tier then puts the pivots in tier order.
 
     Returns (rank, pivots, order) like echelon_mod_p, in elimination order:
     rows order[:rank] and columns pivots form a square matrix invertible
@@ -528,10 +522,25 @@ def sparse_echelon_mod_p(rows, p: int, bounds=()):
     mat = SparseMatrix.of(rows)
     m, n = mat.shape
     tiers = np.searchsorted(bounds, np.arange(n), side="right")
+    *bulk, survivors = _singleton_passes(mat, p, tiers, len(bounds) + 1)
+    tier = tiers.tolist()
+    pivots, order = _markowitz_and_core(survivors, tier, p, *bulk)
+    by = sorted(range(len(pivots)), key=lambda j: tier[pivots[j]])
+    pivots, order = [pivots[j] for j in by], [order[j] for j in by]
+    return len(pivots), pivots, order + sorted(set(range(m)) - set(order))
+
+
+def _singleton_passes(mat: SparseMatrix, p: int, tiers, span: int):
+    """The first stage of sparse_echelon_mod_p, on the nonzero residues of
+    mat, with tiers[k] < span the tier of column k: numpy passes take,
+    until one finds none, every entry alone in its row, and every entry
+    alone in its column whose row held no entry in an earlier tier, at
+    most one per row and column; each adds one to every tier's rank.
+    Returns (pivots, rows, [rows, columns, residues] of what is left)."""
+    m, n = mat.shape
     vals = mat.vals % p
     r, c, v = (a[vals != 0] for a in (mat.rows, mat.cols, vals))
     # the lowest tier of each row, which only rises as entries go
-    span = len(bounds) + 1
     low = (np.bincount(r * span + tiers[c], minlength=m * span)
            .reshape(m, span) > 0).argmax(1)
     pivots, order = [], []
@@ -553,12 +562,24 @@ def sparse_echelon_mod_p(rows, p: int, bounds=()):
         keep = (np.bincount(rp[by], minlength=m)[r]
                 + np.bincount(cp[by], minlength=n)[c]) == 0
         r, c, v = r[keep], c[keep], v[keep]
-    tier = tiers.tolist()
+    return pivots, order, [r, c, v]
+
+
+def _markowitz_and_core(survivors: list, tier, p: int, pivots, order):
+    """The second stage: Markowitz pivoting on the survivors, taken out of
+    the list into {column: residue} row dicts, with tier[k] the tier of
+    column k: the active column with the fewest entries in the lowest
+    tier, and in it the row with the fewest.  Once that pivot's cost
+    passes the HANDOFF rule, the rest goes to echelon_mod_p as float64
+    residues in one call, even for an empty core, or DimensionBudgetExceeded
+    is raised before a core of more than MATRIX_CELL_BUDGET cells is
+    allocated.  Appends the pivots and their rows (then the core's other
+    rows) to pivots and order, and returns both."""
     rows_, cols = defaultdict(dict), defaultdict(set)
-    for i, k, x in zip(r.tolist(), c.tolist(), v.tolist()):
+    for i, k, x in zip(*(a.tolist() for a in survivors)):
         rows_[i][k] = x
         cols[k].add(i)
-    del r, c, v  # the dicts hold the survivors now
+    survivors.clear()  # the dicts hold the survivors now
     heap = [(tier[k], len(col), k) for k, col in cols.items()]
     heapq.heapify(heap)
     nrows, ncols = len(rows_), len(heap)
@@ -621,9 +642,7 @@ def sparse_echelon_mod_p(rows, p: int, bounds=()):
     _, core_piv, core_order = echelon_mod_p(core, p)
     pivots += core_cols[core_piv].tolist()
     order += [core_rows[a] for a in core_order]
-    by = sorted(range(len(pivots)), key=lambda j: tier[pivots[j]])
-    pivots, order = [pivots[j] for j in by], [order[j] for j in by]
-    return len(pivots), pivots, order + sorted(set(range(m)) - set(order))
+    return pivots, order
 
 
 def rank_mod_p(rows, p: int) -> int:
@@ -849,3 +868,49 @@ def ranks_with_prefix(mat, bounds, field: str):
     if p:
         return ranks_with_prefix_mod_p(mat, bounds, p)
     return rank_rational_certified(mat, bounds)
+
+
+def block_ranks(blocks, field: str):
+    """(rank, pivot rows) over a field of each (matrix, columns to drop) in
+    blocks: the rank and tiers[0] of ranks_with_prefix(reduced, (n, n),
+    field) for the reduced matrix, of n columns.  No singleton crosses
+    blocks, so one _singleton_passes over the direct sum of the reduced
+    matrices, built with one column mask, then _markowitz_and_core on each
+    block's survivors alone give each block its own call's pivots.  Over Q
+    each block is certified alone from that elimination mod DEFAULT_PRIME,
+    rank_rational_certified's first prime, or else ranked alone by it."""
+    _, p = parse_field(field)
+    prime = p or DEFAULT_PRIME
+    at = np.cumsum([(0, 0)] + [d.shape for d, _ in blocks], axis=0)
+    keep = np.ones(at[-1, 1], dtype=bool)
+    for (_, skip), co in zip(blocks, at[:, 1]):
+        keep[np.array(skip, np.int64) + co] = False
+    r, c, v = (np.concatenate([getattr(d, x) for d, _ in blocks])
+               for x in ("rows", "cols", "vals"))
+    shift = np.repeat(at[:-1], [d.vals.size for d, _ in blocks], axis=0)
+    r, c = r + shift[:, 0], c + shift[:, 1]
+    on = keep[c]
+    number = np.r_[0, np.cumsum(keep)]  # the kept columns before each
+    at[:, 1] = number[at[:, 1]]
+    pivots, order, (r, c, v) = _singleton_passes(SparseMatrix(
+        tuple(at[-1].tolist()), r[on], number[c[on]], v[on]), prime,
+        np.zeros(at[-1, 1], int), 1)
+    block = np.searchsorted(at[1:, 0], order, side="right")
+    of = np.argsort(block, kind="stable")  # the bulk pivots, block by block
+    bulk = np.split(np.array((order, pivots), np.int64).T[of], np.searchsorted(
+        block[of], np.arange(1, len(blocks))))
+    rest = np.split(np.stack((r, c, v), 1), np.searchsorted(r, at[1:-1, 0]))
+    out = []
+    for (d, skip), (ro, co), (m, n), done, left in zip(
+            blocks, at.tolist(), np.diff(at, axis=0).tolist(), bulk, rest):
+        rows, piv = (done - (ro, co)).T.tolist()
+        if len(left):
+            _markowitz_and_core(list((left - (ro, co, 0)).T), [0] * n, prime,
+                                piv, rows)
+        rank = len(piv)
+        if not p and m and n and _certify_left_kernel(
+                share := d.drop_columns(skip), prime, rank, piv,
+                rows + sorted(set(range(m)) - set(rows))) is None:
+            _, rank, (rows,) = rank_rational_certified(share, (n, n))
+        out.append((rank, rows[:rank]))
+    return out

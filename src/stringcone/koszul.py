@@ -19,7 +19,8 @@ is enumerated.  The pairs come face by face: m.n = 0 exactly when n lies
 on the dual face of the face whose relative interior holds m.  One count
 of the elements and triplets, made before any point is built, is held to
 MATRIX_CELL_BUDGET.  Cohomology is reported per (s, t) piece, and D(s, t)
-is ranked only on the columns that D(s, t-1)'s pivot rows leave out.
+is ranked only on the columns that D(s, t-1)'s pivot rows leave out: t
+goes up, and one block rank call ranks the pieces of each t together.
 
 For regular f, g the cohomology matches, piece by piece, the sum over
 faces C of tilde-S coefficient products placed at exterior degree
@@ -250,12 +251,16 @@ def cohomology_dims(complex_: KoszulComplex) -> dict:
     D(s, t) is ranked only on the columns off the pivot rows of D(s, t-1):
     the minor there is invertible (mod p, so over Q), so its columns span a
     W in im D(s, t-1) (in ker D(s, t), as D^2 = 0) that the unit vectors off
-    those rows complement, and D(s, t) has the same image on them."""
-    ranks, reached = {}, {}
-    for (s, t), d in sorted(complex_.blocks.items()):
-        mat = d.drop_columns(reached.pop((s, t), ()))
-        _, ranks[s, t], (reached[s, t + 1],) = la.ranks_with_prefix(
-            mat, (mat.shape[1],) * 2, complex_.field)
+    those rows complement, and D(s, t) has the same image on them.  So t
+    goes up, and one la.block_ranks call ranks the D(s, t) of every s."""
+    ranks, reached, by_t = {}, {}, {}
+    for s, t in sorted(complex_.blocks):
+        by_t.setdefault(t, []).append(s)
+    for t, ss in sorted(by_t.items()):
+        for s, (rank, pivot_rows) in zip(ss, la.block_ranks(
+                [(complex_.blocks[s, t], reached.pop((s, t), ())) for s in ss],
+                complex_.field)):
+            ranks[s, t], reached[s, t + 1] = rank, pivot_rows
     dims = {}
     for (s, t), basis in complex_.space.pieces.items():
         h = len(basis) - ranks[s, t] - ranks.get((s, t - 1), 0)

@@ -365,16 +365,104 @@ def test_graded_ring_makes_one_certified_call_per_degree(monkeypatch):
             vanish - 1 if g is regular else degrees)
 
 
-def test_koszul_makes_one_certified_call_per_block(monkeypatch):
+def test_koszul_makes_one_elimination_per_t(monkeypatch):
+    # over Q: one mod-p elimination per t, over the direct sum of its
+    # pieces, then one certification of each nonempty reduced piece alone
     pair = fx.reflexive_pair("diamond")
     complex_ = kz.build_complex(
         pair, sg.random_degree_one(pair.cone, 0, "rational"),
         sg.random_degree_one(pair.dual, 17, "rational"))
     log = spy_certified_calls(monkeypatch)
+    sums, certified = [], []
+    passes, certify, block_ranks = (
+        la._singleton_passes, la._certify_left_kernel, la.block_ranks)
+    monkeypatch.setattr(la, "_singleton_passes", lambda mat, *args: (
+        sums.append(mat.shape) or passes(mat, *args)))
+    monkeypatch.setattr(la, "_certify_left_kernel", lambda mat, *args: (
+        certified[-1].append(mat.shape) or certify(mat, *args)))
+    reduced = []  # the reduced pieces of each block_ranks call
+    monkeypatch.setattr(la, "block_ranks", lambda blocks, field: (
+        reduced.append([(d.shape[0], d.shape[1] - len(skip))
+                        for d, skip in blocks]), certified.append([]))
+        and block_ranks(blocks, field))
     kz.cohomology_dims(complex_)
-    assert {call[0] for call in log} == {"certified"}  # none outside
-    assert len(log) == sum(1 for d in complex_.blocks.values()
-                           if 0 not in d.shape)
+    assert log == []  # no fallback, and no mod-p call outside the sums
+    assert len(sums) == len(reduced) == len({t for _, t in complex_.blocks})
+    for union, pieces, calls in zip(sums, reduced, certified):
+        assert union == tuple(map(sum, zip(*pieces)))
+        nonempty = [shape for shape in pieces if 0 not in shape]
+        assert calls == nonempty
+        assert union not in calls or len(nonempty) == 1
+
+
+def random_block(rng, m, n, density):
+    return la.SparseMatrix.of(rng.integers(-6, 7, (m, n))
+                              * (rng.random((m, n)) < density))
+
+
+def block_list(rng):
+    """Blocks with the columns to drop: sparse and random (some of low
+    rank), empty, with no rows, and a dense one for the core."""
+    blocks = [random_block(rng, 12, 9, 0.2), la.SparseMatrix.of(np.zeros(
+        (0, 5), np.int64)), random_block(rng, 7, 14, 0.35),
+        la.SparseMatrix.of(np.zeros((4, 0), np.int64)),
+        la.SparseMatrix.of(np.zeros((0, 0), np.int64)),
+        la.SparseMatrix.of(rng.integers(-3, 4, (20, 4))
+                           @ rng.integers(-3, 4, (4, 16))),
+        random_block(rng, 40, 60, 1.0), random_block(rng, 9, 9, 0.1),
+        la.SparseMatrix.of(np.zeros((3, 6), np.int64))]
+    return [(d, sorted(rng.choice(d.shape[1], d.shape[1] // 3,
+                                  replace=False).tolist()))
+            for d in blocks]
+
+
+@pytest.mark.parametrize("floor", [la.HANDOFF_FLOOR, 0])
+@pytest.mark.parametrize("field", [f"prime:{P}", "rational"])
+@pytest.mark.parametrize("seed", range(3))
+def test_block_call_matches_each_block_alone(seed, field, floor, monkeypatch):
+    monkeypatch.setattr(la, "HANDOFF_FLOOR", floor)
+    blocks = block_list(np.random.default_rng(seed))
+    cores = record_dense_calls(monkeypatch)
+    got = la.block_ranks(blocks, field)
+    in_blocks, cores[:] = cores[:], []
+    alone = []
+    for d, skip in blocks:
+        reduced = d.drop_columns(skip)
+        _, rank, (rows,) = la.ranks_with_prefix(
+            reduced, (reduced.shape[1],) * 2, field)
+        assert rank == la.rank_fraction(dense(reduced).tolist())
+        alone.append((rank, rows))
+    assert got == alone  # the same ranks and pivot rows, over both fields
+    # the same dense cores, each sized by its own block; an empty core is
+    # ranked only when a block's survivors reach it
+    assert [c for c in cores if c[0] != (0, 0)] == [
+        c for c in in_blocks if c[0] != (0, 0)]
+    assert any(c[0][0] > 1 for c in in_blocks)
+
+
+def test_block_call_over_q_falls_back_alone(monkeypatch):
+    # the certification from the first prime fails for one block, which
+    # alone is ranked again by rank_rational_certified
+    rng = np.random.default_rng(11)
+    blocks = block_list(rng)
+    target = blocks[5][0].drop_columns(blocks[5][1]).shape
+    certify = la._certify_left_kernel
+    monkeypatch.setattr(la, "_certify_left_kernel", lambda mat, prime, *a: (
+        None if prime == P and mat.shape == target
+        else certify(mat, prime, *a)))
+    log = spy_certified_calls(monkeypatch)
+    got = la.block_ranks(blocks, "rational")
+    assert [c for c in log if c[0] == "certified"] == [
+        ("certified", target[0])]
+    for (rank, rows), (d, skip) in zip(got, blocks):
+        reduced = dense(d.drop_columns(skip))
+        assert rank == la.rank_fraction(reduced.tolist()) == len(rows)
+        assert la.rank_fraction(reduced[rows].tolist()) == rank
+    log.clear()
+    reduced = blocks[5][0].drop_columns(blocks[5][1])
+    _, rank, (rows,) = la.ranks_with_prefix(reduced, target[1:] * 2,
+                                            "rational")
+    assert got[5] == (rank, rows)  # the fallback's second prime
 
 
 # -- one sparse form from assembly to elimination ----------------------------------
