@@ -381,10 +381,14 @@ def test_koszul_makes_one_elimination_per_t(monkeypatch):
     monkeypatch.setattr(la, "_certify_left_kernel", lambda mat, *args: (
         certified[-1].append(mat.shape) or certify(mat, *args)))
     reduced = []  # the reduced pieces of each block_ranks call
-    monkeypatch.setattr(la, "block_ranks", lambda blocks, field: (
+
+    def block_spy(blocks, field):
         reduced.append([(d.shape[0], d.shape[1] - len(skip))
-                        for d, skip in blocks]), certified.append([]))
-        and block_ranks(blocks, field))
+                        for d, skip in blocks])
+        certified.append([])
+        return block_ranks(blocks, field)
+
+    monkeypatch.setattr(la, "block_ranks", block_spy)
     kz.cohomology_dims(complex_)
     assert log == []  # no fallback, and no mod-p call outside the sums
     assert len(sums) == len(reduced) == len({t for _, t in complex_.blocks})
