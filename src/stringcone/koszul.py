@@ -13,14 +13,17 @@ bit i, left wedge by e_i sets it, both with sign (-1)^(factors of q below i).
 D^2 = 0 holds unconditionally because pairings of cone points are
 nonnegative, so the projected multiplications commute.  The differential
 preserves s = (exterior degree) + deg(m) - deg(n) and raises
-t = deg(m) + deg(n) by one, so it is stored as one SparseMatrix (int64
-triplets) per piece, from (s, t) to (s, t+1), whose basis is numbered as it
-is enumerated.  The pairs come face by face: m.n = 0 exactly when n lies
-on the dual face of the face whose relative interior holds m.  One count
-of the elements and triplets, made before any point is built, is held to
-MATRIX_CELL_BUDGET.  Cohomology is reported per (s, t) piece, and D(s, t)
-is ranked only on the columns that D(s, t-1)'s pivot rows leave out: t
-goes up, and one block rank call ranks the pieces of each t together.
+t = deg(m) + deg(n) by one.  The complex is built on the triangle t <= cap:
+the pieces with t < cap then see their whole in- and out-differentials, and
+those with t = cap are only the targets of D(s, cap-1).  D is stored as one
+SparseMatrix (int64 triplets) per piece with t < cap, from (s, t) to
+(s, t+1), whose basis is numbered as it is enumerated.  The pairs come face
+by face: m.n = 0 exactly when n lies on the dual face of the face whose
+relative interior holds m.  One count of the elements and triplets, made
+before any point is built, is held to MATRIX_CELL_BUDGET.  Cohomology is
+reported per (s, t) piece with t < cap, and D(s, t) is ranked only on the
+columns that D(s, t-1)'s pivot rows leave out: t goes up, and one block
+rank call ranks the pieces of each t together.
 
 For regular f, g the cohomology matches, piece by piece, the sum over
 faces C of tilde-S coefficient products placed at exterior degree
@@ -48,15 +51,15 @@ from .stringy import face_s, tilde_s_products
 
 @dataclass(frozen=True)
 class PairedMonomialSpace:
-    """Basis of the complex: each conserved piece (s, t) lists its
-    elements (exterior index tuple, m, n) in the order they are numbered."""
+    """Basis of the complex: the number of elements (wedge, m, n) of each
+    conserved piece (s, t) with t <= cap."""
 
     pair: ReflexivePair
     cap: int
-    pieces: dict  # (s, t) -> list of (exterior index tuple, m, n)
+    sizes: dict  # (s, t) -> int
 
     def total_dim(self) -> int:
-        return sum(len(v) for v in self.pieces.values())
+        return sum(self.sizes.values())
 
 
 @dataclass(frozen=True)
@@ -64,7 +67,7 @@ class KoszulComplex:
     """The differential of every piece, over the scalar field of f and g."""
 
     space: PairedMonomialSpace
-    blocks: dict  # (s, t) -> la.SparseMatrix of D into (s, t+1)
+    blocks: dict  # (s, t) with t < cap -> la.SparseMatrix of D into (s, t+1)
     field: str
 
     def verify_d_squared(self) -> bool:
@@ -127,25 +130,26 @@ def _orthogonal_pairs(points_k: np.ndarray, points_d: np.ndarray,
 
 
 def _pair_count(pair: ReflexivePair, cap: int) -> int:
-    """The pairs [m, n] with m.n = 0 and deg m, deg n <= cap, counted before
-    any point is built: each face C adds its relative-interior points times
-    the points of its dual face C*, sum_i s_i C(cap + i, dim C) times
-    sum_i s_i C(cap - i + dim C*, dim C*) (Ehrhart reciprocity)."""
-    def points(face, interior: bool) -> int:
-        return sum(c * math.comb(cap + (i if interior else face.dim - i),
-                                 face.dim)
-                   for i, c in enumerate(face_s(face).coeffs))
-
-    return sum(points(face, True) * points(pair.dual_face(face), False)
-               for face in lat.face_lattice(pair.cone).faces)
+    """The pairs [m, n] with m.n = 0 and deg m + deg n <= cap, counted before
+    any point is built.  Each face C pairs its relative-interior points,
+    counted by t^dim C S_C(1/t) / (1-t)^dim C (Ehrhart reciprocity), with
+    the points of its dual face C*, counted by S_C*(t) / (1-t)^dim C*: each
+    term s_i t^(dim C - i) s*_j t^j of the numerators' product adds its
+    coefficient times C(cap - k + dim K, dim K), k = dim C - i + j, the t^cap
+    coefficient of t^k / (1-t)^(dim K + 1)."""
+    dim = pair.cone.dim
+    return sum(x * y * math.comb(cap - face.dim + i - j + dim, dim)
+               for face in lat.face_lattice(pair.cone).faces
+               for i, x in enumerate(face_s(face).coeffs)
+               for j, y in enumerate(face_s(pair.dual_face(face)).coeffs))
 
 
 def build_complex(pair: ReflexivePair, f: DegreeOneElement,
                   g: DegreeOneElement, cap: int | None = None,
                   dual_subdivision: FanSubdivision | None = None,
                   ) -> KoszulComplex:
-    """Assemble the differential of every piece (s, t) whose basis has
-    bidegrees within cap, over the scalar field of f and g.
+    """Assemble the differential of every piece (s, t) with t < cap on the
+    pairs with deg m + deg n <= cap, over the scalar field of f and g.
 
     f lives on the cone, g on the dual cone, both over the same field;
     both are checked for regularity.
@@ -172,23 +176,23 @@ def build_complex(pair: ReflexivePair, f: DegreeOneElement,
         if not verdict.regular:
             raise NotRegular(verdict.detail)
 
-    wedges = [tuple(i for i in range(rank) if q >> i & 1)
-              for q in range(1 << rank)]
     points_k, points_d = ([p for d in range(cap + 1)
                            for p in lat.lattice_points_at_degree(cone, d)]
                           for cone in (k_cone, k_dual))
     arr_k, arr_d, vecs = (np.array(x, np.int64).reshape(-1, rank) for x in (
         points_k, points_d, [p for p, _ in moves]))
     a, b = arr_k @ k_cone.deg, arr_d @ k_dual.deg
-    # element e is (wedges[e % width], m, n) of orthogonal pair e // width,
-    # pairs in row-major order; pieces are numbered as they first appear,
-    # and an element by the elements of its piece before it
+    # element e is (wedge q = e % width, m, n) of orthogonal pair e // width,
+    # pairs with a + b <= cap in row-major order; pieces are numbered as
+    # they first appear, and an element by the elements of its piece before it
     pk, pd = _orthogonal_pairs(arr_k, arr_d, k_cone.facets)
+    keep = a[pk] + b[pd] <= cap
+    pk, pd = pk[keep], pd[keep]
     width = 1 << rank
-    s = (np.array([len(idx) for idx in wedges])
+    s = (np.array([q.bit_count() for q in range(width)])
          + (a[pk] - b[pd])[:, None]).ravel()
     t = np.repeat(a[pk] + b[pd], width)
-    _, first, inverse = np.unique((s + cap) * (2 * cap + 1) + t,
+    _, first, inverse = np.unique((s + cap) * (cap + 1) + t,
                                   return_index=True, return_inverse=True)
     lead = first[inverse]  # the first element of each element's piece
     order = np.argsort(lead, kind="stable")  # elements grouped by piece
@@ -196,18 +200,15 @@ def build_complex(pair: ReflexivePair, f: DegreeOneElement,
     number = pos - pos[lead]
     first = np.sort(first)
     cut = np.r_[pos[first], len(order)].tolist()
-    # each element's wedge, m and n in piece order, as shared tuples
-    elems = [np.fromiter(objs, object, len(objs))[at] for objs, at in (
-        (wedges, order % width), (points_k, pk[order // width]),
-        (points_d, pd[order // width]))]
-    pieces = {st: list(zip(*(x[lo:hi] for x in elems))) for st, lo, hi in zip(
-        zip(s[first].tolist(), t[first].tolist()), cut, cut[1:])}
-    del s, t, first, inverse, lead, pos, elems  # the triplets set the peak
+    sizes = dict(zip(zip(s[first].tolist(), t[first].tolist()),
+                     np.diff(cut).tolist()))
+    del keep, s, t, first, inverse, lead, pos  # the triplets set the peak
 
     # the projection keeps f(m') [m'] on [m, n] when m'.n = 0, and g(n') [n']
     # when m.n' = 0 and, on a deformed dual side, n and n' share a cell:
-    # to[x, j] is the pair within the cap that move j takes pair x to, or -1,
-    # found by its key pk * (|P_K*| + 1) + pd (a shift table's -1 gives none)
+    # to[x, j] is the pair within the cap that move j takes pair x to, or -1
+    # (so always at t = cap), found by its key pk * (|P_K*| + 1) + pd (a
+    # shift table's -1 gives none)
     coeffs = np.array([c for _, c in moves], np.int64)
     lower = np.arange(len(moves)) < len(f.coefficients)  # contract, or wedge
     stride = len(points_d) + 1
@@ -237,16 +238,17 @@ def build_complex(pair: ReflexivePair, f: DegreeOneElement,
     vals = (vecs[j, i] * coeffs[j])[ji] * flips[e % width, ji, 1]
     del at, ji, e, to
     blocks = {(s_, t_): la.SparseMatrix(
-        shape=(len(pieces.get((s_, t_ + 1), ())), len(basis)),
+        shape=(sizes.get((s_, t_ + 1), 0), size),
         rows=rows[lo:hi], cols=cols[lo:hi], vals=vals[lo:hi])
-        for ((s_, t_), basis), lo, hi in zip(pieces.items(), cut, cut[1:])}
-    return KoszulComplex(space=PairedMonomialSpace(pair, cap, pieces),
+        for ((s_, t_), size), lo, hi in zip(sizes.items(), cut, cut[1:])
+        if t_ < cap}
+    return KoszulComplex(space=PairedMonomialSpace(pair, cap, sizes),
                          blocks=blocks, field=f.field)
 
 
 def cohomology_dims(complex_: KoszulComplex) -> dict:
-    """dim ker - dim im of D on each conserved piece (s, t), where
-    s = e + deg m - deg n and t = deg m + deg n.
+    """dim ker - dim im of D on each conserved piece (s, t) with t < cap,
+    where s = e + deg m - deg n and t = deg m + deg n.
 
     D(s, t) is ranked only on the columns off the pivot rows of D(s, t-1):
     the minor there is invertible (mod p, so over Q), so its columns span a
@@ -262,8 +264,8 @@ def cohomology_dims(complex_: KoszulComplex) -> dict:
                 complex_.field)):
             ranks[s, t], reached[s, t + 1] = rank, pivot_rows
     dims = {}
-    for (s, t), basis in complex_.space.pieces.items():
-        h = len(basis) - ranks[s, t] - ranks.get((s, t - 1), 0)
+    for (s, t), rank in ranks.items():
+        h = complex_.space.sizes[s, t] - rank - ranks.get((s, t - 1), 0)
         if h:
             dims[s, t] = h
     return dims
@@ -274,9 +276,8 @@ class DecompositionReport:
     """Comparison of complex cohomology with the face-sum prediction."""
 
     matches: bool
-    computed: dict       # (s, t) -> dim, restricted to the reliable window
+    computed: dict       # (s, t) -> dim, on the pieces with t < cap
     expected: dict       # (s, t) -> dim from tilde-S products
-    boundary: tuple      # (s, t) pieces affected by the bidegree cap
     face_terms: tuple    # ((dim C, dim C*), a, b, multiplicity)
 
 
@@ -298,26 +299,18 @@ def compare_with_decomposition(pair: ReflexivePair, f: DegreeOneElement,
                                dual_subdivision: FanSubdivision | None = None,
                                ) -> DecompositionReport:
     """Cohomology of the complex against the face decomposition, compared
-    on every (s, t) piece with t small enough to be unaffected by the cap.
+    on every (s, t) piece with t < cap.
 
-    Pieces with t <= cap - 1 see their full in- and out-differentials
-    (every bidegree on the t and t+1 anti-diagonals satisfies the
-    rectangular cap), and the face-sum prediction is supported on
-    t <= dim K - 1, so the default cap compares the whole prediction."""
+    Those pieces see their full in- and out-differentials on the triangle
+    deg m + deg n <= cap, and the face-sum prediction lies on
+    t <= dim K - 1 <= cap - 1, so every cap compares the whole prediction."""
     return decomposition_report(build_complex(
         pair, f, g, cap=cap, dual_subdivision=dual_subdivision))
 
 
 def decomposition_report(complex_: KoszulComplex) -> DecompositionReport:
     """compare_with_decomposition on a complex that is already built."""
-    cap = complex_.space.cap
     dims = cohomology_dims(complex_)
     expected, face_terms = expected_cohomology(complex_.space.pair)
-    window = cap - 1
-    computed_window = {st: d for st, d in dims.items() if st[1] <= window}
-    expected_window = {st: d for st, d in expected.items() if st[1] <= window}
-    boundary = tuple(sorted(st for st in dims if st[1] > window))
-    matches = computed_window == expected_window
-    return DecompositionReport(matches=matches, computed=computed_window,
-                               expected=expected_window, boundary=boundary,
-                               face_terms=face_terms)
+    return DecompositionReport(matches=dims == expected, computed=dims,
+                               expected=expected, face_terms=face_terms)

@@ -152,5 +152,4 @@ def dump_koszul_report(report) -> str:
         "matches": report.matches,
         "computed": {f"{s},{t}": d for (s, t), d in sorted(report.computed.items())},
         "expected": {f"{s},{t}": d for (s, t), d in sorted(report.expected.items())},
-        "boundary_pieces": [list(st) for st in report.boundary],
     }, sort_keys=True)

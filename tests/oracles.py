@@ -9,9 +9,10 @@ generators.  Its cost depends on the basis; its answer does not.
 multiplication matrix of every derivative and every lower-degree point,
 assembled by one Python loop over the points.  It enumerates and ranks
 degree dim+1 whatever degree dim gives, so it checks the cutoff that
-stops the graded ring at degree dim.  `full_block_cohomology` ranks every
-Koszul differential on all its columns, so it checks the column skip of
-`koszul.cohomology_dims`.
+stops the graded ring at degree dim.  `paired_elements` lists the Koszul
+basis from a scan of every point pair, in the order the build numbers it.
+`full_block_cohomology` ranks every Koszul differential on all its
+columns, so it checks the column skip of `koszul.cohomology_dims`.
 """
 
 import math
@@ -103,6 +104,28 @@ def dense(mat):
     return out
 
 
+def paired_elements(pair, cap):
+    """The elements (wedge, m, n) of each Koszul piece (s, t), numbered as
+    the build numbers them: the pairs with m.n = 0 and deg m + deg n <= cap
+    in row-major (m, n) order over the points listed by degree, then the
+    wedge bitmasks q < 2**rank; pieces in the order they first appear."""
+    points_k, points_d = ([p for d in range(cap + 1)
+                           for p in lattice_points_at_degree(cone, d)]
+                          for cone in (pair.cone, pair.dual))
+    rank = pair.cone.ambient_rank
+    pieces = {}
+    for m in points_k:
+        a = la.dot(m, pair.cone.deg)
+        for n in points_d:
+            b = la.dot(n, pair.dual.deg)
+            if a + b <= cap and la.dot(m, n) == 0:
+                for q in range(1 << rank):
+                    wedge = tuple(i for i in range(rank) if q >> i & 1)
+                    pieces.setdefault((len(wedge) + a - b, a + b), []).append(
+                        (wedge, m, n))
+    return pieces
+
+
 def full_block_cohomology(complex_):
     """Koszul cohomology dims from the rank of every full differential
     block, with no column left out."""
@@ -110,8 +133,8 @@ def full_block_cohomology(complex_):
                                       complex_.field)[1]
              for st, d in complex_.blocks.items()}
     dims = {}
-    for (s, t), basis in complex_.space.pieces.items():
-        h = len(basis) - ranks[s, t] - ranks.get((s, t - 1), 0)
+    for (s, t), rank in ranks.items():
+        h = complex_.space.sizes[s, t] - rank - ranks.get((s, t - 1), 0)
         if h:
             dims[s, t] = h
     return dims

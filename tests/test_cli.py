@@ -155,11 +155,11 @@ def test_koszul_large_cap_is_refused_before_enumeration(fixture_dir, capsys):
     assert elapsed < 1
 
 
-@pytest.mark.parametrize("cap", [722, 10**9])
+@pytest.mark.parametrize("cap", [833, 10**9])
 def test_koszul_point_pair_table_is_refused_before_allocation(
         fixture_dir, capsys, cap):
-    # the budget counts the segment's elements and triplets as
-    # 24 (2 cap + 1)^2 before any point is built: caps up to 721 pass it
+    # the budget counts the segment's elements and triplets on the triangle
+    # deg m + deg n <= cap before any point is built: caps up to 832 pass it
     tracemalloc.start()
     start = time.process_time()
     try:
