@@ -152,7 +152,7 @@ def build_complex(pair: ReflexivePair, f: DegreeOneElement,
     pairs with deg m + deg n <= cap, over the scalar field of f and g.
 
     f lives on the cone, g on the dual cone, both over the same field;
-    both are checked for regularity.
+    each is checked for regularity on one deformed ring of its cone.
     """
     k_cone, k_dual = pair.cone, pair.dual
     if f.cone != k_cone or g.cone != k_dual:

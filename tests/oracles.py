@@ -13,6 +13,11 @@ stops the graded ring at degree dim.  `paired_elements` lists the Koszul
 basis from a scan of every point pair, in the order the build numbers it.
 `full_block_cohomology` ranks every Koszul differential on all its
 columns, so it checks the column skip of `koszul.cohomology_dims`.
+`sigma_regular_by_cells` decides regularity cell by cell, one cell ring
+each from the element restricted to the cell.  It shares
+`graded_quotient_dims`, which `full_matrix_dims` checks, with
+`semigroup.is_sigma_regular`, so it checks only that one deformed ring
+decides what every cell ring decides.
 """
 
 import math
@@ -22,8 +27,8 @@ import numpy as np
 from stringcone import intlinalg as la
 from stringcone import semigroup as sg
 from stringcone.errors import DimensionBudgetExceeded
-from stringcone.lattice import (_BOX_BUDGET, _check_int64,
-                                lattice_points_at_degree)
+from stringcone.lattice import (_BOX_BUDGET, _check_int64, cell_masks,
+                                lattice_points_at_degree, trivial_subdivision)
 
 
 def point_in_cone(cone, x, strict: bool = False) -> bool:
@@ -138,3 +143,19 @@ def full_block_cohomology(complex_):
         if h:
             dims[s, t] = h
     return dims
+
+
+def restrict_element(g, cell):
+    """g on the degree-one points of a subcone, its other terms dropped."""
+    inside = cell_masks((cell,), [m for m, _ in g.coefficients])
+    kept = tuple(mc for mc, bit in zip(g.coefficients, inside) if bit)
+    return sg.DegreeOneElement(cone=cell, coefficients=kept, field=g.field)
+
+
+def sigma_regular_by_cells(g, sub):
+    """Whether g restricted to every maximal cell of sub gives that cell's
+    semigroup ring the regular profile."""
+    cells = (g.cone,) if sub is None else sub.max_cones
+    return all(sg.graded_quotient_dims(restrict_element(g, cell),
+                                       trivial_subdivision(cell)).regular_profile
+               for cell in cells)

@@ -33,7 +33,7 @@ def test_d_squared_generic():
 
 def assume_regular(monkeypatch):
     """Let degenerate elements through: D^2 = 0 holds for them too."""
-    verdict = sg.RegularityVerdict(regular=True, witness=None, detail="")
+    verdict = sg.RegularityVerdict(regular=True, detail="")
     monkeypatch.setattr(kz, "is_sigma_regular", lambda elem, sub: verdict)
 
 

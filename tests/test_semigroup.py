@@ -3,7 +3,8 @@
 import random
 
 import pytest
-from oracles import full_matrix_dims, point_in_cone
+from oracles import (full_matrix_dims, point_in_cone, restrict_element,
+                     sigma_regular_by_cells)
 
 from stringcone import fixtures as fx
 from stringcone import intlinalg as la
@@ -171,8 +172,7 @@ def test_deformed_dims_invariant_under_subdivision():
 
 def test_generic_element_is_regular():
     g = sg.random_degree_one(k_cone("diamond"), seed=0)
-    verdict = sg.is_sigma_regular(g)
-    assert verdict.regular and verdict.witness is None
+    assert sg.is_sigma_regular(g).regular
 
 
 def test_missing_vertex_coefficient_breaks_regularity():
@@ -181,9 +181,10 @@ def test_missing_vertex_coefficient_breaks_regularity():
     coeffs[cone.generators[0]] = 0
     bad = sg.degree_one_element(cone, coeffs)
     verdict = sg.is_sigma_regular(bad)
+    report = sg.graded_quotient_dims(bad)
     assert not verdict.regular
-    assert verdict.witness is not None
     assert "cutoff" in verdict.detail
+    assert f"dims {report.dims_R0} + top {report.top_degree_dims}" in verdict.detail
 
 
 def test_trivial_subdivision_regularity_is_classical():
@@ -202,8 +203,72 @@ def test_regularity_restricts_to_faces():
         if face.dim in (0, cone.dim):
             continue
         fc = face.as_cone()
-        verdict = sg.is_sigma_regular(g.restrict(fc), restrict_to_face(sub, fc))
+        verdict = sg.is_sigma_regular(restrict_element(g, fc),
+                                      restrict_to_face(sub, fc))
         assert verdict.regular
+
+
+def test_one_verdict_is_one_deformed_ring(monkeypatch):
+    cone = k_cone("p2_dual")
+    sub = lat.stellar_subdivision(cone)
+    calls = []
+    quotient = sg.graded_quotient_dims
+    monkeypatch.setattr(sg, "graded_quotient_dims", lambda *args: calls.append(
+        args) or quotient(*args))
+    good = sg.random_degree_one(cone, seed=2)
+    bad = sg.degree_one_element(cone, {cone.generators[0]: 7})
+    assert [sg.is_sigma_regular(g, sub).regular for g in (good, bad)] == [
+        True, False]
+    assert calls == [(good, sub), (bad, sub)]
+
+
+def grid_subdivisions(cone, seed):
+    """Trivial, stellar and random heights, each also pulled to simplices."""
+    points = lat.lattice_points_at_degree(cone, 1)
+    centre = lat.lattice_points_at_degree(cone, 1, True)[0]
+    rng = random.Random(seed)
+    for heights in ([0] * len(points), [-(p == centre) for p in points],
+                    [rng.randint(0, 3) for _ in points]):
+        for generic in (False, True):
+            yield lat.regular_subdivision(cone, heights, generic)
+
+
+def grid_elements(cone, sub, field, seed):
+    """Elements on one cell's generators, on every point but the stellar
+    centre, on half the points, all ones, and zero mod p on half."""
+    points = lat.lattice_points_at_degree(cone, 1)
+    centre = lat.lattice_points_at_degree(cone, 1, True)[0]
+    rng = random.Random(seed)
+    coeff = lambda: rng.randint(1, 10**6)
+    cell = rng.choice(sub.max_cones)
+    for support in (cell.generators,
+                    [p for p in points if p != centre],
+                    rng.sample(points, len(points) // 2)):
+        yield sg.degree_one_element(cone, {p: coeff() for p in support}, field)
+    yield sg.degree_one_element(cone, dict.fromkeys(points, 1), field)
+    # zero mod p on every other point, not over Q
+    yield sg.degree_one_element(cone, {
+        p: coeff() * (1 if i % 2 else la.DEFAULT_PRIME)
+        for i, p in enumerate(points)}, field)
+
+
+def test_deformed_ring_regularity_matches_every_cell():
+    # the 2-d reflexive polygons, each dual to another, then cube and cross
+    cones = [k_cone(name) for name in ("diamond", "square", "p2", "p2_dual",
+                                       "cube", "cross")]
+    checked, irregular = 0, 0
+    for seed, cone in enumerate(cones):
+        fields = (sg.DEFAULT_FIELD,) + ("rational",) * (cone.dim == 3)
+        for sub in grid_subdivisions(cone, seed):
+            for field in fields:
+                for g in grid_elements(cone, sub, field, seed):
+                    regular = sigma_regular_by_cells(g, sub)
+                    assert sg.is_sigma_regular(g, sub).regular == regular, (
+                        cone.generators, sub.provenance, g.coefficients)
+                    checked += 1
+                    irregular += not regular
+    # 300 elements, 181 of them not regular: neither verdict is vacuous
+    assert checked == 300 and irregular >= 150 and checked - irregular >= 100
 
 
 def test_restrict_subdivision_to_face():
@@ -382,8 +447,8 @@ def test_top_degree_has_its_own_budget_check(monkeypatch):
     built = []
     products = sg._QuotientWorkspace._products
     monkeypatch.setattr(sg._QuotientWorkspace, "_products",
-                        lambda self, src, k, *args: built.append(k)
-                        or products(self, src, k, *args))
+                        lambda self, k, *args: built.append(k)
+                        or products(self, k, *args))
     assert sg.graded_quotient_dims(sg.random_degree_one(cone, 0)).regular_profile
     assert max(built) == cone.dim
     built.clear()

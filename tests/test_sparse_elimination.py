@@ -269,7 +269,7 @@ def test_multiplication_matrices_match_dense_ranks(name, stellar, k,
     aug = dense(triplets)
     check_echelon(aug, bounds, exact=False)  # the square is too big for Q
     split = bounds[-1]
-    mat = dense(work._products(work.points, k)[0])
+    mat = dense(work._products(k)[0])
     # the kept columns are a subsequence of the full matrix's columns
     full = iter(map(bytes, mat.T))
     assert all(col in full for col in map(bytes, aug[:, :split].T))
