@@ -1,9 +1,10 @@
 """The paired-monomial complex of a reflexive pair and its cohomology.
 
 The underlying space is the exterior algebra of the dual-side lattice
-tensored with the span of monomial pairs [m, n] (m in K, n in K*) that
-pair to zero.  The differential contracts by m while multiplying on the
-K-side and wedges by n while multiplying on the K*-side, projecting away
+tensored with the span of monomial pairs [m, n] (m in K, n in K*) that pair
+to zero.  The differential contracts by m while multiplying on the K-side
+and wedges by n while multiplying on the K*-side (each product, with a
+deformed K*-side's cell rule, from lattice.product_table), projecting away
 any product that leaves the orthogonality locus:
 
     D = sum_m f(m) (contract by m) (x) [m]  +  sum_n g(n) (n ^ .) (x) [n].
@@ -104,16 +105,6 @@ def _exterior_flips(rank: int) -> tuple:
                  for q in range(1 << rank))
 
 
-def _shift_table(points: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """Row of points[i] + support[j] among the distinct points, or -1."""
-    sums = (points[:, None] + support[None]).reshape(-1, points.shape[1])
-    _, label = np.unique(np.concatenate([points, sums]), axis=0,
-                         return_inverse=True)
-    row = np.full(len(label), -1)
-    row[label[:len(points)]] = np.arange(len(points))
-    return row[label[len(points):]].reshape(len(points), len(support))
-
-
 def _orthogonal_pairs(points_k: np.ndarray, points_d: np.ndarray,
                       facets) -> tuple:
     """The indices (pk, pd) of the pairs with m.n = 0, in row-major order.
@@ -205,26 +196,22 @@ def build_complex(pair: ReflexivePair, f: DegreeOneElement,
     del keep, s, t, first, inverse, lead, pos  # the triplets set the peak
 
     # the projection keeps f(m') [m'] on [m, n] when m'.n = 0, and g(n') [n']
-    # when m.n' = 0 and, on a deformed dual side, n and n' share a cell:
-    # to[x, j] is the pair within the cap that move j takes pair x to, or -1
-    # (so always at t = cap), found by its key pk * (|P_K*| + 1) + pd (a
-    # shift table's -1 gives none)
+    # when m.n' = 0 and, on a deformed dual side, a cell holds n and n' (the
+    # product table's rule): to[x, j] is the pair within the cap that move j
+    # takes pair x to, or -1 (so always at t = cap), found by its key
+    # pk * (|P_K*| + 1) + pd (a table's -1 gives none)
     coeffs = np.array([c for _, c in moves], np.int64)
     lower = np.arange(len(moves)) < len(f.coefficients)  # contract, or wedge
+    cells = () if dual_subdivision is None else dual_subdivision.max_cones
     stride = len(points_d) + 1
     key = pk * stride + pd
     want = np.concatenate([
-        _shift_table(arr_k, vecs[lower])[pk] * stride + pd[:, None],
-        pk[:, None] * stride + _shift_table(arr_d, vecs[~lower])[pd]], axis=1)
+        lat.product_table(arr_k, vecs[lower], arr_k)[pk] * stride + pd[:, None],
+        pk[:, None] * stride + lat.product_table(
+            arr_d, vecs[~lower], arr_d, cells)[pd]], axis=1)
     to = np.minimum(np.searchsorted(key, want), len(key) - 1)
     to[key[to] != want] = -1
     del key, want
-    if dual_subdivision is not None:
-        masks = lat.cell_masks(dual_subdivision.max_cones, points_d + [
-            p for p, _ in g.coefficients])
-        to[:, len(f.coefficients):][~np.array(
-            [[x & y != 0 for y in masks[len(points_d):]]
-             for x in masks[:len(points_d)]], dtype=bool)[pd]] = -1
     # contraction by m' clears bit i of q where m'_i != 0, wedge sets it;
     # triplets are taken in piece order, by source element, move and bit
     j, i = np.nonzero(vecs)

@@ -323,31 +323,50 @@ def gorenstein_cone_over(p: LatticePolytope) -> GradedCone:
 def _check_int64(functionals, points, rank: int) -> None:
     """Raise DimensionBudgetExceeded unless max|coefficient| * max|coordinate|
     * rank < 2^62, so that no functional's value on a point wraps in int64."""
-    flat = itertools.chain.from_iterable
-    bound = max(map(abs, flat(functionals)), default=0) \
-        * max(map(abs, flat(points)), default=0) * rank
+    bound = math.prod(int(np.abs(np.asarray(x)).max(initial=0))
+                      for x in (functionals, points)) * rank
     if bound >= 1 << 62:
         raise DimensionBudgetExceeded(f"int64 values up to {bound} reach 2^62")
 
 
-def cell_masks(cells, points) -> list[int]:
-    """Bit i of a point's mask is set iff cells[i] contains the point: one
-    int64 matrix product per cell, its facets and equations against all
-    points at once.  Masks are Python ints, so any number of cells fits."""
-    if not len(points):
-        return []
-    _check_int64([f for cell in cells for f in cell.facets + cell.equations],
-                 points, len(points[0]))
-    pts = np.asarray(points, dtype=np.int64).reshape(len(points), -1)
-    inside = np.empty((len(pts), len(cells)), dtype=bool)
-    for i, cell in enumerate(cells):
-        vals = pts @ np.array(cell.facets + cell.equations,
-                              dtype=np.int64).reshape(-1, pts.shape[1]).T
-        nf = len(cell.facets)
-        inside[:, i] = ((vals[:, :nf] >= 0).all(axis=1)
-                        & (vals[:, nf:] == 0).all(axis=1))
-    return [int.from_bytes(row.tobytes(), "little")
-            for row in np.packbits(inside, axis=1, bitorder="little")]
+def cell_membership(cells, points) -> np.ndarray:
+    """Entry (i, j) is whether cells[j] contains points[i], the points
+    being int rows: one int64 matrix product of the points with the facets
+    of every cell and both signs of its equations, the cell holding the
+    points where all of its rows are nonnegative."""
+    rows = [(j, f) for j, cell in enumerate(cells) for f in cell.facets
+            + cell.equations + tuple(tuple(-x for x in e) for e in cell.equations)]
+    pts = np.asarray(points)
+    _check_int64([f for _, f in rows], pts, pts.shape[1])
+    vals = pts.astype(np.int64) @ np.array(
+        [f for _, f in rows], dtype=np.int64).reshape(-1, pts.shape[1]).T
+    return ~((vals < 0) @ np.eye(len(cells), dtype=bool)[[j for j, _ in rows]])
+
+
+def product_table(source, support, target, cells=()) -> np.ndarray:
+    """Entry (i, j) is the index in target of source[i] + support[j] (int
+    rows of one rank), or -1 where that sum is not in target or no cell of
+    cells holds both points, their product in the deformed semigroup ring
+    being zero there (no cells or one cell: the plain ring).
+
+    A point's code is its dot product with the mixed-radix strides of the
+    bounding box of target: linear, so a sum's code is the sum of the
+    codes, and injective on that box, but a sum outside it may share a
+    target point's code, so every hit is checked in full."""
+    src, sup, tgt = (np.asarray(x, dtype=np.int64) for x in (source, support, target))
+    if not (len(src) and len(tgt)):
+        return np.full((len(src), len(sup)), -1)
+    span = (tgt.max(axis=0) - tgt.min(axis=0) + 1).tolist()
+    stride = [math.prod(span[:i]) for i in range(len(span))]
+    _check_int64([stride], np.concatenate((src, sup, tgt)), tgt.shape[1])
+    order = np.argsort(codes := tgt @ stride)
+    at = np.searchsorted(codes[order], (src @ stride)[:, None] + sup @ stride)
+    table = order[np.minimum(at, len(tgt) - 1)]
+    table[(tgt[table] != src[:, None] + sup).any(axis=2)] = -1
+    if len(cells) > 1:
+        inside = cell_membership(cells, np.concatenate((src, sup)))
+        table[~(inside[:len(src)] @ inside[len(src):].T)] = -1
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +597,7 @@ def lattice_points_at_degree(cone: GradedCone, k: int,
     pts = np.concatenate([(b[:, None] + g[sums[m]].sum(axis=1)).reshape(-1, rank)
                           for g, b, m in parts if len(b)])
     if interior_only:
-        _check_int64(cone.facets, [(int(np.abs(pts).max()),)], rank)
+        _check_int64(cone.facets, pts, rank)
         pts = pts[(pts @ np.array(cone.facets, dtype=np.int64).T > 0).all(axis=1)]
     return tuple(map(tuple, pts[np.lexsort(pts.T[::-1])].tolist()))
 
@@ -717,47 +736,40 @@ def stellar_subdivision(cone: GradedCone) -> FanSubdivision:
 def validate_subdivision(sub: FanSubdivision) -> None:
     """Containment, coverage of the parent's points of degree <= 3, and
     pairwise common-face checks, with every membership read off
-    cell_masks; raises InvalidSubdivision on failure."""
+    cell_membership; raises InvalidSubdivision on failure."""
     parent, cells = sub.parent, sub.max_cones
     if not cells:
         raise InvalidSubdivision("no maximal cones")
     if any(cell.dim != parent.dim for cell in cells):
         raise InvalidSubdivision("maximal cone of wrong dimension")
     gens = sorted({g for cell in cells for g in cell.generators})
-    if not all(cell_masks((parent,), gens)):
+    if not cell_membership((parent,), gens).all():
         raise InvalidSubdivision("cell generator outside parent")
     if any(la.dot(parent.deg, g) != 1 for g in gens):
         raise InvalidSubdivision("cell generator not at degree 1")
     slices = [lattice_points_at_degree(parent, k) for k in range(4)]
-    sample = [p for pts in slices for p in pts]
-    masks = cell_masks(cells, sample)
-    for p, mask in zip(sample, masks):
-        if not mask:
-            raise InvalidSubdivision(f"point {p} not covered")
-    # the points of degree 1 and 2 (the origin lies in every face) by the
-    # pairs of cells that share them
-    shared: dict[tuple[int, int], list[int]] = {}
-    for idx in range(1, sum(map(len, slices[:3]))):
-        for pair in itertools.combinations(po._bits(masks[idx]), 2):
-            shared.setdefault(pair, []).append(idx)
-    gen_masks = dict(zip(gens, cell_masks(cells, gens)))
+    sample = np.array([p for pts in slices for p in pts], dtype=np.int64)
+    inside = cell_membership(cells, sample)
+    if not (covered := inside.any(axis=1)).all():
+        raise InvalidSubdivision(f"point {tuple(sample[~covered][0].tolist())} "
+                                 "not covered")
+    # the points of degree 1 and 2 (the origin lies in every face)
+    low = slice(1, sum(map(len, slices[:3])))
+    gen_in = dict(zip(gens, cell_membership(cells, gens).tolist()))
     for i, j in itertools.combinations(range(len(cells)), 2):
-        in12 = [g for g in cells[i].generators if gen_masks[g] >> j & 1]
-        in21 = [g for g in cells[j].generators if gen_masks[g] >> i & 1]
+        in12 = [g for g in cells[i].generators if gen_in[g][j]]
+        in21 = [g for g in cells[j].generators if gen_in[g][i]]
         if in12 != in21:
             raise InvalidSubdivision("intersection is not a common face")
         cut = _face_cut(cells[i], set(in12))
         _face_cut(cells[j], set(in21))
-        if (i, j) in shared:
-            # the common face is cut out of cell i by the facets tight on it
-            idx = shared[i, j]
-            rows = [cells[i].facets[b] for b in po._bits(cut)]
-            vals = np.array([sample[x] for x in idx], dtype=np.int64) \
-                @ np.array(rows, dtype=np.int64).reshape(-1, parent.ambient_rank).T
-            bad = np.flatnonzero(vals.any(axis=1))
-            if bad.size:
-                raise InvalidSubdivision(f"shared point {sample[idx[bad[0]]]} "
-                                         f"outside the common face")
+        # the common face is cut out of cell i by the facets tight on it
+        rows = np.array([cells[i].facets[b] for b in po._bits(cut)],
+                        dtype=np.int64).reshape(-1, parent.ambient_rank)
+        shared = sample[low][inside[low, i] & inside[low, j]]
+        if len(off := shared[(shared @ rows.T).any(axis=1)]):
+            raise InvalidSubdivision(f"shared point {tuple(off[0].tolist())} "
+                                     "outside the common face")
 
 
 def _face_cut(cell: GradedCone, subset: set) -> int:

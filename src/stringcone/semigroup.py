@@ -2,9 +2,10 @@
 
 The semigroup ring of a graded cone has the lattice points as a monomial
 basis.  A subdivision deforms the product: two monomials multiply to their
-sum when they lie in a common cell and to zero otherwise.  Dividing by the
-span of the logarithmic derivatives of a degree-one element and measuring
-graded dimensions by exact rank computations recovers the S-polynomial
+sum when they lie in a common cell and to zero otherwise, as one
+lattice.product_table per degree records.  Dividing by the span of the
+logarithmic derivatives of a degree-one element and measuring graded
+dimensions by exact rank computations recovers the S-polynomial
 coefficients; the image of the interior-supported subspace recovers the
 tilde-S coefficients for regular subdivisions.  The product is commutative
 and associative, so derivative d times the degree-(k-1) monomials on which
@@ -112,21 +113,26 @@ class _QuotientWorkspace:
     def __init__(self, g: DegreeOneElement, subdivision: FanSubdivision):
         if subdivision.parent != g.cone:
             raise ValueError("element and subdivision live on different cones")
-        self.g, self.cone = g, g.cone
+        self.g, self.cone, self.cells = g, g.cone, subdivision.max_cones
         self.derivs = logarithmic_derivatives(g)
+        support = sorted(set().union(*self.derivs))  # the derivatives' points
+        self.support = np.array(support, dtype=np.int64).reshape(
+            -1, self.cone.ambient_rank)
+        self.weights = np.array([[d.get(m, 0) for m in support]
+                                 for d in self.derivs], dtype=np.int64
+                                ).reshape(len(self.derivs), len(support))
         self._points_through(max(self.cone.dim, 1))
-        # cofactors have degree at most dim, so degree dim+1 needs no masks
-        all_pts = [p for pts in self.points.values() for p in pts]
-        self.masks = dict(zip(all_pts, lat.cell_masks(subdivision.max_cones,
-                                                      all_pts)))
 
     def _points_through(self, top: int):
-        """Points and interior points of degrees 0 .. top; refuses a full
-        degree-top matrix with unit columns over the budget before assembly
-        (a degree-one generator maps degree k-1 into k, so none is larger)."""
+        """Points (also as int64 rows) and interior points of degrees 0 ..
+        top; refuses a full degree-top matrix with unit columns over the
+        budget before assembly (degree-one moves map k-1 into k, so no
+        lower degree's is larger)."""
         self.points, self.interior = (
             {k: lat.lattice_points_at_degree(self.cone, k, inner)
              for k in range(top + 1)} for inner in (False, True))
+        self.coords = {k: np.array(pts, dtype=np.int64).reshape(
+            -1, self.cone.ambient_rank) for k, pts in self.points.items()}
         rows = len(self.points[top])
         cols = len(self.derivs) * len(self.points[top - 1]) + len(self.interior[top])
         la.refuse_over_budget(rows * cols, (
@@ -138,38 +144,24 @@ class _QuotientWorkspace:
         the degree-(k-1) to the degree-k points, then one unit column per
         point of units.  Block d holds derivative d times each
         degree-(k-1) point whose index is not in skip[d], in order."""
-        rank = self.cone.ambient_rank
-        below, here = self.points[k - 1], self.points[k]
-        prev, pts, supp, unit = (
-            np.array(x, dtype=np.int64).reshape(-1, rank) for x in
-            (below, here, sorted(set().union(*self.derivs)), units))
-        # one integer code per point, injective on the degree-k points and
-        # linear, so that the code of a product is the sum of the codes
-        span = pts.max(axis=0, initial=0) - pts.min(axis=0, initial=0) + 1
-        stride = np.cumprod(np.r_[1, span[:-1]], dtype=object).tolist()
-        lat._check_int64([stride], below + here + self.points[1], rank)
-        sorter = np.argsort(codes := pts @ stride)
-        codes = codes[sorter]
-        keep = np.ones((len(self.derivs), len(prev)), dtype=bool)
+        here = self.coords[k]
+        table = lat.product_table(self.coords[k - 1], self.support, here,
+                                  self.cells)
+        keep = np.ones((len(self.derivs), len(table)), dtype=bool)
         for d, rows in enumerate(skip):
             keep[d, rows] = False
         bounds = np.cumsum(keep.sum(axis=1)).tolist() or [0]
         column = np.cumsum(keep).reshape(keep.shape) - 1  # where kept
-        parts = [(sorter[np.searchsorted(codes, unit @ stride)],
-                  bounds[-1] + np.arange(len(unit)),
-                  np.ones(len(unit), np.int64))]
-        masks = [self.masks[m] for m in below]
-        for mp, code in zip(map(tuple, supp.tolist()), supp @ stride):
-            # the degree-(k-1) points that share a cell with mp
-            i = np.flatnonzero([self.masks[mp] & m != 0 for m in masks])
-            rows = sorter[np.searchsorted(codes, prev[i] @ stride + code)]
-            for d, deriv in enumerate(self.derivs):
-                if w := deriv.get(mp):
-                    kept = keep[d, i]
-                    parts.append((rows[kept], column[d, i[kept]],
-                                  np.full(kept.sum(), w)))
-        return la.SparseMatrix((len(pts), bounds[-1] + len(unit)), *(
-            np.concatenate(x) for x in zip(*parts))), tuple(bounds)
+        # by support point, derivative and degree-(k-1) point
+        j, d, i = np.nonzero((table.T >= 0)[:, None] & keep
+                             & (self.weights.T != 0)[:, :, None])
+        unit = lat.product_table(np.reshape(units, (-1, here.shape[1])),
+                                 np.zeros((1, here.shape[1])), here)[:, 0]
+        return la.SparseMatrix(
+            (len(here), bounds[-1] + len(unit)), np.append(unit, table[i, j]),
+            np.append(bounds[-1] + np.arange(len(unit)), column[d, i]),
+            np.append(np.ones(len(unit), np.int64), self.weights[d, j])
+        ), tuple(bounds)
 
     def dims(self) -> tuple[list, list]:
         """Dimensions of the quotient and of its interior image at degrees

@@ -1,10 +1,13 @@
 """Reference implementations that share no code with what they check.
 
 `point_in_cone` tests one point against the equations and facets in
-Python integers.  `slice_scan` is the bounding-box scan that lattice_points_at_degree used
-before it enumerated half-open box classes: each facet functional is
-broadcast over the per-axis coordinate ranges of the degree-k box of the
-generators.  Its cost depends on the basis; its answer does not.
+Python integers; every "in the cell" and "one cell holds both" below is
+decided by it.  `sum_table` is `lattice.product_table` from a dict of the
+target points.  `slice_scan` is the bounding-box scan that
+lattice_points_at_degree used before it enumerated half-open box classes:
+each facet functional is broadcast over the per-axis coordinate ranges of
+the degree-k box of the generators.  Its cost depends on the basis; its
+answer does not.
 `full_matrix_dims` is the graded ring's quotient dimensions from the full
 multiplication matrix of every derivative and every lower-degree point,
 assembled by one Python loop over the points.  It enumerates and ranks
@@ -27,7 +30,7 @@ import numpy as np
 from stringcone import intlinalg as la
 from stringcone import semigroup as sg
 from stringcone.errors import DimensionBudgetExceeded
-from stringcone.lattice import (_BOX_BUDGET, _check_int64, cell_masks,
+from stringcone.lattice import (_BOX_BUDGET, _check_int64,
                                 lattice_points_at_degree, trivial_subdivision)
 
 
@@ -37,6 +40,22 @@ def point_in_cone(cone, x, strict: bool = False) -> bool:
     if strict:
         return all(la.dot(f, x) > 0 for f in cone.facets)
     return all(la.dot(f, x) >= 0 for f in cone.facets)
+
+
+def cells_holding(cells, points):
+    """The set of indices of the cells that hold each point."""
+    return {p: {i for i, cell in enumerate(cells) if point_in_cone(cell, p)}
+            for p in points}
+
+
+def sum_table(source, support, target, cells=()):
+    """Index of a + b in target for a in source and b in support, or -1
+    where it is absent or, with more than one cell, no cell holds both."""
+    index = {p: i for i, p in enumerate(target)}
+    holders = cells_holding(cells, set(source) | set(support))
+    return [[index.get(tuple(x + y for x, y in zip(a, b)), -1)
+             if len(cells) < 2 or holders[a] & holders[b] else -1
+             for b in support] for a in source]
 
 
 def slice_scan(cone, k: int, interior: bool):
@@ -76,23 +95,25 @@ def slice_scan(cone, k: int, interior: bool):
 def full_matrix_dims(g, sub):
     """(dims_R0, dims_R1, top_degree_dims) from one rank per degree of the
     full multiplication matrix with one unit column per interior point."""
-    ws = sg._QuotientWorkspace(g, sub)
+    derivs = sg.logarithmic_derivatives(g)
     points, interior = ({k: lattice_points_at_degree(g.cone, k, inner)
                          for k in range(g.cone.dim + 2)}
                         for inner in (False, True))
+    holders = cells_holding(sub.max_cones, [p for k in range(g.cone.dim + 1)
+                                            for p in points[k]])
     r0, r1 = [1], [1 if interior[0] else 0]
     for k in range(1, g.cone.dim + 2):
         index = {p: i for i, p in enumerate(points[k])}
         prev = points[k - 1]
-        mat = np.zeros((len(index), len(ws.derivs) * len(prev)
+        mat = np.zeros((len(index), len(derivs) * len(prev)
                         + len(interior[k])), dtype=np.int64)
-        for d, deriv in enumerate(ws.derivs):
+        for d, deriv in enumerate(derivs):
             for i, m in enumerate(prev):
                 for mp, w in deriv.items():
-                    if ws.masks[mp] & ws.masks[m]:
+                    if holders[mp] & holders[m]:
                         mat[index[tuple(a + b for a, b in zip(mp, m))],
                             d * len(prev) + i] += w
-        split = len(ws.derivs) * len(prev)
+        split = len(derivs) * len(prev)
         for j, p in enumerate(interior[k]):
             mat[index[p], split + j] = 1
         rank_m, rank_aug, _ = la.ranks_with_prefix(mat, (split,), g.field)
@@ -147,8 +168,7 @@ def full_block_cohomology(complex_):
 
 def restrict_element(g, cell):
     """g on the degree-one points of a subcone, its other terms dropped."""
-    inside = cell_masks((cell,), [m for m, _ in g.coefficients])
-    kept = tuple(mc for mc, bit in zip(g.coefficients, inside) if bit)
+    kept = tuple(mc for mc in g.coefficients if point_in_cone(cell, mc[0]))
     return sg.DegreeOneElement(cone=cell, coefficients=kept, field=g.field)
 
 

@@ -1,10 +1,12 @@
 """The paired-monomial complex and its cohomology decomposition."""
 
+import random
 from collections import Counter
 
 import numpy as np
 import pytest
-from oracles import dense, full_block_cohomology, paired_elements
+from oracles import (cells_holding, dense, full_block_cohomology,
+                     paired_elements)
 
 from stringcone import fixtures as fx
 from stringcone import intlinalg as la
@@ -23,6 +25,15 @@ def make_pair(name):
 def elements(pair, seed):
     return (sg.random_degree_one(pair.cone, seed),
             sg.random_degree_one(pair.dual, seed + 17))
+
+
+def random_heights(cone, seed, generic):
+    """The regular subdivision of seeded heights 0..3 on the degree-1
+    points."""
+    rng = random.Random(seed)
+    return lat.regular_subdivision(cone, [
+        rng.randrange(4) for _ in lat.lattice_points_at_degree(cone, 1)],
+        force_generic=generic)
 
 
 def test_d_squared_generic():
@@ -192,15 +203,25 @@ def test_decomposition_matches(name):
     assert report.matches, (report.computed, report.expected)
 
 
-@pytest.mark.parametrize("name", ["segment", "diamond", "p2"])
+@pytest.mark.parametrize("name", ["segment", "diamond", "p2", "square",
+                                  "p2_dual"])
 def test_decomposition_with_dual_subdivision(name):
+    """Stellar, and seeded random heights with and without force_generic,
+    for two elements at caps dim and dim+1."""
     pair = make_pair(name)
-    f, g = elements(pair, 0)
-    base = kz.compare_with_decomposition(pair, f, g)
-    sub = lat.stellar_subdivision(pair.dual)
-    deformed = kz.compare_with_decomposition(pair, f, g, dual_subdivision=sub)
-    assert deformed.matches
-    assert deformed.computed == base.computed
+    subs = [lat.stellar_subdivision(pair.dual)] + [
+        random_heights(pair.dual, seed, generic)
+        for seed in range(4) for generic in (False, True)]
+    assert any(len(sub.max_cones) > 1 for sub in subs[1:])
+    for seed in range(2):
+        f, g = elements(pair, seed)
+        for cap in (pair.cone.dim, pair.cone.dim + 1):
+            base = kz.compare_with_decomposition(pair, f, g, cap)
+            assert base.matches
+            for sub in subs:
+                deformed = kz.compare_with_decomposition(
+                    pair, f, g, cap, dual_subdivision=sub)
+                assert deformed.computed == base.computed, sub.provenance
 
 
 def test_reseed_invariance():
@@ -319,8 +340,7 @@ def term_by_term_triplets(complex_, f, g, sub):
     index_of = {elem: i for basis in pieces.values()
                 for i, elem in enumerate(basis)}
     points = sorted({n for *_, n in index_of} | {q for q, _ in g.coefficients})
-    masks = (None if sub is None
-             else dict(zip(points, lat.cell_masks(sub.max_cones, points))))
+    holders = None if sub is None else cells_holding(sub.max_cones, points)
     out = {}
     for (s, t), basis in pieces.items():
         if t == cap:
@@ -334,7 +354,7 @@ def term_by_term_triplets(complex_, f, g, sub):
                                  in exterior_contract(idx, mp)]
             for np_, c in g.coefficients:
                 if (np.dot(m, np_) == 0
-                        and (masks is None or masks[n] & masks[np_])):
+                        and (holders is None or holders[n] & holders[np_])):
                     n2 = tuple(u + v for u, v in zip(n, np_))
                     triplets += [(index_of[new, m, n2], src, w * c) for new, w
                                  in exterior_wedge(idx, np_)]
@@ -345,8 +365,22 @@ def term_by_term_triplets(complex_, f, g, sub):
 @pytest.mark.parametrize("name", ["diamond", "square", "p2", "p2_dual"])
 def test_tabulated_moves_match_term_by_term_assembly(name, stellar):
     pair = make_pair(name)
-    f, g = elements(pair, 3)
     sub = lat.stellar_subdivision(pair.dual) if stellar else None
+    assert_moves_match_term_by_term(pair, sub)
+
+
+@pytest.mark.parametrize("generic", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", ["diamond", "square", "p2", "p2_dual"])
+def test_tabulated_moves_match_on_random_height_subdivisions(name, seed,
+                                                             generic):
+    pair = make_pair(name)
+    assert_moves_match_term_by_term(pair, random_heights(pair.dual, seed,
+                                                         generic))
+
+
+def assert_moves_match_term_by_term(pair, sub):
+    f, g = elements(pair, 3)
     complex_ = kz.build_complex(pair, f, g, dual_subdivision=sub)
     expected = term_by_term_triplets(complex_, f, g, sub)
     assert complex_.blocks.keys() == expected.keys()

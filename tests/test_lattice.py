@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import point_in_cone, slice_scan
+from oracles import point_in_cone, slice_scan, sum_table
 
 from stringcone import fixtures as fx
 from stringcone import intlinalg as la
@@ -704,45 +704,95 @@ def _generic_quintic_subdivision():
     return lat.regular_subdivision(cone, heights, force_generic=True)
 
 
-def _assert_masks_match_point_in_cone(sub, degrees):
+def _assert_membership_matches_point_in_cone(sub, degrees):
     pts = [p for k in degrees for p in lat.lattice_points_at_degree(sub.parent, k)]
-    masks = lat.cell_masks(sub.max_cones, pts)
-    assert len(masks) == len(pts)
-    for p, mask in zip(pts, masks):
-        assert mask == sum(1 << i for i, cell in enumerate(sub.max_cones)
-                           if point_in_cone(cell, p))
+    inside = lat.cell_membership(sub.max_cones, pts)
+    assert inside.shape == (len(pts), len(sub.max_cones))
+    assert inside.tolist() == [
+        [point_in_cone(cell, p) for cell in sub.max_cones] for p in pts]
 
 
 @pytest.mark.parametrize("cone", FIXTURE_CONES)
 def test_cell_masks_match_point_in_cone_on_stellar(cone):
-    _assert_masks_match_point_in_cone(lat.stellar_subdivision(cone), range(4))
+    """cell_membership, whose columns are the cells' boolean masks."""
+    _assert_membership_matches_point_in_cone(lat.stellar_subdivision(cone),
+                                             range(4))
 
 
-def test_cell_masks_match_point_in_cone_on_generic_subdivision():
+def test_cell_membership_matches_point_in_cone_on_generic_subdivision():
     cone = fx.reflexive_pair("quartic_dual").cone
     pts = lat.lattice_points_at_degree(cone, 1)
     sub = lat.regular_subdivision(cone, [sum(x * x for x in p) for p in pts],
                                   force_generic=True)
     assert len(sub.max_cones) == 58
     assert all(c.is_simplicial() for c in sub.max_cones)
-    _assert_masks_match_point_in_cone(sub, range(4))
+    _assert_membership_matches_point_in_cone(sub, range(4))
 
 
-def test_cell_masks_beyond_64_cells():
+def test_cell_membership_beyond_64_cells():
     sub = _generic_quintic_subdivision()
     assert len(sub.max_cones) == 104
     assert all(c.is_simplicial() for c in sub.max_cones)
-    _assert_masks_match_point_in_cone(sub, [1])
+    _assert_membership_matches_point_in_cone(sub, [1])
 
 
-def test_cell_masks_on_lower_dimensional_cones():
+def test_cell_membership_on_lower_dimensional_cones():
     cone = lat.gorenstein_cone_over(poly("cube"))
     faces = [f.as_cone() for f in lat.face_lattice(cone).faces]
     pts = [p for k in range(3) for p in lat.lattice_points_at_degree(cone, k)]
-    for p, mask in zip(pts, lat.cell_masks(faces, pts)):
-        assert mask == sum(1 << i for i, face in enumerate(faces)
-                           if point_in_cone(face, p))
-    assert lat.cell_masks(faces, []) == []
+    assert lat.cell_membership(faces, pts).tolist() == [
+        [point_in_cone(face, p) for face in faces] for p in pts]
+    empty = lat.cell_membership(faces, np.zeros((0, cone.ambient_rank)))
+    assert empty.shape == (0, len(faces))
+
+
+def _table_subdivisions(cone):
+    """Trivial, stellar, and seeded random heights 0..3 on the degree-1
+    points with and without force_generic."""
+    rng = random.Random(len(cone.generators))
+    heights = [rng.randrange(4) for _ in lat.lattice_points_at_degree(cone, 1)]
+    return [lat.trivial_subdivision(cone), lat.stellar_subdivision(cone),
+            lat.regular_subdivision(cone, heights),
+            lat.regular_subdivision(cone, heights, force_generic=True)]
+
+
+def _rows(points, rank):
+    return np.array(points, dtype=np.int64).reshape(-1, rank)
+
+
+@pytest.mark.parametrize("cone", FIXTURE_CONES)
+def test_product_table_matches_the_dict_reference(cone):
+    """Degree k-1 times degree 1 into degree k up to dim+1 (degree 3 on the
+    126-point cones of the quintic pair, where dim+1 would take 5e6 Python
+    lookups), and the points of degree <= 2 times degree 1 into themselves,
+    where the sums of degree 3 are not in the target."""
+    rank = cone.ambient_rank
+    at = [lat.lattice_points_at_degree(cone, k) for k in range(cone.dim + 2)]
+    top = cone.dim + 1 if len(at[1]) < 100 else 3
+    cases = [(at[k - 1], at[1], at[k]) for k in range(1, top + 1)]
+    cases.append((at[0] + at[1] + at[2], at[1], at[0] + at[1] + at[2]))
+    for sub in _table_subdivisions(cone):
+        for source, support, target in cases:
+            got = lat.product_table(_rows(source, rank), _rows(support, rank),
+                                    _rows(target, rank), sub.max_cones)
+            assert got.tolist() == sum_table(source, support, target,
+                                             sub.max_cones), sub.provenance
+
+
+def test_product_table_checks_every_code_hit():
+    # strides (1, 2) on the 2 x 2 box: (2, 0) has the code of (0, 1)
+    target = np.array([(0, 0), (1, 0), (0, 1), (1, 1)])
+    assert lat.product_table([(2, 0)], [(0, 0)], target).tolist() == [[-1]]
+    assert lat.product_table([(1, 0)], [(-1, 1), (1, 0)], target).tolist() \
+        == [[2, -1]]
+
+
+def test_product_table_edge_shapes():
+    target = np.array([(0, 0), (1, 0), (0, 1), (1, 1)])
+    assert lat.product_table(np.zeros((0, 2)), target, target).shape == (0, 4)
+    # a zero support finds the source points themselves: the unit columns
+    assert lat.product_table(target[::-1], np.zeros((1, 2)),
+                             target).tolist() == [[3], [2], [1], [0]]
 
 
 @pytest.mark.parametrize("cone", FIXTURE_CONES)
@@ -786,12 +836,17 @@ def test_int64_kernels_refuse_values_that_could_wrap():
                                         default=0))
     assert cone.dim == 3 and max(map(abs, itertools.chain(*cone.facets))) > 10**52
     # the closed slice reads no facet (the scan oracle does, so the exact
-    # brute force checks it); the interior slice and cell_masks do
+    # brute force checks it); the interior slice and cell_membership do
     assert lat.lattice_points_at_degree(cone, 1) == brute_force_points(cone, 1)
     with pytest.raises(DimensionBudgetExceeded):
         lat.lattice_points_at_degree(cone, 1, interior_only=True)
     with pytest.raises(DimensionBudgetExceeded):
-        lat.cell_masks((cone,), cone.generators)
+        lat.cell_membership((cone,), cone.generators)
+    # a product table's codes: strides up to (2^31 + 1)^2 on this box
+    wide = [(0, 0, 0), (2**31, 2**31, 2**31)]
+    with pytest.raises(DimensionBudgetExceeded):
+        lat.product_table(wide, wide, wide)
+    assert lat.product_table(wide[:1], wide, wide[:1]).tolist() == [[0, -1]]
 
 
 def _diamond_cells(*triangles):

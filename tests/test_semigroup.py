@@ -27,8 +27,7 @@ def k_cone(name):
 def restrict_to_face(sub, face_cone):
     """The subdivision that sub induces on a face of its parent."""
     gens = sorted({g for cell in sub.max_cones for g in cell.generators})
-    on_face = {g for g, m in zip(gens, lat.cell_masks((face_cone,), gens))
-               if m}
+    on_face = {g for g in gens if point_in_cone(face_cone, g)}
     cells = []
     for cell in sub.max_cones:
         inside = [g for g in cell.generators if g in on_face]
