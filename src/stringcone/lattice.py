@@ -13,6 +13,8 @@ the ambient rank are handled through saturated span lattices.  Extreme
 rays, lower hulls, face lattices (incidence closure), dual faces and
 subdivision checks all read those bitmasks, and each face lattice carries
 its one Eulerian poset, which numbers the faces as the lattice does.
+cone_from_generators and regular_subdivision build each cone and each
+subdivision once per process: both are frozen, so they are shared.
 
 Lattice points come from box groups (Stanley 1980).  A face is cut into
 the simplices of a pulling triangulation, made half-open so that they
@@ -230,8 +232,16 @@ def _lift_functionals(basis_rows, functionals):
 
 def cone_from_generators(generators, ambient_rank: int | None = None,
                          deg: Vector | None = None) -> GradedCone:
-    """Build a GradedCone; raises NotGorenstein when no integral functional
-    takes the value 1 on all generators."""
+    """Build a GradedCone, once per process for each generator set, rank
+    and grading; raises NotGorenstein when no integral functional takes the
+    value 1 on all generators."""
+    return _cone_from_generators(
+        tuple(sorted({tuple(int(x) for x in g) for g in generators})),
+        ambient_rank, None if deg is None else tuple(int(x) for x in deg))
+
+
+@lru_cache(maxsize=None)
+def _cone_from_generators(generators, ambient_rank, deg) -> GradedCone:
     gens = [la.primitive_vector(g) for g in generators]
     gens = sorted({g for g in gens if any(x != 0 for x in g)})
     if ambient_rank is None:
@@ -678,10 +688,16 @@ def regular_subdivision(cone: GradedCone, heights,
     valid subdivision (constant heights give the trivial one); a vector of
     another length raises InvalidSubdivision.  With force_generic every
     cell is replaced by its pulling triangulation, so every cell is
-    simplicial; the step is recorded in the provenance.
+    simplicial; the step is recorded in the provenance.  Each subdivision
+    is built and validated once per process.
     """
+    return _regular_subdivision(cone, tuple(int(h) for h in heights),
+                                bool(force_generic))
+
+
+@lru_cache(maxsize=None)
+def _regular_subdivision(cone, heights, force_generic) -> FanSubdivision:
     pts = lattice_points_at_degree(cone, 1)
-    heights = [int(h) for h in heights]
     if len(heights) != len(pts):
         raise InvalidSubdivision(
             f"got {len(heights)} heights for {len(pts)} degree-1 points")
@@ -689,7 +705,7 @@ def regular_subdivision(cone: GradedCone, heights,
         raise ValueError("subdivisions are built for full-dimensional cones")
     cells = [[pts[i] for i in cell]
              for cell in _lower_hull_cells(cone, pts, heights)]
-    provenance = ("heights", tuple(heights))
+    provenance = ("heights", heights)
     if force_generic:
         # cells list their generators in lex order, so all are pulled in
         # one global order and the cells sharing a face split it alike
@@ -697,7 +713,7 @@ def regular_subdivision(cone: GradedCone, heights,
                  for cell in cells)
         cells = [[c.generators[i] for i in s] for c in cones
                  for s in _pulling_triangulation(face_lattice(c).maximum())]
-        provenance = ("heights+pulling-triangulation", tuple(heights))
+        provenance = ("heights+pulling-triangulation", heights)
     max_cones = tuple(sorted(
         (cone_from_generators(cell, cone.ambient_rank, deg=cone.deg)
          for cell in cells), key=lambda c: c.generators))

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -76,15 +77,17 @@ def random_degree_one(cone: GradedCone, seed: int,
     return DegreeOneElement(cone=cone, coefficients=coeffs, field=field)
 
 
-def grading_functionals(cone: GradedCone) -> list[tuple]:
+@lru_cache(maxsize=None)
+def grading_functionals(cone: GradedCone) -> tuple[tuple, ...]:
     """dim-many coordinate functionals whose restrictions to the span are
     linearly independent: the pivot columns of the generator matrix, the
-    deterministic greedy choice of the leftmost independent coordinates."""
+    deterministic greedy choice of the leftmost independent coordinates,
+    found once per cone."""
     if not cone.generators:
-        return []
+        return ()
     pivots = la.rref_fraction(cone.generators)[1]
-    return [tuple(int(j == i) for j in range(cone.ambient_rank))
-            for i in pivots]
+    return tuple(tuple(int(j == i) for j in range(cone.ambient_rank))
+                 for i in pivots)
 
 
 def logarithmic_derivatives(g: DegreeOneElement) -> list[dict]:

@@ -21,6 +21,8 @@ each from the element restricted to the cell.  It shares
 `graded_quotient_dims`, which `full_matrix_dims` checks, with
 `semigroup.is_sigma_regular`, so it checks only that one deformed ring
 decides what every cell ring decides.
+`cold_caches` is no oracle: it clears the package's lru_caches, so that a
+test counts the work done in it whatever ran before.
 """
 
 import math
@@ -28,10 +30,22 @@ import math
 import numpy as np
 
 from stringcone import intlinalg as la
+from stringcone import lattice as lat
+from stringcone import posets as po
 from stringcone import semigroup as sg
+from stringcone import stringy as st
 from stringcone.errors import DimensionBudgetExceeded
 from stringcone.lattice import (_BOX_BUDGET, _check_int64,
                                 lattice_points_at_degree, trivial_subdivision)
+
+
+def cold_caches():
+    """Clear every lru_cache of intlinalg, lattice, posets, stringy and
+    semigroup, so that what a test counts is built in the test."""
+    for mod in (la, lat, po, st, sg):
+        for value in vars(mod).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
 
 
 def point_in_cone(cone, x, strict: bool = False) -> bool:

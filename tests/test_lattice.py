@@ -1,5 +1,6 @@
 """Lattice geometry: duality, cones, face lattices, points, subdivisions."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -10,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import point_in_cone, slice_scan, sum_table
+from oracles import cold_caches, point_in_cone, slice_scan, sum_table
 
 from stringcone import fixtures as fx
 from stringcone import intlinalg as la
@@ -117,11 +118,15 @@ def test_reflexive_pair_enumerates_facets_twice(monkeypatch):
         return enumerate_facets(*args)
 
     monkeypatch.setattr(lat, "_cone_facets_fulldim", counted)
+    cold_caches()
     # loading the polytope builds its cone, which reflexive_pair reuses
     pair = lat.reflexive_pair(lat.lattice_polytope(
         fx.POLYTOPE_VERTICES["quartic"]))
     assert len(calls) == 2  # one per cone; the dual is read off the facets
     assert pair.dual == lat.gorenstein_cone_over(poly("quartic_dual"))
+    calls.clear()  # a repeat build enumerates 0 facets
+    assert lat.reflexive_pair(lat.lattice_polytope(
+        fx.POLYTOPE_VERTICES["quartic"])) == pair and calls == []
 
 
 def test_dual_polytope_enumerates_facets_once(monkeypatch):
@@ -133,10 +138,14 @@ def test_dual_polytope_enumerates_facets_once(monkeypatch):
         return enumerate_facets(*args)
 
     monkeypatch.setattr(lat, "_cone_facets_fulldim", counted)
+    cold_caches()
     # what `stringcone dual` does: load the polytope, then dualise it
     dual = lat.dual_polytope(lat.lattice_polytope(
         fx.POLYTOPE_VERTICES["quartic"]))
     assert len(calls) == 1  # the dual reads the facets of the loaded cone
+    calls.clear()  # a repeat build enumerates 0 facets
+    assert lat.dual_polytope(lat.lattice_polytope(
+        fx.POLYTOPE_VERTICES["quartic"])) == dual and calls == []
     assert to_lattice(dual) == poly("quartic_dual")
 
 
@@ -286,8 +295,11 @@ def test_double_description_budget(monkeypatch):
     cone = lat.gorenstein_cone_over(poly("cube"))  # 6 facets
     assert len(lat._cone_facets_fulldim(cone.generators, 4)) == 6
     monkeypatch.setattr(lat, "_SUBSET_BUDGET", 5)
+    cold_caches()
     with pytest.raises(DimensionBudgetExceeded):
         lat._cone_facets_fulldim(cone.generators, 4)
+    with pytest.raises(DimensionBudgetExceeded):  # the memoised build too
+        lat.cone_from_generators(cone.generators)
 
 
 # -- face lattices ---------------------------------------------------------------
@@ -423,8 +435,11 @@ def test_face_lattice_of_a_32_gon_cone():
 def test_face_lattice_face_count_budget(monkeypatch):
     cone = lat.gorenstein_cone_over(poly("cube"))  # 28 faces
     monkeypatch.setattr(lat, "_SUBSET_BUDGET", 27)
+    cold_caches()
     with pytest.raises(DimensionBudgetExceeded):
         lat.face_lattice.__wrapped__(cone)
+    with pytest.raises(DimensionBudgetExceeded):
+        lat.face_lattice(cone)
 
 
 def test_dimension_budget():
@@ -818,6 +833,7 @@ def test_stellar_needs_a_full_dimensional_cone():
 
 
 def test_validating_104_generic_quintic_cells_is_fast():
+    cold_caches()  # time the build, not a cache hit
     start = time.process_time()
     sub = _generic_quintic_subdivision()
     elapsed = time.process_time() - start
@@ -870,6 +886,81 @@ def test_intersection_that_is_not_a_face_detected():
     upper = ((-1, 0), (1, 0), (0, 1))
     with pytest.raises(InvalidSubdivision, match="not a face"):
         lat.validate_subdivision(_diamond_cells(whole, upper))
+
+
+# -- memoised constructors ------------------------------------------------------------
+
+def every_field(obj):
+    """The dataclass fields of cones and subdivisions, the compare=False
+    ones (facets, equations, dim, incidence) too, down through their cones."""
+    if isinstance(obj, (lat.GradedCone, lat.FanSubdivision)):
+        return tuple(every_field(getattr(obj, f.name))
+                     for f in dataclasses.fields(obj))
+    return tuple(map(every_field, obj)) if isinstance(obj, tuple) else obj
+
+
+def fresh_cone(cone):
+    return lat._cone_from_generators.__wrapped__(
+        cone.generators, cone.ambient_rank, cone.deg)
+
+
+@pytest.mark.parametrize("cone", FIXTURE_CONES)
+def test_memoised_cones_equal_fresh_builds(cone):
+    for face in lat.face_lattice(cone).faces:
+        got = face.as_cone()
+        assert every_field(got) == every_field(fresh_cone(got))
+        assert lat.cone_from_generators(
+            face.generator_vectors(), cone.ambient_rank, deg=cone.deg) is got
+    assert every_field(cone) == every_field(fresh_cone(cone))
+
+
+@pytest.mark.parametrize("cone", FIXTURE_CONES)
+def test_memoised_subdivisions_equal_fresh_builds(cone):
+    stellar = lat.stellar_subdivision(cone).provenance[1]
+    seeded = [[random.Random(seed).randrange(4) for _ in stellar]
+              for seed in range(2)]
+    for heights in [stellar] + seeded:
+        for force_generic in (False, True):
+            sub = lat.regular_subdivision(cone, heights, force_generic)
+            fresh = lat._regular_subdivision.__wrapped__(
+                cone, tuple(heights), force_generic)
+            assert every_field(sub) == every_field(fresh)
+            assert every_field(sub.max_cones) == tuple(
+                every_field(fresh_cone(c)) for c in fresh.max_cones)
+            assert lat.regular_subdivision(
+                cone, np.array(heights), force_generic) is sub
+    assert lat.stellar_subdivision(cone) is lat.stellar_subdivision(cone)
+
+
+def test_input_forms_give_one_cone():
+    cone = fx.reflexive_pair("p2").dual
+    gens, rng = list(cone.generators), random.Random(0)
+    forms = [gens, tuple(gens), [list(g) for g in gens],
+             np.array(gens), np.array(gens, dtype=np.int32),
+             gens[::-1], rng.sample(gens, len(gens)), gens + gens[:1]]
+    for form in forms:
+        for deg in (cone.deg, list(cone.deg), np.array(cone.deg)):
+            assert lat.cone_from_generators(form, 3, deg) is cone
+        assert lat.cone_from_generators(form) == cone
+        assert every_field(lat.cone_from_generators(form)) == every_field(cone)
+
+
+def test_bad_input_raises_on_every_call():
+    square = lat.gorenstein_cone_over(poly("square"))
+    facet = lat.face_lattice(square).faces[-2].as_cone()
+    facet_heights = [0] * lat.count_lattice_points_at_degree(facet, 1)
+    for _ in range(3):
+        with pytest.raises(NotGorenstein):
+            lat.cone_from_generators([(2, 1), (1, 2)])
+        with pytest.raises(NotGorenstein):
+            lat.cone_from_generators([(1, 0), (0, 1)], deg=(1, 2))
+        with pytest.raises(DimensionBudgetExceeded):
+            lat.cone_from_generators(
+                [tuple(int(i == j) for j in range(9)) for i in range(9)])
+        with pytest.raises(InvalidSubdivision, match="got 5 heights for 9"):
+            lat.regular_subdivision(square, [0] * 5)
+        with pytest.raises(ValueError, match="full-dimensional"):
+            lat.regular_subdivision(facet, facet_heights)
 
 
 # -- fans ---------------------------------------------------------------------------

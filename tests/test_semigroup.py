@@ -306,8 +306,8 @@ def functionals_oracle(cone):
             chosen.append(i)
         if len(chosen) == cone.dim:
             break
-    return [tuple(int(j == i) for j in range(cone.ambient_rank))
-            for i in chosen]
+    return tuple(tuple(int(j == i) for j in range(cone.ambient_rank))
+                 for i in chosen)
 
 
 @pytest.mark.parametrize("name", fx.polytope_names())

@@ -12,7 +12,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from oracles import slice_scan
+from oracles import cold_caches, slice_scan
 
 from stringcone import fixtures as fx
 from stringcone import intlinalg as la
@@ -83,13 +83,6 @@ def scan_s(cone):
     d = cone.dim
     return st._times_one_minus_t_pow(
         [len(slice_scan(cone, k, False)) for k in range(d + 1)], d)
-
-
-def cold_caches():
-    for mod in (la, lat, po, st):
-        for value in vars(mod).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
 
 
 def perfbench_workloads():
