@@ -13,10 +13,11 @@ derivatives < d pivoted lies in the span of derivatives < d at degree k:
 those columns are left out, and each rank call's tiers name them.  Where S
 vanishes, so does a regular element's quotient: there the products are
 first ranked alone mod p (full row rank mod p is full row rank over Q), and
-the unit columns are built only if that falls short.  Degree dim+1 is built
-only if the quotient is not zero at degree dim.  The element is regular
-exactly when the quotient is zero there and has total dimension S(1), so
-this one deformed ring decides regularity for all the cells at once.
+the unit columns are built only if that falls short.  The ring ends at
+degree dim: a quotient zero there is zero above it.  The element is regular
+exactly when the quotient is zero at degree dim and has total dimension
+S(1), so this one deformed ring decides regularity for all the cells at
+once.
 
 Two scalar backends are available: residues modulo a prime (fast, default)
 and certified rational arithmetic.  Coefficients are drawn as integers so
@@ -106,7 +107,7 @@ class GradedQuotientReport:
     seed: int | None
     field: str
     subdivision: tuple
-    top_degree_dims: tuple  # (R0, R1) at degree dim+1; (0, 0) if R0[dim] = 0
+    top_degree_dims: tuple | None  # (0, 0) at dim+1 if R0[dim] = 0, else None
     regular_profile: bool
 
 
@@ -124,13 +125,12 @@ class _QuotientWorkspace:
         self.weights = np.array([[d.get(m, 0) for m in support]
                                  for d in self.derivs], dtype=np.int64
                                 ).reshape(len(self.derivs), len(support))
-        self._points_through(max(self.cone.dim, 1))
-
-    def _points_through(self, top: int):
-        """Points (also as int64 rows) and interior points of degrees 0 ..
-        top; refuses a full degree-top matrix with unit columns over the
-        budget before assembly (degree-one moves map k-1 into k, so no
-        lower degree's is larger)."""
+        # points (also as int64 rows) and interior points of degrees 0 ..
+        # top, the last degree ranked (see graded_quotient_dims); a full
+        # degree-top matrix with unit columns over the budget is refused
+        # before assembly (degree-one moves map k-1 into k, so no lower
+        # degree's is larger)
+        top = max(self.cone.dim, 1)
         self.points, self.interior = (
             {k: lat.lattice_points_at_degree(self.cone, k, inner)
              for k in range(top + 1)} for inner in (False, True))
@@ -168,25 +168,18 @@ class _QuotientWorkspace:
 
     def dims(self) -> tuple[list, list]:
         """Dimensions of the quotient and of its interior image at degrees
-        0 .. dim+1, degree dim+1 only when degree dim is not zero.  Where S
-        vanishes, the products alone are ranked first modulo the element's
-        prime, or DEFAULT_FIELD's over Q."""
-        r0, r1 = [1], [1 if self.interior[0] else 0]
-        top, skip = self.cone.dim + 1, ()
+        0 .. max(dim, 1).  Where S vanishes, the products alone are ranked
+        first modulo the element's prime, or DEFAULT_FIELD's over Q."""
+        r0, r1, skip = [1], [1 if self.interior[0] else 0], ()
         vanish, field = len(s_polynomial(self.cone).coeffs), self.g.field
         attempt = ((), field if la.parse_field(field)[1] else DEFAULT_FIELD)
-        for k in range(1, top + 1):
-            if k == top and r0[-1] == 0:  # zero at dim: zero above it
-                return r0 + [0], r1 + [0]
-            if k == top:
-                self._points_through(top)
+        for k in range(1, len(self.points)):
             routes = (attempt, (self.interior[k], field))[k < vanish:]
             for units, scalars in routes:
                 # the unit columns share the triplets, so no matrix is copied
                 aug, bounds = self._products(k, units, skip)
-                # the top degree's rows are not read, so it needs no tiers
                 rank_m, rank_aug, tiers = la.ranks_with_prefix(
-                    aug, bounds if k < top else bounds[-1:], scalars)
+                    aug, bounds, scalars)
                 if rank_m == len(self.points[k]):
                     break  # zero quotient: the unit columns add no rank
             skip = ((), *tiers)
@@ -200,29 +193,32 @@ def graded_quotient_dims(g: DegreeOneElement,
                          seed: int | None = None) -> GradedQuotientReport:
     """Exact graded dimensions of the quotient by the logarithmic
     derivatives in the deformed ring, and of its interior image, at degrees
-    0 .. dim; degree dim+1, the regularity cutoff, is reported apart and is
-    (0, 0) with no matrix built when degree dim is.
+    0 .. dim.  Degree dim+1 is never built: top_degree_dims is (0, 0) when
+    degree dim is zero and None otherwise.
 
     The cutoff is a lemma: cells are generated by degree-one points, and in
     a simplex v_1 .. v_dim of them a lattice point x of degree >= dim has a
     coefficient >= 1, so v_i (x - v_i) = x.  So R_k = R_1 R_(k-1) for k >= dim
     and a quotient zero at degree dim is zero above it (Stanley 1980;
-    Bruns-Gubeladze 2009): it is finite exactly when zero at degree dim+1.
+    Bruns-Gubeladze 2009).  It is finite exactly when zero at degree dim:
+    the ring is Cohen-Macaulay, so a finite quotient has Hilbert function S,
+    of degree below dim.  The apex cone, of dim 0, is ranked through degree
+    1, where the lemma starts for it.
     """
     if subdivision is None:
         subdivision = lat.trivial_subdivision(g.cone)
     r0, r1 = _QuotientWorkspace(g, subdivision).dims()
     dim = g.cone.dim
-    s_total = sum(s_polynomial(g.cone).coeffs)
-    regular = r0[dim + 1] == r1[dim + 1] == 0 and sum(r0[:dim + 1]) == s_total
+    finite = r0[-1] == 0  # zero at the last degree built: zero above it
     return GradedQuotientReport(
         dims_R0=tuple(r0[: dim + 1]),
         dims_R1=tuple(r1[: dim + 1]),
         seed=seed,
         field=g.field,
         subdivision=subdivision.provenance,
-        top_degree_dims=(r0[dim + 1], r1[dim + 1]),
-        regular_profile=regular,
+        top_degree_dims=(0, 0) if finite else None,
+        regular_profile=finite and sum(r0[: dim + 1]) == sum(
+            s_polynomial(g.cone).coeffs),
     )
 
 
@@ -235,12 +231,12 @@ class RegularityVerdict:
 def is_sigma_regular(g: DegreeOneElement,
                      subdivision: FanSubdivision | None = None) -> RegularityVerdict:
     """Regularity as the deformed ring's regular profile: its quotient is
-    zero at the degree dim+1 cutoff and has total dimension S(1).
+    zero at degree dim and has total dimension S(1).
 
     The ring maps onto each maximal cell's semigroup ring by sending the
     points outside the cell to 0, and the kernels are its minimal primes, so
     the quotient is finite exactly when every cell's quotient is; on both
-    sides finite means zero at degree dim+1 (see graded_quotient_dims).
+    sides finite means zero at degree dim (see graded_quotient_dims).
     Cohen-Macaulayness then gives the total S(1), which is still checked.
     A verdict costs one deformed ring of the cone, the one `ring-dims
     --subdivide` computes.  No Koszul run reaches a fine subdivision of a

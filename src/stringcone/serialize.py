@@ -142,7 +142,7 @@ def dump_quotient_report(report) -> str:
         "field": report.field,
         "subdivision": [list(x) if isinstance(x, tuple) else x
                         for x in report.subdivision],
-        "top_degree_dims": list(report.top_degree_dims),
+        "top_degree_dims": report.top_degree_dims,  # an array or null
         "regular_profile": report.regular_profile,
     }, sort_keys=True)
 

@@ -12,7 +12,7 @@ answer does not.
 multiplication matrix of every derivative and every lower-degree point,
 assembled by one Python loop over the points.  It enumerates and ranks
 degree dim+1 whatever degree dim gives, so it checks the cutoff that
-stops the graded ring at degree dim.  `paired_elements` lists the Koszul
+ends the graded ring at degree dim.  `paired_elements` lists the Koszul
 basis from a scan of every point pair, in the order the build numbers it.
 `full_block_cohomology` ranks every Koszul differential on all its
 columns, so it checks the column skip of `koszul.cohomology_dims`.
@@ -107,8 +107,9 @@ def slice_scan(cone, k: int, interior: bool):
 
 
 def full_matrix_dims(g, sub):
-    """(dims_R0, dims_R1, top_degree_dims) from one rank per degree of the
-    full multiplication matrix with one unit column per interior point."""
+    """(dims_R0, dims_R1, (R0, R1) at degree dim+1) from one rank per
+    degree of the full multiplication matrix with one unit column per
+    interior point."""
     derivs = sg.logarithmic_derivatives(g)
     points, interior = ({k: lattice_points_at_degree(g.cone, k, inner)
                          for k in range(g.cone.dim + 2)}

@@ -122,6 +122,11 @@ def test_a1_dims():
     assert rep.dims_R1 == (0, 1, 0)
     assert rep.top_degree_dims == (0, 0)
     assert rep.regular_profile
+    # the apex cone is ranked through degree 1, which has no points
+    apex = lat.cone_from_generators([], 2, deg=(0, 1))
+    rep = sg.graded_quotient_dims(sg.random_degree_one(apex, seed=0))
+    assert (rep.dims_R0, rep.dims_R1, rep.top_degree_dims,
+            rep.regular_profile) == ((1,), (1,), (0, 0), True)
 
 
 def test_square_cone_dims_both_subdivisions():
@@ -331,6 +336,18 @@ def subdivision(cone, stellar):
             else lat.trivial_subdivision(cone))
 
 
+def assert_matches_full_matrix_dims(report, g, sub):
+    """The oracle's dims at degrees 0 .. dim.  The oracle alone ranks
+    degree dim+1: it is zero wherever degree dim is (the cutoff lemma),
+    and the report names it (0, 0) exactly there, None elsewhere."""
+    r0, r1, top = full_matrix_dims(g, sub)
+    assert (report.dims_R0, report.dims_R1) == (r0, r1)
+    if r0[-1] == 0:
+        assert report.top_degree_dims == top == (0, 0)
+    else:
+        assert report.top_degree_dims is None
+
+
 @pytest.mark.parametrize("field", [sg.DEFAULT_FIELD, "rational"])
 @pytest.mark.parametrize("stellar", [False, True])
 @pytest.mark.parametrize("name", fx.SMALL_REFLEXIVE_NAMES)
@@ -340,8 +357,8 @@ def test_reduced_matrices_match_full_matrix_dims(name, stellar, field):
     for seed in range(3):
         g = sg.random_degree_one(cone, seed, field)
         report = sg.graded_quotient_dims(g, sub)
-        assert (report.dims_R0, report.dims_R1,
-                report.top_degree_dims) == full_matrix_dims(g, sub)
+        assert report.regular_profile
+        assert_matches_full_matrix_dims(report, g, sub)
 
 
 @pytest.mark.parametrize("field", [sg.DEFAULT_FIELD, "rational"])
@@ -353,24 +370,30 @@ def test_non_regular_element_matches_full_matrix_dims(name, stellar, field):
     g = sg.degree_one_element(cone, {cone.generators[0]: 7}, field)
     report = sg.graded_quotient_dims(g, sub)
     assert not report.regular_profile
-    assert (report.dims_R0, report.dims_R1,
-            report.top_degree_dims) == full_matrix_dims(g, sub)
+    assert_matches_full_matrix_dims(report, g, sub)
 
 
 def test_one_vertex_element_on_the_cube_is_lifted_at_every_degree(monkeypatch):
-    # many dependent rows: degree 5 lifts a 946 x 946 system with 385
-    # right-hand sides, and no rank falls back to Fraction elimination
-    lifts = []
-    lift = la._dixon_lift
-    monkeypatch.setattr(la, "_dixon_lift", lambda square, rhs, p: lifts.append(
-        (len(square), lift(square, rhs, p))) or lifts[-1][1])
+    # many dependent rows: eight lifts, the last at degree dim = 4 a
+    # 470 x 470 system with 259 right-hand sides; every lift succeeds and
+    # no rank falls back to Fraction elimination
     cone = k_cone("cube")
     g = sg.degree_one_element(cone, {cone.generators[0]: 7}, "rational")
-    report = sg.graded_quotient_dims(g, lat.stellar_subdivision(cone))
+    sub = lat.stellar_subdivision(cone)
+    sg.logarithmic_derivatives(g)  # its grading basis may need one RREF
+    lifts, fractions = [], []
+    lift, rref_fraction = la._dixon_lift, la.rref_fraction
+    monkeypatch.setattr(la, "_dixon_lift", lambda square, rhs, p: lifts.append(
+        (square.shape, rhs.shape[1], lift(square, rhs, p))) or lifts[-1][2])
+    monkeypatch.setattr(la, "rref_fraction", lambda rows: fractions.append(
+        rows) or rref_fraction(rows))
+    report = sg.graded_quotient_dims(g, sub)
     assert (report.dims_R0, report.dims_R1, report.top_degree_dims) == (
-        (1, 26, 105, 262, 521), (0, 1, 26, 105, 262), (906, 521))
-    assert max(n for n, _ in lifts) == 946
-    assert all(lifted is not None for _, lifted in lifts)
+        (1, 26, 105, 262, 521), (0, 1, 26, 105, 262), None)
+    assert len(lifts) == 8 and lifts[-1][:2] == ((470, 470), 259)
+    assert max(shape for shape, _, _ in lifts) == (470, 470)
+    assert all(lifted is not None for _, _, lifted in lifts)
+    assert not fractions
 
 
 @pytest.mark.parametrize("field", [sg.DEFAULT_FIELD, "rational"])
@@ -397,22 +420,22 @@ def test_only_degrees_where_s_vanishes_add_a_mod_p_attempt(field,
         cone.dim + 1 - vanish)  # regular: one rank call per degree
     one_vertex = sg.degree_one_element(cone, {cone.generators[0]: 7}, field)
     dims, fields, lifted = run(one_vertex)
-    # degrees vanish .. dim+1 each add a mod-p attempt that falls short
+    # degrees vanish .. dim each add a mod-p attempt that falls short
     assert fields == [field] * (vanish - 1) + [sg.DEFAULT_FIELD, field] * (
-        cone.dim + 2 - vanish)
+        cone.dim + 1 - vanish)
     # the route that builds the unit columns at every degree lifts the same
     monkeypatch.setattr(sg, "s_polynomial", lambda c: UnivariatePolynomial(
-        (1,) * (c.dim + 2)))
+        (1,) * (c.dim + 1)))
     assert run(one_vertex)[::2] == (dims, lifted)
     assert bool(lifted) == (field == "rational")
 
 
-# -- the graded ring stops at degree dim when the quotient vanishes there --------
+# -- the graded ring ends at degree dim ---------------------------------------------
 
 def test_small_support_elements_match_full_matrix_dims():
     # elements on 1-4 of the points that can make a cell quotient finite
     # (the cone's generators and its interior degree-one point); the
-    # oracle ranks degree dim+1 even where the quotient is zero at dim
+    # oracle ranks degree dim+1 whatever degree dim gives
     cutoffs = 0
     for name in ("diamond", "p2_dual", "cross", "quartic"):
         cone = k_cone(name)
@@ -425,8 +448,7 @@ def test_small_support_elements_match_full_matrix_dims():
                     m: rng.randint(1, 10**6)
                     for m in rng.sample(points, rng.randint(1, 4))})
                 report = sg.graded_quotient_dims(g, sub)
-                assert (report.dims_R0, report.dims_R1,
-                        report.top_degree_dims) == full_matrix_dims(g, sub)
+                assert_matches_full_matrix_dims(report, g, sub)
                 cutoffs += report.dims_R0[-1] == 0
     assert cutoffs >= 16
 
@@ -437,21 +459,28 @@ def full_matrix_cells(cone, k):
                    + len(lat.lattice_points_at_degree(cone, k, True)))
 
 
-def test_top_degree_has_its_own_budget_check(monkeypatch):
+def test_degree_dim_is_the_last_degree_checked_and_built(monkeypatch):
+    # one budget check, of degree dim's full matrix, before any assembly;
+    # no element, regular or not, builds a degree above dim
     cone = k_cone("diamond")
-    top = cone.dim + 1
-    budget = full_matrix_cells(cone, cone.dim)
-    assert budget < full_matrix_cells(cone, top)
-    monkeypatch.setattr(la, "MATRIX_CELL_BUDGET", budget)
+    cells = full_matrix_cells(cone, cone.dim)
     built = []
     products = sg._QuotientWorkspace._products
     monkeypatch.setattr(sg._QuotientWorkspace, "_products",
                         lambda self, k, *args: built.append(k)
                         or products(self, k, *args))
-    assert sg.graded_quotient_dims(sg.random_degree_one(cone, 0)).regular_profile
-    assert max(built) == cone.dim
-    built.clear()
-    with pytest.raises(DimensionBudgetExceeded, match=f"degree-{top} "):
-        sg.graded_quotient_dims(
-            sg.degree_one_element(cone, {cone.generators[0]: 7}))
-    assert max(built) == cone.dim
+    for field in (sg.DEFAULT_FIELD, "rational"):
+        regular = sg.random_degree_one(cone, 0, field)
+        one_vertex = sg.degree_one_element(cone, {cone.generators[0]: 7},
+                                           field)
+        monkeypatch.setattr(la, "MATRIX_CELL_BUDGET", cells - 1)
+        for g in (regular, one_vertex):
+            with pytest.raises(DimensionBudgetExceeded,
+                               match=f"degree-{cone.dim} .* = {cells} cells"):
+                sg.graded_quotient_dims(g)
+        assert built == []
+        monkeypatch.setattr(la, "MATRIX_CELL_BUDGET", cells)
+        assert [sg.graded_quotient_dims(g).regular_profile
+                for g in (regular, one_vertex)] == [True, False]
+        assert set(built) == set(range(1, cone.dim + 1))
+        built.clear()

@@ -341,18 +341,18 @@ def test_graded_ring_makes_one_certified_call_per_degree(monkeypatch):
     cone = lat.gorenstein_cone_over(fx.polytope("diamond"))
     vanish = len(sg.s_polynomial(cone).coeffs)
     rows = [len(lat.lattice_points_at_degree(cone, k))
-            for k in range(cone.dim + 2)]
+            for k in range(cone.dim + 1)]
     regular = sg.random_degree_one(cone, 0, "rational")
     one_vertex = sg.degree_one_element(cone, {cone.generators[0]: 7},
                                        "rational")
     log = spy_certified_calls(monkeypatch)
-    # degree dim+1 is built only when the quotient is not zero at dim
-    for g, degrees in ((regular, cone.dim), (one_vertex, cone.dim + 1)):
+    # the ring ends at degree dim, regular or not
+    for g in (regular, one_vertex):
         log.clear()
         report = sg.graded_quotient_dims(g)
         assert report.regular_profile == (g is regular)
         calls = iter(log)
-        for k in range(1, degrees + 1):
+        for k in range(1, cone.dim + 1):
             call = next(calls)
             if k >= vanish:
                 assert call[:2] == ("outside", rows[k])
@@ -362,7 +362,7 @@ def test_graded_ring_makes_one_certified_call_per_degree(monkeypatch):
             assert call == ("certified", rows[k])
         assert next(calls, None) is None
         assert sum(c[0] == "certified" for c in log) == (
-            vanish - 1 if g is regular else degrees)
+            vanish - 1 if g is regular else cone.dim)
 
 
 def test_koszul_makes_one_elimination_per_t(monkeypatch):
